@@ -10,8 +10,10 @@
 // BM_ShardedQueryExchange measures the runtime add/remove control path:
 // quiesce every shard at an event boundary, deliver pending matches,
 // mutate + rebalance, resume (the lazy bank rebuild itself lands on the
-// shard workers with the next batch).
+// shard workers with the next batch). BM_ShardedFleetDeploy measures the
+// same path deploying a whole session fleet, per query.
 
+#include <chrono>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -249,6 +251,72 @@ void BM_ShardedQueryExchange(benchmark::State& state) {
   benchmark::DoNotOptimize(detections);
 }
 BENCHMARK(BM_ShardedQueryExchange)->ArgsProduct({{1, 4}, {64, 256}});
+
+/// Fleet deploy: `queries` session-scoped queries, 16 per session, added
+/// one by one to a 2-shard kSessionAffinity engine -- the placement work
+/// of a GestureRuntime fleet start-up or cold restart. The engine is not
+/// started: a live deploy adds one quiesce per query, a constant that
+/// BM_ShardedQueryExchange measures and that would only blur this row.
+/// Reports the mean cost of one AddQuery (ns_per_query; real_time covers
+/// the whole deploy, not building the specs). No events flow, so the
+/// specs carry the session-scoped routing contract without a gate.
+/// scripts/check_scaling.py --deploy-linear gates the per-query cost at
+/// 4096 queries to at most 2x the cost at 1024: placement is incremental,
+/// so a deploy must stay linear in the fleet size.
+void BM_ShardedFleetDeploy(benchmark::State& state) {
+  constexpr int kGesturesPerSession = 16;
+  const int queries = static_cast<int>(state.range(0));
+  std::vector<query::ParsedQuery> gestures;
+  for (const core::GestureDefinition& definition :
+       LearnedVariants(kGesturesPerSession)) {
+    Result<query::ParsedQuery> parsed = core::GenerateQuery(definition);
+    EPL_CHECK(parsed.ok()) << parsed.status();
+    gestures.push_back(std::move(parsed).value());
+  }
+  cep::ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.routing_field = 0;
+  options.placement = cep::ShardPlacement::kSessionAffinity;
+  double deploy_ns = 0;
+  for (auto _ : state) {
+    std::vector<cep::MultiMatchOperator::QuerySpec> specs;
+    specs.reserve(static_cast<size_t>(queries));
+    for (int q = 0; q < queries; ++q) {
+      Result<query::CompiledQuery> compiled = query::CompileQuery(
+          gestures[static_cast<size_t>(q % kGesturesPerSession)],
+          kinect::KinectSchema());
+      EPL_CHECK(compiled.ok()) << compiled.status();
+      cep::MultiMatchOperator::QuerySpec spec;
+      spec.output_name = std::move(compiled->name);
+      spec.pattern = std::move(compiled->pattern);
+      spec.session_tag = static_cast<double>(q / kGesturesPerSession);
+      spec.session_scoped = true;
+      specs.push_back(std::move(spec));
+    }
+    cep::ShardedEngine engine(options);
+    const auto started = std::chrono::steady_clock::now();
+    for (cep::MultiMatchOperator::QuerySpec& spec : specs) {
+      benchmark::DoNotOptimize(engine.AddQuery(std::move(spec)));
+    }
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - started;
+    state.SetIterationTime(elapsed.count());
+    deploy_ns += 1e9 * elapsed.count();
+    // Placement fingerprint: equal across commits that place identically.
+    state.counters["rebalanced_queries"] =
+        static_cast<double>(engine.rebalanced_queries());
+    state.counters["affinity_moves"] =
+        static_cast<double>(engine.engine_stats().affinity_moves);
+  }
+  state.counters["queries"] = queries;
+  state.counters["ns_per_query"] =
+      deploy_ns / (static_cast<double>(state.iterations()) * queries);
+}
+BENCHMARK(BM_ShardedFleetDeploy)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace epl

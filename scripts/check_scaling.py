@@ -17,9 +17,17 @@ per-shard copies each pushed event cost (copies_per_event counter);
 at the gate shard count the routed configuration must enqueue strictly
 fewer copies per event than broadcast for every session count measured.
 
+With --deploy-linear it additionally gates fleet deploy cost: the
+BM_ShardedFleetDeploy rows (bench_sharded_engine) record the mean cost of
+one AddQuery (ns_per_query counter) while a session fleet is deployed;
+the per-query cost at the largest fleet must be at most DEPLOY_MAX_RATIO
+(2x) the cost at the smallest, i.e. deploying stays linear in fleet size
+(a quadratic placement path reads ~4x from 1024 to 4096 queries).
+
 Usage:
   check_scaling.py BENCH.json [--baseline-shards 1] [--gate-shards 4]
                    [--min-speedup 2.0] [--routed-fanout BENCH_fanout.json]
+                   [--deploy-linear BENCH_deploy.json]
 """
 
 import argparse
@@ -30,6 +38,8 @@ import sys
 
 SCALEOUT_ROW = re.compile(r"^BM_ShardedScaleOut/(\d+)/(\d+)/real_time")
 FANOUT_ROW = re.compile(r"^BM_SessionRoutedFanout/(\d+)/(\d+)/(\d+)/")
+DEPLOY_ROW = re.compile(r"^BM_ShardedFleetDeploy/(\d+)/")
+DEPLOY_MAX_RATIO = 2.0
 
 
 def load_throughputs(path):
@@ -100,6 +110,47 @@ def check_routed_fanout(path, gate_shards):
     return 0
 
 
+def load_deploy_costs(path):
+    """queries -> median ns_per_query over iteration rows."""
+    with open(path) as fh:
+        report = json.load(fh)
+    samples = {}
+    for row in report.get("benchmarks", []):
+        match = DEPLOY_ROW.match(row.get("name", ""))
+        if not match:
+            continue
+        if row.get("run_type", "iteration") != "iteration":
+            continue
+        cost = row.get("ns_per_query")
+        if cost is None:
+            continue
+        samples.setdefault(int(match.group(1)), []).append(float(cost))
+    return {queries: statistics.median(values)
+            for queries, values in samples.items()}
+
+
+def check_deploy_linear(path):
+    """Per-query deploy cost at the largest fleet <= 2x the smallest."""
+    costs = load_deploy_costs(path)
+    if len(costs) < 2:
+        print(f"error: need BM_ShardedFleetDeploy rows at two fleet sizes in "
+              f"{path} (have: {sorted(costs)})")
+        return 2
+    smallest, largest = min(costs), max(costs)
+    print(f"\n{'queries':>8} {'ns/query':>10}  fleet deploy")
+    for queries in sorted(costs):
+        print(f"{queries:>8} {costs[queries]:>10,.0f}")
+    ratio = costs[largest] / costs[smallest]
+    if ratio > DEPLOY_MAX_RATIO:
+        print(f"\nFAIL: per-query deploy cost at {largest} queries is "
+              f"{ratio:.2f}x the cost at {smallest} (gate: <= "
+              f"{DEPLOY_MAX_RATIO:.2f}x) -- placement is no longer linear")
+        return 1
+    print(f"\nOK: per-query deploy cost at {largest} queries is {ratio:.2f}x "
+          f"the cost at {smallest} (gate: <= {DEPLOY_MAX_RATIO:.2f}x)")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report", help="Google Benchmark JSON output")
@@ -108,6 +159,8 @@ def main():
     parser.add_argument("--min-speedup", type=float, default=2.0)
     parser.add_argument("--routed-fanout", metavar="BENCH_FANOUT_JSON",
                         help="also gate BM_SessionRoutedFanout copies/event")
+    parser.add_argument("--deploy-linear", metavar="BENCH_DEPLOY_JSON",
+                        help="also gate BM_ShardedFleetDeploy linearity")
     args = parser.parse_args()
 
     throughputs = load_throughputs(args.report)
@@ -135,9 +188,13 @@ def main():
     print(f"\nOK: {args.gate_shards} shards deliver {speedup:.2f}x "
           f"(gate: >= {args.min_speedup:.2f}x)")
 
+    status = 0
     if args.routed_fanout:
-        return check_routed_fanout(args.routed_fanout, args.gate_shards)
-    return 0
+        status = max(status,
+                     check_routed_fanout(args.routed_fanout, args.gate_shards))
+    if args.deploy_linear:
+        status = max(status, check_deploy_linear(args.deploy_linear))
+    return status
 
 
 if __name__ == "__main__":

@@ -115,7 +115,7 @@ Result<MatcherStats> CompositeRunner::QueryStats(int id) const {
   if (!Find(id, &k, &q)) {
     return NotFoundError("unknown composite query id " + std::to_string(id));
   }
-  return levels_[k]->matcher.matcher(static_cast<int>(q)).stats();
+  return levels_[k]->matcher.stats(static_cast<int>(q));
 }
 
 void CompositeRunner::Reset() {

@@ -197,8 +197,10 @@ class MultiMatchOperator : public stream::Operator {
   const std::string& output_name(int query_index) const {
     return queries_[query_index].output_name;
   }
+  /// Live statistics of the query at `query_index` (counters only: no
+  /// arena run-state copy).
   const MatcherStats& matcher_stats(int query_index) const {
-    return matcher_.matcher(query_index).stats();
+    return matcher_.stats(query_index);
   }
   /// The shared bank's evaluation counters (memo hit rates, batch
   /// broadcast vs recomputed rows) for this operator's matcher.

@@ -657,6 +657,12 @@ const NfaMatcher& MultiPatternMatcher::matcher(int pattern_index) const {
   return *entry.matcher;
 }
 
+const MatcherStats& MultiPatternMatcher::stats(int pattern_index) const {
+  const Entry& entry = entries_[static_cast<size_t>(pattern_index)];
+  SyncStats(entry);
+  return entry.matcher->stats();
+}
+
 void MultiPatternMatcher::Process(const stream::Event& event,
                                   std::vector<MultiMatch>* out) {
   ScopedSweep sweep(sweeping_);

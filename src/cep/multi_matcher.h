@@ -153,6 +153,10 @@ class MultiPatternMatcher {
   /// from the arena (a fused dominant-mode pattern's live state is
   /// arena-resident between syncs).
   const NfaMatcher& matcher(int pattern_index) const;
+  /// The pattern's statistics, synchronized from the arena without the
+  /// run-state copy matcher() makes: the cheap read for callers that only
+  /// need counters (placement weights, stats snapshots).
+  const MatcherStats& stats(int pattern_index) const;
   const PredicateBank& bank() const { return *bank_; }
   /// Number of bank swaps so far. Each mutation batch between two
   /// Process() calls costs exactly one rebuild.

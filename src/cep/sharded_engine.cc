@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cstring>
 #include <tuple>
+#include <climits>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
@@ -151,6 +151,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   for (int i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(MakeShard(0));
   }
+  ResizeIndexLocked();
   pending_batch_ = std::make_unique<Batch>();
   pending_batch_->events.reserve(options_.batch_size);
 }
@@ -318,6 +319,7 @@ int ShardedEngine::AddQuery(QuerySpec spec) {
   Shard* shard = shards_[static_cast<size_t>(info.shard)].get();
   spec.callback = MakeRecorder(shard, id);
   info.local_id = shard->op.AddQuery(std::move(spec));
+  IndexQueryLocked(info, info.shard, true);
   queries_.emplace(id, std::move(info));
   Rebalance();
   if (live) {
@@ -352,6 +354,7 @@ Status ShardedEngine::RemoveQuery(int query_id) {
   }
   Shard* shard = shards_[static_cast<size_t>(it->second.shard)].get();
   status = shard->op.RemoveQuery(it->second.local_id);
+  IndexQueryLocked(it->second, it->second.shard, false);
   queries_.erase(it);
   Rebalance();
   if (live) {
@@ -373,6 +376,9 @@ void ShardedEngine::ResetMatchers() {
   for (std::unique_ptr<Shard>& shard : shards_) {
     shard->op.ResetMatchers();
   }
+  // A reset keeps the matchers' statistics today; re-measuring once after
+  // it keeps placement independent of that detail.
+  weights_seq_ = kWeightsStale;
   if (composite_ != nullptr) {
     composite_->Reset();
   }
@@ -421,6 +427,7 @@ Status ShardedEngine::ResizeLocked(int num_shards) {
         shards_.push_back(std::move(shard));
       }
     }
+    ResizeIndexLocked();
     if (live) {
       for (size_t i = old_count; i < shards_.size(); ++i) {
         SpawnWorkerLocked(shards_[i].get(), static_cast<int>(i));
@@ -429,13 +436,39 @@ Status ShardedEngine::ResizeLocked(int num_shards) {
   } else {
     // Shrink: migrate every query off the doomed shards [target, size)
     // onto a survivor, live matcher and all -- identical mechanics to
-    // Rebalance, just with a forced source set.
+    // Rebalance, just with a forced source set. Moves change neither the
+    // query set nor any weight, so the budget is fixed for the pass.
+    const bool affinity =
+        options_.placement == ShardPlacement::kSessionAffinity;
+    const uint64_t budget = SkewBudget();
+    // Affinity survives the shrink: a migrating session query prefers a
+    // surviving shard already hosting its session, budget permitting (the
+    // closing Rebalance consolidates whatever this pass leaves split).
+    // Among such shards it takes the one whose resident co-session query
+    // has the smallest id, so per session and surviving shard this table
+    // holds that id (INT_MAX: none), kept current as queries arrive.
+    std::unordered_map<uint64_t, std::vector<int>> first_resident;
+    const auto note_resident = [&](const QueryInfo& info, int query_id) {
+      std::vector<int>& ids = first_resident[RoutingKey(info.session_tag)];
+      if (ids.empty()) {
+        ids.assign(target, INT_MAX);
+      }
+      int& first = ids[static_cast<size_t>(info.shard)];
+      first = std::min(first, query_id);
+    };
+    if (affinity) {
+      for (const auto& [query_id, info] : queries_) {
+        if (info.session_scoped && static_cast<size_t>(info.shard) < target) {
+          note_resident(info, query_id);
+        }
+      }
+    }
     Status migrate_status;
     for (auto& [query_id, info] : queries_) {
       if (info.shard < 0 || static_cast<size_t>(info.shard) < target) {
         continue;  // composite queries live off-shard; survivors stay put
       }
-      const std::vector<uint64_t> weights = ShardWeightsLocked();
+      const std::vector<uint64_t>& weights = ShardWeightsLocked();
       uint64_t lightest = UINT64_MAX;
       int destination_index = 0;
       for (size_t s = 0; s < target; ++s) {
@@ -444,27 +477,23 @@ Status ShardedEngine::ResizeLocked(int num_shards) {
           destination_index = static_cast<int>(s);
         }
       }
-      if (options_.placement == ShardPlacement::kSessionAffinity &&
-          info.session_scoped) {
-        // Affinity survives the shrink: prefer a surviving shard already
-        // hosting this session, budget permitting (the closing Rebalance
-        // consolidates whatever this pass leaves split).
-        const uint64_t key = RoutingKey(info.session_tag);
-        for (const auto& [other_id, other] : queries_) {
-          if (other_id == query_id || !other.session_scoped ||
-              other.shard < 0 ||
-              static_cast<size_t>(other.shard) >= target ||
-              RoutingKey(other.session_tag) != key) {
-            continue;
-          }
-          const size_t s = static_cast<size_t>(other.shard);
-          if (weights[s] + info.weight <= lightest + SkewBudget()) {
-            destination_index = other.shard;
-            break;
+      if (affinity && info.session_scoped) {
+        const auto it = first_resident.find(RoutingKey(info.session_tag));
+        if (it != first_resident.end()) {
+          int first = INT_MAX;
+          for (size_t s = 0; s < target; ++s) {
+            if (it->second[s] < first &&
+                weights[s] + info.weight <= lightest + budget) {
+              first = it->second[s];
+              destination_index = static_cast<int>(s);
+            }
           }
         }
       }
       MoveQueryLocked(query_id, destination_index);
+      if (affinity && info.session_scoped) {
+        note_resident(info, query_id);
+      }
     }
     std::vector<std::unique_ptr<Shard>> doomed;
     {
@@ -474,6 +503,7 @@ Status ShardedEngine::ResizeLocked(int num_shards) {
         doomed.push_back(std::move(shards_.back()));
         shards_.pop_back();
       }
+      ResizeIndexLocked();
       for (std::unique_ptr<Shard>& shard : doomed) {
         shard->wake_epoch.fetch_add(1, std::memory_order_release);
         shard->cv.notify_all();
@@ -645,6 +675,14 @@ Result<int> ShardedEngine::RestoreQuery(QuerySpec spec,
   if (local.ok()) {
     ++next_query_id_;
     info.local_id = *local;
+    // The restored matcher carries its checkpointed statistics: weigh it
+    // by them now, exactly as a full refresh would (restored queries are
+    // appended in registration order).
+    const int index = static_cast<int>(shard->op.num_queries()) - 1;
+    EPL_CHECK(shard->op.query_id(index) == *local);
+    info.weight = MeasuredQueryCostWeight(shard->op.matcher_stats(index),
+                                          info.static_weight);
+    IndexQueryLocked(info, info.shard, true);
     queries_.emplace(id, std::move(info));
     Rebalance();
   }
@@ -693,10 +731,12 @@ std::vector<ShardedEngine::QueryStatsSnapshot> ShardedEngine::QueryStats() {
     snapshot.stats = op.matcher_stats(
         local_index[static_cast<size_t>(info.shard)].at(info.local_id));
     snapshot.bank = op.bank_stats();
-    info.weight = MeasuredQueryCostWeight(snapshot.stats, info.static_weight);
+    SetWeightLocked(info,
+                    MeasuredQueryCostWeight(snapshot.stats, info.static_weight));
     snapshot.weight = info.weight;
     snapshots.push_back(snapshot);
   }
+  weights_seq_ = next_seq_;
   if (live) {
     ResumeWorkers();
   }
@@ -1241,8 +1281,16 @@ std::vector<std::unordered_map<int, int>> ShardedEngine::LocalIndexLocked()
   return local_index;
 }
 
-void ShardedEngine::RefreshWeightsLocked(
-    const std::vector<std::unordered_map<int, int>>& local_index) {
+void ShardedEngine::RefreshWeightsLocked() {
+  // A measured weight is a function of the query's statistics, which only
+  // move when events are processed: with none since the last refresh
+  // every weight is provably current (queries added since carry their
+  // exact weight from birth, moves carry their stats along).
+  if (weights_seq_ == next_seq_) {
+    return;
+  }
+  const std::vector<std::unordered_map<int, int>> local_index =
+      LocalIndexLocked();
   for (auto& [query_id, info] : queries_) {
     (void)query_id;
     if (info.shard < 0) {
@@ -1251,53 +1299,115 @@ void ShardedEngine::RefreshWeightsLocked(
     MultiMatchOperator& op = shards_[static_cast<size_t>(info.shard)]->op;
     const MatcherStats& stats = op.matcher_stats(
         local_index[static_cast<size_t>(info.shard)].at(info.local_id));
-    info.weight = MeasuredQueryCostWeight(stats, info.static_weight);
+    SetWeightLocked(info, MeasuredQueryCostWeight(stats, info.static_weight));
+  }
+  weights_seq_ = next_seq_;
+}
+
+void ShardedEngine::IndexQueryLocked(const QueryInfo& info, int shard,
+                                     bool add) {
+  const size_t s = static_cast<size_t>(shard);
+  const auto apply = [add, &info](uint64_t& weight) {
+    weight = add ? weight + info.weight : weight - info.weight;
+  };
+  // Steps a count; true on a 0 <-> 1 transition -- the only moments the
+  // interest index changes (a shard starts or stops hosting a session or
+  // any wildcard query).
+  const auto step = [add](auto& count) {
+    count = add ? count + 1 : count - 1;
+    return count == (add ? 1u : 0u);
+  };
+  apply(index_.shard_weight[s]);
+  apply(index_.total_weight);
+  step(index_.base_queries);
+  if (!info.session_scoped) {
+    if (step(index_.wildcard_count[s])) {
+      wildcard_shards_.clear();
+      for (size_t i = 0; i < index_.wildcard_count.size(); ++i) {
+        if (index_.wildcard_count[i] > 0) {
+          wildcard_shards_.push_back(static_cast<int>(i));
+        }
+      }
+    }
+    return;
+  }
+  step(index_.scoped_queries);
+  const uint64_t key = RoutingKey(info.session_tag);
+  SessionPlacement& session = index_.sessions[key];
+  if (session.weight.empty()) {
+    session.weight.assign(shards_.size(), 0);
+    session.count.assign(shards_.size(), 0);
+  }
+  apply(session.weight[s]);
+  if (!step(session.count[s])) {
+    return;
+  }
+  step(session.shards);
+  if (add && session.shards == 2) {
+    index_.split_sessions.insert(key);
+  } else if (!add && session.shards == 1) {
+    index_.split_sessions.erase(key);
+  }
+  if (session.shards == 0) {
+    index_.sessions.erase(key);
+    interest_.erase(key);
+    return;
+  }
+  std::vector<int>& shards = interest_[key];
+  shards.clear();
+  for (size_t i = 0; i < session.count.size(); ++i) {
+    if (session.count[i] > 0) {
+      shards.push_back(static_cast<int>(i));
+    }
   }
 }
 
-std::vector<uint64_t> ShardedEngine::ShardWeightsLocked() const {
-  std::vector<uint64_t> weights(shards_.size(), 0);
-  for (const auto& [query_id, info] : queries_) {
-    (void)query_id;
-    if (info.shard < 0) {
-      continue;  // composite queries never participate in placement
-    }
-    weights[static_cast<size_t>(info.shard)] += info.weight;
+void ShardedEngine::SetWeightLocked(QueryInfo& info, uint64_t weight) {
+  if (weight == info.weight) {
+    return;
   }
-  return weights;
+  const size_t s = static_cast<size_t>(info.shard);
+  index_.shard_weight[s] = index_.shard_weight[s] - info.weight + weight;
+  index_.total_weight = index_.total_weight - info.weight + weight;
+  if (info.session_scoped) {
+    uint64_t& session =
+        index_.sessions.at(RoutingKey(info.session_tag)).weight[s];
+    session = session - info.weight + weight;
+  }
+  info.weight = weight;
+}
+
+void ShardedEngine::ResizeIndexLocked() {
+  const size_t n = shards_.size();
+  index_.shard_weight.resize(n, 0);
+  index_.wildcard_count.resize(n, 0);
+  for (auto& [key, session] : index_.sessions) {
+    (void)key;
+    session.weight.resize(n, 0);
+    session.count.resize(n, 0);
+  }
 }
 
 uint64_t ShardedEngine::SkewBudget() const {
-  if (queries_.empty()) {
+  if (index_.base_queries == 0) {
     return static_cast<uint64_t>(options_.max_query_skew);
   }
-  uint64_t total = 0;
   // The budget tolerates one average PLACEMENT UNIT of imbalance. Under
   // kSessionAffinity that unit is a whole session group (unscoped
   // queries stay individual units): sizing it to single queries would
   // forbid ever packing a multi-query session onto its home shard.
-  const bool affinity =
-      options_.placement == ShardPlacement::kSessionAffinity;
-  std::unordered_set<uint64_t> session_units;
-  uint64_t single_units = 0;
-  for (const auto& [query_id, info] : queries_) {
-    (void)query_id;
-    total += info.weight;
-    if (affinity && info.session_scoped) {
-      session_units.insert(RoutingKey(info.session_tag));
-    } else {
-      ++single_units;
-    }
-  }
   const uint64_t units =
-      std::max<uint64_t>(1, session_units.size() + single_units);
-  const uint64_t average = (total + units - 1) / units;  // ceil
+      options_.placement == ShardPlacement::kSessionAffinity
+          ? index_.sessions.size() + index_.base_queries -
+                index_.scoped_queries
+          : index_.base_queries;
+  const uint64_t average = (index_.total_weight + units - 1) / units;  // ceil
   return static_cast<uint64_t>(options_.max_query_skew) *
          std::max<uint64_t>(1, average);
 }
 
 int ShardedEngine::LeastLoadedShard() const {
-  const std::vector<uint64_t> weights = ShardWeightsLocked();
+  const std::vector<uint64_t>& weights = ShardWeightsLocked();
   int best = 0;
   for (size_t i = 1; i < weights.size(); ++i) {
     if (weights[i] < weights[static_cast<size_t>(best)]) {
@@ -1316,31 +1426,18 @@ int ShardedEngine::PlaceQueryLocked(const QueryInfo& info) const {
   // weight. Packing there is what lets routed fan-out skip the rest of
   // the fleet -- accept it whenever the result stays inside the skew
   // budget over the lightest shard.
-  const uint64_t key = RoutingKey(info.session_tag);
-  std::vector<uint64_t> session_weight(shards_.size(), 0);
-  for (const auto& [query_id, other] : queries_) {
-    (void)query_id;
-    if (other.shard >= 0 && other.session_scoped &&
-        RoutingKey(other.session_tag) == key) {
-      session_weight[static_cast<size_t>(other.shard)] += other.weight;
-    }
-  }
-  int home = -1;
-  uint64_t resident = 0;
-  for (size_t s = 0; s < session_weight.size(); ++s) {
-    if (session_weight[s] > resident) {
-      resident = session_weight[s];
-      home = static_cast<int>(s);
-    }
-  }
-  if (home < 0) {
+  const auto session = index_.sessions.find(RoutingKey(info.session_tag));
+  if (session == index_.sessions.end()) {
     return LeastLoadedShard();  // first query of this session
   }
-  const std::vector<uint64_t> weights = ShardWeightsLocked();
+  const std::vector<uint64_t>& session_weight = session->second.weight;
+  const size_t home = static_cast<size_t>(
+      std::max_element(session_weight.begin(), session_weight.end()) -
+      session_weight.begin());
+  const std::vector<uint64_t>& weights = ShardWeightsLocked();
   const uint64_t lightest = *std::min_element(weights.begin(), weights.end());
-  if (weights[static_cast<size_t>(home)] + info.weight <=
-      lightest + SkewBudget()) {
-    return home;
+  if (weights[home] + info.weight <= lightest + SkewBudget()) {
+    return static_cast<int>(home);
   }
   return LeastLoadedShard();
 }
@@ -1357,6 +1454,10 @@ void ShardedEngine::MoveQueryLocked(int query_id, int destination_index) {
   Shard* destination = shards_[static_cast<size_t>(destination_index)].get();
   detached->callback = MakeRecorder(destination, query_id);
   info.local_id = destination->op.AdoptQuery(std::move(detached).value());
+  // Index the arrival before the departure, so a one-query session's
+  // entry is not dropped and re-created on the way.
+  IndexQueryLocked(info, destination_index, true);
+  IndexQueryLocked(info, info.shard, false);
   info.shard = destination_index;
 }
 
@@ -1364,7 +1465,7 @@ void ShardedEngine::Rebalance() {
   // Rebalancing always runs quiesced (callers pause the workers when
   // live), so the matcher statistics are mutually consistent: re-derive
   // every weight from measured per-event cost before picking victims.
-  RefreshWeightsLocked(LocalIndexLocked());
+  RefreshWeightsLocked();
   const bool affinity =
       options_.placement == ShardPlacement::kSessionAffinity;
   // Loop-invariant: moves change shard assignment, not the query set.
@@ -1381,6 +1482,11 @@ void ShardedEngine::Rebalance() {
       if (weights[s] > weights[static_cast<size_t>(max_shard)]) {
         max_shard = i;
       }
+    }
+    if (weights[static_cast<size_t>(max_shard)] -
+            weights[static_cast<size_t>(min_shard)] <=
+        budget) {
+      break;  // inside the budget: PickRebalanceVictim would pick nothing
     }
     // Under affinity, a session's queries on the overloaded shard move
     // as one unit (candidate weight = the session's resident total,
@@ -1454,7 +1560,6 @@ void ShardedEngine::Rebalance() {
   if (affinity) {
     ConsolidateAffinityLocked(budget);
   }
-  RebuildInterestLocked();
 }
 
 void ShardedEngine::ConsolidateAffinityLocked(uint64_t budget) {
@@ -1463,43 +1568,22 @@ void ShardedEngine::ConsolidateAffinityLocked(uint64_t budget) {
   // majority shard whenever the move keeps the fleet inside the skew
   // budget -- so the balance loop above, which only acts beyond the
   // budget, never undoes a consolidation and the pair cannot thrash.
-  struct SessionPart {
-    int query_id = 0;
-    int shard = 0;
-    uint64_t weight = 0;
-  };
-  std::map<uint64_t, std::vector<SessionPart>> sessions;
-  for (const auto& [query_id, info] : queries_) {
-    if (info.shard >= 0 && info.session_scoped) {
-      sessions[RoutingKey(info.session_tag)].push_back(
-          SessionPart{query_id, info.shard, info.weight});
-    }
-  }
+  // Decisions read only the index -- the split sessions in key order,
+  // each accepted packing updating the tentative shard weights the next
+  // one sees -- so a fleet with no split session costs nothing here.
   std::vector<uint64_t> weights = ShardWeightsLocked();
-  for (const auto& [key, parts] : sessions) {
-    (void)key;
-    std::vector<uint64_t> session_weight(shards_.size(), 0);
-    for (const SessionPart& part : parts) {
-      session_weight[static_cast<size_t>(part.shard)] += part.weight;
-    }
-    int home = 0;
-    size_t spread = 0;
-    for (size_t s = 0; s < session_weight.size(); ++s) {
-      if (session_weight[s] > 0) {
-        ++spread;
-      }
-      if (session_weight[s] > session_weight[static_cast<size_t>(home)]) {
-        home = static_cast<int>(s);
-      }
-    }
-    if (spread <= 1) {
-      continue;  // already packed
-    }
+  std::unordered_map<uint64_t, int> homes;
+  for (uint64_t key : index_.split_sessions) {
+    const std::vector<uint64_t>& session_weight =
+        index_.sessions.at(key).weight;
+    const size_t home = static_cast<size_t>(
+        std::max_element(session_weight.begin(), session_weight.end()) -
+        session_weight.begin());
     std::vector<uint64_t> tentative = weights;
     for (size_t s = 0; s < session_weight.size(); ++s) {
-      if (static_cast<int>(s) != home) {
+      if (s != home) {
         tentative[s] -= session_weight[s];
-        tentative[static_cast<size_t>(home)] += session_weight[s];
+        tentative[home] += session_weight[s];
       }
     }
     const uint64_t heaviest =
@@ -1509,38 +1593,30 @@ void ShardedEngine::ConsolidateAffinityLocked(uint64_t budget) {
     if (heaviest - lightest > budget) {
       continue;  // packing would exceed the budget; stay split
     }
-    for (const SessionPart& part : parts) {
-      if (part.shard != home) {
-        MoveQueryLocked(part.query_id, home);
-        ++stats_.affinity_moves;
-      }
-    }
+    homes.emplace(key, static_cast<int>(home));
     weights = std::move(tentative);
   }
-}
-
-void ShardedEngine::RebuildInterestLocked() {
-  interest_.clear();
-  wildcard_shards_.clear();
+  if (homes.empty()) {
+    return;
+  }
+  // Move the packed sessions' stray queries, session by session in key
+  // order and by id within a session.
+  std::map<uint64_t, std::vector<int>> strays;
   for (const auto& [query_id, info] : queries_) {
-    (void)query_id;
-    if (info.shard < 0) {
-      continue;  // composite queries are fed from the merge, not fan-out
+    if (info.shard < 0 || !info.session_scoped) {
+      continue;
     }
-    if (info.session_scoped) {
-      interest_[RoutingKey(info.session_tag)].push_back(info.shard);
-    } else {
-      wildcard_shards_.push_back(info.shard);
+    const uint64_t key = RoutingKey(info.session_tag);
+    const auto home = homes.find(key);
+    if (home != homes.end() && info.shard != home->second) {
+      strays[key].push_back(query_id);
     }
   }
-  auto dedup = [](std::vector<int>& shards) {
-    std::sort(shards.begin(), shards.end());
-    shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-  };
-  dedup(wildcard_shards_);
-  for (auto& [key, shards] : interest_) {
-    (void)key;
-    dedup(shards);
+  for (const auto& [key, query_ids] : strays) {
+    for (int query_id : query_ids) {
+      MoveQueryLocked(query_id, homes.at(key));
+      ++stats_.affinity_moves;
+    }
   }
 }
 

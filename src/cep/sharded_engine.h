@@ -78,6 +78,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -405,8 +406,8 @@ class ShardedEngine {
 
   /// TEST ONLY: flips one interest bit -- toggles `shard` in the routed
   /// destination set of routing key `key` -- to prove the differential
-  /// harness catches a wrong filter. The corruption lasts until the next
-  /// placement change rebuilds the index.
+  /// harness catches a wrong filter. The corruption lasts until the set of
+  /// shards hosting that key's queries next changes.
   void TestOnlyFlipInterestBit(double key, int shard);
 
  private:
@@ -505,7 +506,11 @@ class ShardedEngine {
     int shard = -1;
     int local_id = -1;  // id inside the shard's MultiMatchOperator
     /// Active placement weight: MeasuredQueryCostWeight of the latest
-    /// stats snapshot, refreshed at every quiesced rebalance.
+    /// stats snapshot, refreshed by a quiesced rebalance or QueryStats()
+    /// whenever events were processed since the previous refresh (with no
+    /// new events the stats, and so the weight, cannot have changed).
+    /// Changed only through SetWeightLocked, which keeps the placement
+    /// index in step.
     uint64_t weight = 1;
     uint64_t static_weight = 1;  // QueryCostWeight of the pattern
     DetectionCallback callback;
@@ -517,6 +522,35 @@ class ShardedEngine {
     /// equals session_tag (see QuerySpec::session_scoped); drives both
     /// the interest filter and kSessionAffinity placement.
     bool session_scoped = false;
+  };
+
+  /// One session's slice of the placement index: the weight and number of
+  /// its base queries on each shard.
+  struct SessionPlacement {
+    std::vector<uint64_t> weight;
+    std::vector<uint32_t> count;
+    /// Shards with count > 0 (0 only transiently: an empty session is
+    /// erased).
+    size_t shards = 0;
+  };
+
+  /// Aggregates of the base (shard >= 0) queries in queries_, kept in step
+  /// by IndexQueryLocked / SetWeightLocked / ResizeIndexLocked, so every
+  /// placement decision reads O(shards) or O(sessions) state instead of
+  /// walking all queries. Composite queries never enter it.
+  struct PlacementIndex {
+    std::vector<uint64_t> shard_weight;
+    /// Non-session-scoped queries per shard (each makes its shard a
+    /// wildcard destination of routed fan-out).
+    std::vector<uint32_t> wildcard_count;
+    /// Keyed by routing key.
+    std::map<uint64_t, SessionPlacement> sessions;
+    /// Keys of the sessions spread over more than one shard, in the key
+    /// order ConsolidateAffinityLocked visits them.
+    std::set<uint64_t> split_sessions;
+    uint64_t total_weight = 0;
+    size_t base_queries = 0;
+    size_t scoped_queries = 0;
   };
 
   /// Creates a shard with its batch-event hook installed, pre-advanced to
@@ -571,15 +605,27 @@ class ShardedEngine {
   /// FindQuery scan per query; control_mu_ held).
   std::vector<std::unordered_map<int, int>> LocalIndexLocked() const;
   /// Re-derives every query's placement weight from its live matcher
-  /// statistics (control_mu_ held, workers quiesced when live).
-  void RefreshWeightsLocked(
-      const std::vector<std::unordered_map<int, int>>& local_index);
+  /// statistics when events were processed since the previous refresh;
+  /// otherwise a no-op (control_mu_ held, workers quiesced when live).
+  void RefreshWeightsLocked();
+  /// Adds (`add`) or removes base query `info`'s weight and count on
+  /// `shard` in the placement index, updating the interest index when the
+  /// set of shards hosting its session (or any wildcard) changes.
+  void IndexQueryLocked(const QueryInfo& info, int shard, bool add);
+  /// Sets a base query's placement weight, keeping the index in step.
+  void SetWeightLocked(QueryInfo& info, uint64_t weight);
+  /// Resizes the index's per-shard tables to shards_.size(); shards being
+  /// dropped must already be empty.
+  void ResizeIndexLocked();
   /// Total query cost weight per shard (control_mu_ held).
-  std::vector<uint64_t> ShardWeightsLocked() const;
+  const std::vector<uint64_t>& ShardWeightsLocked() const {
+    return index_.shard_weight;
+  }
   /// Tolerated heaviest-lightest gap: max_query_skew average weights of
-  /// the placement unit -- a query under kBalanced, a whole session group
-  /// under kSessionAffinity (a budget sized to single queries could never
-  /// admit packing a multi-query session onto one shard).
+  /// the placement unit -- a base query under kBalanced, a whole session
+  /// group under kSessionAffinity (a budget sized to single queries could
+  /// never admit packing a multi-query session onto one shard). Composite
+  /// queries live off-shard and count for nothing.
   uint64_t SkewBudget() const;
   int LeastLoadedShard() const;
   /// Placement of a new base query: the session's home shard under
@@ -593,10 +639,6 @@ class ShardedEngine {
   /// when the move keeps the fleet inside the skew budget
   /// (kSessionAffinity only; increments affinity_moves).
   void ConsolidateAffinityLocked(uint64_t budget);
-  /// Rebuilds the interest index (interest_ / wildcard_shards_) from the
-  /// current placement. Runs at the end of every Rebalance, which every
-  /// placement-mutating path funnels through.
-  void RebuildInterestLocked();
   void Rebalance();
   DetectionCallback MakeRecorder(Shard* shard, int query_id);
   Status FirstShardError();
@@ -621,7 +663,11 @@ class ShardedEngine {
   std::atomic<std::thread::id> delivering_thread_{};
 
   std::map<int, QueryInfo> queries_;
-  // Interest index (control_mu_), rebuilt by RebuildInterestLocked():
+  PlacementIndex index_;
+  // next_seq_ at the last weight refresh; kWeightsStale forces the next.
+  static constexpr uint64_t kWeightsStale = UINT64_MAX;
+  uint64_t weights_seq_ = 0;
+  // Interest index (control_mu_), derived from index_ by IndexQueryLocked:
   // routing key (bitwise session_tag) -> sorted shard ids hosting a
   // session-scoped query for it, plus the shards hosting at least one
   // non-scoped query (which must see every event).

@@ -6,6 +6,8 @@
 // skew, lifecycle errors.
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -710,33 +712,40 @@ TEST(WorkStealingStressTest, SkewedFleetBitIdenticalAcrossShardCounts) {
 // merge/runner race diverges from the fused baseline (and trips TSan in
 // the sanitizer CI leg, which is this test's main target).
 
+/// A level-`level` composite sequencing the detections of `inputs`.
+MultiMatchOperator::QuerySpec CompositeSpec(
+    const std::string& name, int level, const std::vector<std::string>& inputs,
+    std::vector<DetectionRecord>* records) {
+  std::vector<PatternExprPtr> poses;
+  for (const std::string& input : inputs) {
+    poses.push_back(PatternExpr::Pose(
+        kDetectionStreamName,
+        Expr::RangePredicate(kDetectionGestureField, GestureTag(input), 0.5)));
+  }
+  Result<CompiledPattern> compiled = CompiledPattern::Compile(
+      *PatternExpr::Sequence(std::move(poses), std::nullopt, WithinMode::kSpan),
+      DetectionSchema());
+  EPL_CHECK(compiled.ok()) << compiled.status();
+  MultiMatchOperator::QuerySpec spec;
+  spec.output_name = name;
+  spec.pattern = std::move(compiled).value();
+  if (records != nullptr) {
+    spec.callback = Recorder(records);
+  }
+  spec.level = level;
+  spec.tag = GestureTag(name);
+  return spec;
+}
+
 std::vector<MultiMatchOperator::QuerySpec> CompositeSkewedFleet(
     std::vector<DetectionRecord>* records) {
   std::vector<MultiMatchOperator::QuerySpec> fleet = SkewedFleet(records);
   for (MultiMatchOperator::QuerySpec& spec : fleet) {
     spec.tag = GestureTag(spec.output_name);
   }
-  auto composite = [&](const std::string& name, int level,
-                       const std::vector<std::string>& inputs) {
-    std::vector<PatternExprPtr> poses;
-    for (const std::string& input : inputs) {
-      poses.push_back(PatternExpr::Pose(
-          kDetectionStreamName,
-          Expr::RangePredicate(kDetectionGestureField, GestureTag(input),
-                               0.5)));
-    }
-    Result<CompiledPattern> compiled = CompiledPattern::Compile(
-        *PatternExpr::Sequence(std::move(poses), std::nullopt,
-                               WithinMode::kSpan),
-        DetectionSchema());
-    EPL_CHECK(compiled.ok()) << compiled.status();
-    MultiMatchOperator::QuerySpec spec;
-    spec.output_name = name;
-    spec.pattern = std::move(compiled).value();
-    spec.callback = Recorder(records);
-    spec.level = level;
-    spec.tag = GestureTag(name);
-    return spec;
+  auto composite = [records](const std::string& name, int level,
+                             const std::vector<std::string>& inputs) {
+    return CompositeSpec(name, level, inputs, records);
   };
   // High-volume level 1 (one pose: fires on every hot_0 detection), a
   // two-input level 1 whose inputs land on different shards, and a level
@@ -1254,6 +1263,366 @@ TEST(InterestRoutingTest, ResizePreservesRoutingAndAffinity) {
     }
     EXPECT_EQ(shard, session_shard[static_cast<size_t>(session)])
         << "session " << session << " split across shards after shrink";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Incremental placement index: placement decisions pinned step by step
+// against recorded values, and the index's shard weights checked against a
+// full per-query sum after random control sequences.
+
+constexpr int kPlacementSessions = 5;
+
+/// Shape of one scripted query: a `states`-state chain over x, gated to
+/// `session` (session < 0: unscoped, a wildcard of routed fan-out).
+struct PlacementQuery {
+  int session = 0;
+  int states = 2;
+  double center = 0;
+  double width = 0;
+};
+
+MultiMatchOperator::QuerySpec PlacementSpec(const PlacementQuery& query) {
+  MultiMatchOperator::QuerySpec spec =
+      SessionChainSpec("placed", std::max(0, query.session), query.states,
+                       query.center, query.width, nullptr);
+  if (query.session < 0) {
+    spec.gate = nullptr;
+    spec.session_scoped = false;
+  }
+  return spec;
+}
+
+/// Drives a started, composite-free engine through seeded control
+/// operations: AddQuery (mostly session-scoped, 2-6 states, so static and
+/// measured weights differ per query), RemoveQuery, RestoreQuery of a live
+/// query's exported run state, Resize to 1-4 shards, bursts of Push,
+/// QueryStats and ResetMatchers.
+class PlacementScript {
+ public:
+  PlacementScript(ShardedEngine* engine, uint64_t seed)
+      : engine_(engine), state_(seed) {}
+
+  /// Runs one operation; returns its name.
+  std::string Step() {
+    const uint64_t op = Next() % 20;
+    if (op < 7 || op == 19 || live_.empty()) {
+      PlacementQuery query;
+      query.session =
+          Next() % 5 == 0 ? -1 : static_cast<int>(Next() % kPlacementSessions);
+      query.states = 2 + static_cast<int>(Next() % 5);
+      query.center = 0.5 + 0.5 * static_cast<double>(Next() % 7);
+      query.width = std::vector<double>{0.2, 0.5, 1.0, 3.0}[Next() % 4];
+      live_.emplace(engine_->AddQuery(PlacementSpec(query)), query);
+      return "add";
+    }
+    if (op < 9) {
+      auto victim = live_.begin();
+      std::advance(victim, static_cast<long>(Next() % live_.size()));
+      EPL_CHECK(engine_->RemoveQuery(victim->first).ok());
+      live_.erase(victim);
+      return "remove";
+    }
+    if (op == 9) {
+      Result<std::vector<std::pair<int, NfaRunState>>> states =
+          engine_->ExportRunStates();
+      EPL_CHECK(states.ok()) << states.status();
+      const auto& [source, runs] = (*states)[Next() % states->size()];
+      const PlacementQuery query = live_.at(source);
+      Result<int> restored = engine_->RestoreQuery(PlacementSpec(query), runs);
+      EPL_CHECK(restored.ok()) << restored.status();
+      live_.emplace(*restored, query);
+      return "restore";
+    }
+    if (op < 12) {
+      EPL_CHECK(engine_->Resize(1 + static_cast<int>(Next() % 4)).ok());
+      return "resize";
+    }
+    if (op < 17) {
+      for (int i = 0; i < 40; ++i, ++pushed_) {
+        const double x = 4.0 * static_cast<double>(Next() >> 40) /
+                         static_cast<double>(1 << 24);
+        EPL_CHECK(engine_->Push(
+            Event(DurationFromMillis(5.0 * static_cast<double>(pushed_)),
+                  {x, static_cast<double>(pushed_ % kPlacementSessions)})));
+      }
+      return "push";
+    }
+    if (op == 17) {
+      engine_->QueryStats();
+      return "stats";
+    }
+    engine_->ResetMatchers();
+    return "reset";
+  }
+
+  /// Live query ids, ascending.
+  std::vector<int> live_ids() const {
+    std::vector<int> ids;
+    for (const auto& [id, query] : live_) {
+      ids.push_back(id);
+    }
+    return ids;
+  }
+
+ private:
+  uint64_t Next() {
+    state_ = state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state_ >> 33;
+  }
+
+  ShardedEngine* engine_;
+  uint64_t state_;
+  uint64_t pushed_ = 0;
+  std::map<int, PlacementQuery> live_;
+};
+
+ShardedEngineOptions PlacementOptions(ShardPlacement placement) {
+  ShardedEngineOptions options;
+  options.num_shards = 3;
+  options.batch_size = 8;
+  options.routing_field = kRoutedSessionField;
+  options.placement = placement;
+  return options;
+}
+
+/// One line per step: the operation, every live query's shard (in id
+/// order), the shard weights, rebalanced_queries and affinity_moves.
+std::vector<std::string> PlacementTrace(ShardPlacement placement) {
+  ShardedEngine engine(PlacementOptions(placement));
+  EPL_CHECK(engine.Start().ok());
+  PlacementScript script(&engine, 2014);
+  std::vector<std::string> trace;
+  for (int step = 0; step < 64; ++step) {
+    std::string line = script.Step() + " s=";
+    // shard_of, not QueryStats(): the latter refreshes every weight,
+    // which would hide a wrongly skipped refresh in the next operation.
+    for (int id : script.live_ids()) {
+      line += std::to_string(engine.shard_of(id));
+    }
+    line += " w=";
+    for (uint64_t weight : engine.shard_weights()) {
+      line += std::to_string(weight) + ",";
+    }
+    line += " r=" + std::to_string(engine.rebalanced_queries()) +
+            " a=" + std::to_string(engine.engine_stats().affinity_moves);
+    trace.push_back(std::move(line));
+  }
+  EPL_CHECK(engine.Stop().ok());
+  return trace;
+}
+
+/// PlacementTrace at the commit before the placement index, when every
+/// decision walked all queries.
+const char* const kBalancedGolden[] = {
+    "add s=0 w=8,0,0, r=0 a=0",
+    "restore s=01 w=8,8,0, r=0 a=0",
+    "add s=012 w=8,8,6, r=0 a=0",
+    "add s=0102 w=14,8,12, r=1 a=0",
+    "push s=0102 w=14,8,12, r=1 a=0",
+    "remove s=012 w=2,2,2, r=2 a=0",
+    "push s=012 w=2,2,2, r=2 a=0",
+    "stats s=012 w=2,2,2, r=2 a=0",
+    "add s=1120 w=10,4,2, r=3 a=0",
+    "add s=11202 w=10,4,6, r=3 a=0",
+    "add s=122021 w=10,10,8, r=4 a=0",
+    "remove s=22021 w=10,8,8, r=4 a=0",
+    "resize s=10011 w=12,14, r=4 a=0",
+    "add s=100110 w=16,14, r=4 a=0",
+    "remove s=10010 w=10,10, r=5 a=0",
+    "push s=10010 w=10,10, r=5 a=0",
+    "reset s=10010 w=10,10, r=5 a=0",
+    "push s=10010 w=10,10, r=5 a=0",
+    "reset s=10010 w=10,10, r=5 a=0",
+    "remove s=1001 w=4,4, r=6 a=0",
+    "push s=1001 w=4,4, r=6 a=0",
+    "push s=1001 w=4,4, r=6 a=0",
+    "add s=11110 w=10,8, r=8 a=0",
+    "push s=11110 w=10,8, r=8 a=0",
+    "add s=111100 w=12,8, r=9 a=0",
+    "add s=1111001 w=12,14, r=9 a=0",
+    "add s=11110010 w=18,14, r=9 a=0",
+    "add s=111100101 w=18,18, r=9 a=0",
+    "push s=111100101 w=18,18, r=9 a=0",
+    "push s=111100101 w=18,18, r=9 a=0",
+    "push s=111100101 w=18,18, r=9 a=0",
+    "add s=1111001110 w=16,15, r=10 a=0",
+    "reset s=1111001110 w=16,15, r=10 a=0",
+    "add s=11110011001 w=18,19, r=11 a=0",
+    "add s=111100111010 w=22,21, r=12 a=0",
+    "push s=111100111010 w=22,21, r=12 a=0",
+    "add s=1111001110100 w=14,17, r=13 a=0",
+    "add s=11110011101000 w=20,17, r=13 a=0",
+    "restore s=111100111010001 w=20,19, r=13 a=0",
+    "add s=1111001110100001 w=22,23, r=14 a=0",
+    "push s=1111001110100001 w=22,23, r=14 a=0",
+    "stats s=1111001110100001 w=14,19, r=14 a=0",
+    "resize s=1111002110200022 w=12,12,9, r=18 a=0",
+    "reset s=1111002110200022 w=12,12,9, r=18 a=0",
+    "add s=11110021102000222 w=12,12,13, r=18 a=0",
+    "add s=111100211021212220 w=16,16,15, r=21 a=0",
+    "add s=1111002111212122002 w=18,18,19, r=23 a=0",
+    "push s=1111002111212122002 w=18,18,19, r=23 a=0",
+    "push s=1111002111212122002 w=18,18,19, r=23 a=0",
+    "remove s=111100211202022002 w=12,12,13, r=25 a=0",
+    "resize s=111100211202022002 w=12,12,13, r=25 a=0",
+    "reset s=111100211202022002 w=12,12,13, r=25 a=0",
+    "push s=111100211202022002 w=12,12,13, r=25 a=0",
+    "push s=111100211202022002 w=12,12,13, r=25 a=0",
+    "add s=1111002112021222120 w=16,16,15, r=28 a=0",
+    "add s=11110001120212221102 w=19,18,20, r=30 a=0",
+    "remove s=1111000112021200102 w=15,16,16, r=33 a=0",
+    "resize s=1111000110010000001 w=23,24, r=35 a=0",
+    "remove s=111000110010000001 w=23,22, r=35 a=0",
+    "push s=111000110010000001 w=23,22, r=35 a=0",
+    "push s=111000110010000001 w=23,22, r=35 a=0",
+    "stats s=111000110010000001 w=23,14, r=35 a=0",
+    "add s=1110001100100000011 w=23,26, r=35 a=0",
+    "add s=11100011001000000110 w=29,26, r=35 a=0",
+};
+
+const char* const kAffinityGolden[] = {
+    "add s=0 w=8,0,0, r=0 a=0",
+    "restore s=00 w=16,0,0, r=0 a=1",
+    "add s=000 w=22,0,0, r=0 a=2",
+    "add s=0000 w=34,0,0, r=0 a=3",
+    "push s=0000 w=34,0,0, r=0 a=3",
+    "remove s=000 w=6,0,0, r=0 a=3",
+    "push s=000 w=6,0,0, r=0 a=3",
+    "stats s=000 w=6,0,0, r=0 a=3",
+    "add s=0001 w=6,10,0, r=0 a=3",
+    "add s=00012 w=6,10,4, r=0 a=3",
+    "add s=000122 w=6,10,12, r=0 a=3",
+    "remove s=00122 w=4,10,12, r=0 a=3",
+    "resize s=00100 w=16,10, r=0 a=3",
+    "add s=001001 w=16,14, r=0 a=3",
+    "remove s=00101 w=12,8, r=1 a=3",
+    "push s=00101 w=12,8, r=1 a=3",
+    "reset s=00101 w=12,8, r=1 a=3",
+    "push s=00101 w=12,8, r=1 a=3",
+    "reset s=00101 w=12,8, r=1 a=3",
+    "remove s=0011 w=4,4, r=1 a=3",
+    "push s=0011 w=4,4, r=1 a=3",
+    "push s=0011 w=4,4, r=1 a=3",
+    "add s=01110 w=12,6, r=2 a=3",
+    "push s=01110 w=12,6, r=2 a=3",
+    "add s=010001 w=8,12, r=4 a=3",
+    "add s=0100010 w=14,12, r=4 a=3",
+    "add s=01000100 w=20,12, r=4 a=3",
+    "add s=010001001 w=20,16, r=4 a=3",
+    "push s=010001001 w=20,16, r=4 a=3",
+    "push s=010001001 w=20,16, r=4 a=3",
+    "push s=010001001 w=20,16, r=4 a=3",
+    "add s=0000000011 w=17,14, r=4 a=5",
+    "reset s=0000000011 w=17,14, r=4 a=5",
+    "add s=00000000111 w=17,20, r=4 a=5",
+    "add s=000100010110 w=21,22, r=4 a=8",
+    "push s=000100010110 w=21,22, r=4 a=8",
+    "add s=0001000101101 w=17,14, r=5 a=8",
+    "add s=00010001011011 w=17,20, r=5 a=8",
+    "restore s=000100010110111 w=17,22, r=5 a=9",
+    "add s=0001000101101110 w=23,22, r=5 a=9",
+    "push s=0001000101101110 w=23,22, r=5 a=9",
+    "stats s=0001000101101110 w=19,14, r=5 a=9",
+    "resize s=2201222101100110 w=10,12,11, r=11 a=9",
+    "reset s=2201222101100110 w=10,12,11, r=11 a=9",
+    "add s=22012221011001100 w=14,12,11, r=11 a=9",
+    "add s=220122110110011002 w=14,15,18, r=12 a=9",
+    "add s=2201221101100110020 w=22,15,18, r=12 a=9",
+    "push s=2201221101100110020 w=22,15,18, r=12 a=9",
+    "push s=2201221101100110020 w=22,15,18, r=12 a=9",
+    "remove s=220122201100110020 w=14,10,13, r=12 a=10",
+    "resize s=220122201100110020 w=14,10,13, r=12 a=10",
+    "reset s=220122201100110020 w=14,10,13, r=12 a=10",
+    "push s=220122201100110020 w=14,10,13, r=12 a=10",
+    "push s=220122201100110020 w=14,10,13, r=12 a=10",
+    "add s=2201222011001100201 w=14,20,13, r=12 a=10",
+    "add s=22012220110011001012 w=14,22,21, r=13 a=11",
+    "remove s=2201221011001100102 w=14,15,18, r=14 a=11",
+    "resize s=1101111011001100100 w=24,23, r=14 a=12",
+    "remove s=110111011001100100 w=24,21, r=14 a=12",
+    "push s=110111011001100100 w=24,21, r=14 a=12",
+    "push s=110111011001100100 w=24,21, r=14 a=12",
+    "stats s=110111011001100100 w=16,21, r=14 a=12",
+    "add s=1101110110011001000 w=28,21, r=14 a=12",
+    "add s=11011101100110010001 w=28,27, r=14 a=12",
+};
+
+template <size_t N>
+void ExpectTrace(ShardPlacement placement, const char* const (&expected)[N]) {
+  const std::vector<std::string> actual = PlacementTrace(placement);
+  ASSERT_EQ(actual.size(), N);
+  for (size_t step = 0; step < N; ++step) {
+    EXPECT_EQ(actual[step], expected[step]) << "step " << step;
+  }
+}
+
+TEST(PlacementGoldenTest, BalancedMatchesRecordedPlacement) {
+  ExpectTrace(ShardPlacement::kBalanced, kBalancedGolden);
+}
+
+TEST(PlacementGoldenTest, SessionAffinityMatchesRecordedPlacement) {
+  ExpectTrace(ShardPlacement::kSessionAffinity, kAffinityGolden);
+}
+
+TEST(PlacementIndexProperty, ShardWeightsEqualPerQuerySums) {
+  for (ShardPlacement placement :
+       {ShardPlacement::kBalanced, ShardPlacement::kSessionAffinity}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      ShardedEngine engine(PlacementOptions(placement));
+      EPL_ASSERT_OK(engine.Start());
+      PlacementScript script(&engine, seed);
+      for (int step = 0; step < 40; ++step) {
+        const std::string op = script.Step();
+        const std::vector<ShardedEngine::QueryStatsSnapshot> snapshots =
+            engine.QueryStats();
+        std::vector<uint64_t> weights(
+            static_cast<size_t>(engine.num_shards()), 0);
+        std::vector<size_t> counts(weights.size(), 0);
+        for (const ShardedEngine::QueryStatsSnapshot& snapshot : snapshots) {
+          ASSERT_GE(snapshot.shard, 0);
+          weights[static_cast<size_t>(snapshot.shard)] += snapshot.weight;
+          ++counts[static_cast<size_t>(snapshot.shard)];
+        }
+        ASSERT_EQ(engine.shard_weights(), weights)
+            << "seed " << seed << " step " << step << " (" << op << ")";
+        ASSERT_EQ(engine.shard_query_counts(), counts)
+            << "seed " << seed << " step " << step << " (" << op << ")";
+      }
+      EPL_ASSERT_OK(engine.Stop());
+    }
+  }
+}
+
+// Composite queries live off-shard: deploying a ladder of them must not
+// move the skew budget, so a base fleet places exactly as without it.
+TEST(ShardedEngineTest, CompositesDoNotChangeBasePlacement) {
+  for (ShardPlacement placement :
+       {ShardPlacement::kBalanced, ShardPlacement::kSessionAffinity}) {
+    const auto place = [placement](bool with_ladder) {
+      ShardedEngine engine(PlacementOptions(placement));
+      if (with_ladder) {
+        const std::vector<std::string> inputs(7, "placed");
+        engine.AddQuery(CompositeSpec("ladder_1", 1, inputs, nullptr));
+        engine.AddQuery(CompositeSpec("ladder_2", 2, {"ladder_1"}, nullptr));
+      }
+      std::vector<int> ids;
+      for (int q = 0; q < 12; ++q) {
+        PlacementQuery query;
+        query.session = q % 4;
+        query.states = 2 + (q * 5) % 5;
+        query.center = 1.0;
+        query.width = 1.0;
+        ids.push_back(engine.AddQuery(PlacementSpec(query)));
+      }
+      std::vector<int> shards;
+      for (int id : ids) {
+        shards.push_back(engine.shard_of(id));
+      }
+      return std::make_pair(shards, engine.shard_weights());
+    };
+    EXPECT_EQ(place(false), place(true))
+        << "placement " << static_cast<int>(placement);
   }
 }
 
