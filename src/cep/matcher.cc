@@ -33,11 +33,12 @@ void NfaMatcher::Process(const stream::Event& event,
   }
 }
 
-void NfaMatcher::ProcessShared(const stream::Event& event,
+void NfaMatcher::ProcessShared(const stream::Event& event, size_t batch_index,
                                const PredicateBank& bank, const int* bank_ids,
                                std::vector<PatternMatch>* out) {
   shared_bank_ = &bank;
   shared_bank_ids_ = bank_ids;
+  shared_batch_index_ = batch_index;
   // Clear the shared context even if Process throws, so a later plain
   // Process does not read stale bank state.
   struct ClearSharedContext {
@@ -138,7 +139,10 @@ bool NfaMatcher::EvalPredicate(int state, const stream::Event& event) {
   if (cached < 0) {
     if (shared_bank_ != nullptr) {
       ++stats_.predicate_cache_hits;
-      cached = shared_bank_->value(shared_bank_ids_[slot]) ? 1 : 0;
+      cached = shared_bank_->batch_value(shared_batch_index_,
+                                         shared_bank_ids_[slot])
+                   ? 1
+                   : 0;
     } else {
       ++stats_.predicate_evaluations;
       cached = pattern_->predicate(state).EvalBool(event) ? 1 : 0;

@@ -25,6 +25,7 @@
 #ifndef EPL_CEP_MATCHER_H_
 #define EPL_CEP_MATCHER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <vector>
@@ -94,16 +95,17 @@ class NfaMatcher {
   /// Events must arrive in non-decreasing timestamp order.
   void Process(const stream::Event& event, std::vector<PatternMatch>* out);
 
-  /// Like Process, but predicate truth is read from `bank` (which must
-  /// already have Evaluate()d this event) instead of evaluated here:
-  /// `bank_ids[i]` is the bank predicate id of distinct predicate `i` (see
-  /// CompiledPattern::predicate_id), with num_distinct_predicates()
-  /// entries. Lookups stay lazy -- only predicates the NFA actually
-  /// consults are read -- and count as predicate_cache_hits. Used by
-  /// MultiPatternMatcher, which evaluates one shared PredicateBank per
-  /// event for all deployed patterns.
-  void ProcessShared(const stream::Event& event, const PredicateBank& bank,
-                     const int* bank_ids, std::vector<PatternMatch>* out);
+  /// Like Process, but predicate truth is read from `bank` instead of
+  /// evaluated here: `event` is in-window event `batch_index` of the
+  /// bank's last EvaluateBatch, and `bank_ids[i]` is the bank predicate id
+  /// of distinct predicate `i` (see CompiledPattern::predicate_id), with
+  /// num_distinct_predicates() entries. Lookups stay lazy -- only
+  /// predicates the NFA actually consults are read -- and count as
+  /// predicate_cache_hits. Used by MultiPatternMatcher, which evaluates one
+  /// shared PredicateBank per window for all deployed patterns.
+  void ProcessShared(const stream::Event& event, size_t batch_index,
+                     const PredicateBank& bank, const int* bank_ids,
+                     std::vector<PatternMatch>* out);
 
   /// Discards all partial runs.
   void Reset();
@@ -149,6 +151,7 @@ class NfaMatcher {
   // Shared-bank evaluation context, set for the duration of ProcessShared.
   const PredicateBank* shared_bank_ = nullptr;
   const int* shared_bank_ids_ = nullptr;
+  size_t shared_batch_index_ = 0;
 
   // Dominant mode: one run per state (runs_[k] holds entries 0..k).
   std::vector<std::vector<TimePoint>> dominant_runs_;

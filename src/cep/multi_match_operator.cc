@@ -271,13 +271,7 @@ void MultiMatchOperator::RunBatch(const stream::Event* events, size_t count) {
   }
   processing_ = true;
   scratch_matches_.clear();
-  if (count == 1) {
-    // Single events keep today's per-event matcher path (ProcessFlat);
-    // batch_index defaults to 0.
-    matcher_.Process(events[0], &scratch_matches_);
-  } else {
-    matcher_.ProcessBatch(events, count, &scratch_matches_);
-  }
+  matcher_.ProcessBatch(events, count, &scratch_matches_);
   catchup_ids_.clear();
   // Until the first mid-batch mutation, pattern indices are live and
   // dispatch is a direct lookup; afterwards matches resolve through their
@@ -353,7 +347,8 @@ void MultiMatchOperator::FlushBatchedEvents() {
   // While a sweep runs (processing_), the window is necessarily empty:
   // every RunBatch caller drains it first (Process flushes on overflow
   // before returning, ProcessBatch and the control paths flush before
-  // sweeping), and only Process fills it. The guard therefore never skips
+  // sweeping), and only Process fills it -- never from inside a sweep,
+  // which it EPL_CHECKs. The guard therefore never skips
   // real events; it exists so a control call issued from inside a
   // detection callback (e.g. Close on first detection) cannot re-enter
   // RunBatch on the window that is already being dispatched.
@@ -371,6 +366,10 @@ void MultiMatchOperator::FlushBatchedEvents() {
 }
 
 Status MultiMatchOperator::Process(const stream::Event& event) {
+  // Re-entering from a detection callback would either clear the
+  // in-flight sweep's matches (batch_size 1) or refill the window that is
+  // being dispatched (batch_size > 1); fail loudly like ProcessBatch.
+  EPL_CHECK(!processing_) << "Process from inside a detection callback";
   if (batch_size_ <= 1) {
     RunBatch(&event, 1);
     return Forward(event);

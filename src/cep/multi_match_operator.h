@@ -60,7 +60,7 @@ namespace epl::cep {
 class MultiMatchOperator : public stream::Operator {
  public:
   /// `batch_size` events are accumulated per matcher sweep (1 = process
-  /// every event immediately, today's per-event behavior).
+  /// every event immediately, as a window of one).
   explicit MultiMatchOperator(MatcherOptions options = MatcherOptions(),
                               size_t batch_size = 1);
 
@@ -145,6 +145,8 @@ class MultiMatchOperator : public stream::Operator {
   /// when `runs` does not fit the spec's pattern.
   Result<int> RestoreQuery(QuerySpec spec, const NfaRunState& runs);
 
+  /// Feeds one event (buffered into the window when batch_size > 1).
+  /// Must not be called from inside a detection callback (EPL_CHECK).
   Status Process(const stream::Event& event) override;
 
   /// Runs `count` events through the matcher as ONE batch (flushing any

@@ -1,6 +1,7 @@
 #include "cep/multi_matcher.h"
 
 #include <algorithm>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 
@@ -219,7 +220,6 @@ void MultiPatternMatcher::BuildArena() {
   // even across separately compiled gate objects).
   groups_.clear();
   ungated_members_.clear();
-  has_gates_ = false;
   std::unordered_map<int, size_t> group_of;
   for (size_t i = 0; i < entries_.size(); ++i) {
     Entry& entry = entries_[i];
@@ -228,7 +228,6 @@ void MultiPatternMatcher::BuildArena() {
       ungated_members_.push_back(static_cast<uint32_t>(i));
       continue;
     }
-    has_gates_ = true;
     auto [it, inserted] = group_of.emplace(entry.gate_bank_id, groups_.size());
     if (inserted) {
       GateGroup group;
@@ -248,155 +247,9 @@ void MultiPatternMatcher::BuildArena() {
   arena_dirty_ = false;
 }
 
-void MultiPatternMatcher::ProcessFlat(const stream::Event& event,
-                                      std::vector<MultiMatch>* out) {
-  ++arena_events_;
-  const TimePoint now = event.timestamp;
-  const uint64_t* words = bank_->result_words();
-  if (!has_gates_) {
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      AdvanceEntryFlat(i, now, words, out);
-    }
-    return;
-  }
-  // Grouped execution: ONE gate read decides a whole group. Skipping a
-  // group whose gate is unsatisfied is output-exact even while members
-  // hold live runs -- an unsatisfied gate implies every member state
-  // predicate is unsatisfied (the gate is conjoined into each), and an
-  // event that satisfies no state predicate neither seeds, advances,
-  // completes, nor expires anything in this runtime (constraints are
-  // checked at transition time only).
-  flat_scratch_.clear();
-  for (uint32_t member : ungated_members_) {
-    AdvanceEntryFlat(member, now, words, &flat_scratch_);
-  }
-  for (const GateGroup& group : groups_) {
-    const bool open = group.gate.word >= 0
-                          ? (words[group.gate.word] & group.gate.mask) != 0
-                          : bank_->value(group.gate.fallback_id);
-    if (!open) {
-      continue;
-    }
-    for (uint32_t member : group.members) {
-      AdvanceEntryFlat(member, now, words, &flat_scratch_);
-    }
-  }
-  // Group-major execution visited patterns out of registration order;
-  // restore the per-event contract (dominant mode emits at most one match
-  // per pattern per event, so pattern_index is unique).
-  std::sort(flat_scratch_.begin(), flat_scratch_.end(),
-            [](const MultiMatch& a, const MultiMatch& b) {
-              return a.pattern_index < b.pattern_index;
-            });
-  for (MultiMatch& match : flat_scratch_) {
-    out->push_back(std::move(match));
-  }
-  flat_scratch_.clear();
-}
-
-void MultiPatternMatcher::AdvanceEntryFlat(size_t i, const TimePoint now,
-                                           const uint64_t* words,
-                                           std::vector<MultiMatch>* out) {
-  Entry& entry = entries_[i];
-  const int n = entry.num_states;
-  const size_t row0 = entry.row_offset;
-  const StateRef* refs = &states_[row0];
-  TimePoint* tbase = &times_[entry.times_offset];
-  bool completed = false;
-  bool activity = false;
-
-  // Advance existing runs, highest state first so one event advances a
-  // given run by at most one state (mirrors NfaMatcher::ProcessDominant
-  // exactly; that standalone path is the behavioral oracle).
-  if (entry.live_rows > 0) {
-    for (int s = n - 1; s >= 1; --s) {
-      if (!RowActive(row0 + static_cast<size_t>(s) - 1)) {
-        continue;
-      }
-      ++entry.counters.advance_reads;
-      const StateRef& ref = refs[s];
-      const bool satisfied = ref.word >= 0
-                                 ? (words[ref.word] & ref.mask) != 0
-                                 : bank_->value(ref.fallback_id);
-      if (!satisfied) {
-        continue;
-      }
-      const TimePoint* prev = tbase + (s - 1) * n;
-      bool within = true;
-      for (uint32_t c = 0; c < ref.constraint_count; ++c) {
-        const FlatConstraint& constraint =
-            flat_constraints_[ref.constraint_begin + c];
-        if (now - prev[constraint.from_state] > constraint.max_gap) {
-          within = false;
-          break;
-        }
-      }
-      if (!within) {
-        continue;
-      }
-      TimePoint* cur = tbase + s * n;
-      std::copy_n(prev, s, cur);
-      cur[s] = now;
-      const size_t target = row0 + static_cast<size_t>(s);
-      if (!RowActive(target)) {
-        SetRow(target);
-        ++entry.live_rows;
-      }
-      activity = true;
-      if (s == n - 1) {
-        completed = true;
-      }
-    }
-  }
-
-  if (completed) {
-    PatternMatch match;
-    const TimePoint* last = tbase + (n - 1) * n;
-    match.state_times.assign(last, last + n);
-    out->push_back(MultiMatch{static_cast<int>(i), std::move(match)});
-    ++entry.counters.matches;
-    if (entry.consume_all) {
-      // The match consumed every open partial run including the current
-      // event; do not re-seed state 0 from this event (the oracle skips
-      // its seed predicate read here, so the stats do too).
-      for (int s = 0; s < n; ++s) {
-        ClearRow(row0 + static_cast<size_t>(s));
-      }
-      entry.live_rows = 0;
-      ++entry.counters.seed_skips;
-      return;
-    }
-    ClearRow(row0 + static_cast<size_t>(n) - 1);
-    --entry.live_rows;
-  }
-
-  // Seed a fresh run at state 0.
-  const StateRef& seed = refs[0];
-  const bool seeded = seed.word >= 0 ? (words[seed.word] & seed.mask) != 0
-                                     : bank_->value(seed.fallback_id);
-  if (seeded) {
-    tbase[0] = now;
-    if (!RowActive(row0)) {
-      SetRow(row0);
-      ++entry.live_rows;
-    }
-    activity = true;
-    if (n == 1) {
-      PatternMatch match;
-      match.state_times.assign(1, now);
-      out->push_back(MultiMatch{static_cast<int>(i), std::move(match)});
-      ++entry.counters.matches;
-      ClearRow(row0);
-      entry.live_rows = 0;
-    }
-  }
-  if (activity && entry.live_rows > entry.counters.peak_runs) {
-    entry.counters.peak_runs = entry.live_rows;
-  }
-}
-
+template <typename Count>
 void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
-                                           size_t count,
+                                           Count count,
                                            std::vector<MultiMatch>* out) {
   arena_events_ += count;
   batch_scratch_.clear();
@@ -407,39 +260,41 @@ void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
   const uint64_t* rows = bank_->batch_result_words(0);
   const size_t stride = bank_->row_words();
   const size_t gate_words = (count + 63) / 64;
-  if (has_gates_) {
-    // One gate-column extraction per group for the whole window: the SIMD
-    // kernel packs (row word & mask) != 0 into a bitmask column straight
-    // from the bank's result rows; members then visit only the set bits
-    // (or skip the entire window) without touching their arena rows --
-    // exact for the same reason as ProcessFlat's group skip.
-    gate_truth_.assign(groups_.size() * gate_words, 0);
-    group_open_.assign(groups_.size(), 0);
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      const GateGroup& group = groups_[g];
-      uint64_t* column = gate_truth_.data() + g * gate_words;
-      if (group.gate.word >= 0) {
-        group_open_[g] = simd::GateColumn(
-                             kernels, rows, stride, count,
-                             static_cast<uint32_t>(group.gate.word),
-                             group.gate.mask, column)
-                             ? 1
-                             : 0;
-        continue;
-      }
-      for (size_t b = 0; b < count; ++b) {
-        if (bank_->batch_value(b, group.gate.fallback_id)) {
-          column[b >> 6] |= uint64_t{1} << (b & 63);
-          group_open_[g] = 1;
-        }
+  // One gate-column extraction per group for the whole window: the SIMD
+  // kernel packs (row word & mask) != 0 into a bitmask column straight
+  // from the bank's result rows; members then visit only the set bits (or
+  // skip the entire window) without touching their arena rows. Skipping a
+  // member on a shut gate is output-exact even while it holds live runs:
+  // the gate is conjoined into every member state predicate, and an event
+  // that satisfies no state predicate neither seeds, advances, completes,
+  // nor expires anything in this runtime (constraints are checked at
+  // transition time only).
+  gate_truth_.assign(groups_.size() * gate_words, 0);
+  group_open_.assign(groups_.size(), 0);
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    const GateGroup& group = groups_[g];
+    uint64_t* column = gate_truth_.data() + g * gate_words;
+    if (group.gate.word >= 0) {
+      group_open_[g] =
+          simd::GateColumn(kernels, rows, stride, count,
+                           static_cast<uint32_t>(group.gate.word),
+                           group.gate.mask, column)
+              ? 1
+              : 0;
+      continue;
+    }
+    for (size_t b = 0; b < count; ++b) {
+      if (bank_->batch_value(b, group.gate.fallback_id)) {
+        column[b >> 6] |= uint64_t{1} << (b & 63);
+        group_open_[g] = 1;
       }
     }
   }
-  // Group-major sweep, mirroring ProcessFlat: a closed group skips ALL of
-  // its member patterns with one flag check. (Iterating entries directly
-  // and testing group_open_ per entry kept the sweep O(entries) per
-  // window however many sessions were idle -- at 64 mostly-idle sessions
-  // that bookkeeping alone outweighed the batch amortization.)
+  // Group-major sweep: a closed group skips ALL of its member patterns
+  // with one flag check. (Iterating entries directly and testing
+  // group_open_ per entry kept the sweep O(entries) per window however
+  // many sessions were idle -- at 64 mostly-idle sessions that
+  // bookkeeping alone outweighed the batch amortization.)
   // always_inline like step below: an outlined entry sweep puts a call on
   // the per-(pattern, window) edge, which B=1 windows cannot amortize
   // (~10% on ProcessBatch(count=1) at small query counts).
@@ -463,9 +318,10 @@ void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
       bool completed = false;
       bool activity = false;
 
-      // Advance existing runs, highest state first (mirrors ProcessFlat,
-      // which mirrors NfaMatcher::ProcessDominant -- the oracle chain the
-      // differential fuzz harness pins down).
+      // Advance existing runs, highest state first so one event advances
+      // a given run by at most one state (mirrors
+      // NfaMatcher::ProcessDominant, the oracle the differential fuzz
+      // harness pins this loop against).
       if (entry.live_rows > 0) {
         for (int s = n - 1; s >= 1; --s) {
           if (!RowActive(row0 + static_cast<size_t>(s) - 1)) {
@@ -511,11 +367,14 @@ void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
         PatternMatch match;
         const TimePoint* last = tbase + (n - 1) * n;
         match.state_times = std::vector<TimePoint>(last, last + n);
-        batch_scratch_.push_back(MultiMatch{static_cast<int>(i),
-                                            std::move(match),
-                                            static_cast<int>(b)});
+        batch_scratch_.push_back(MultiMatch{static_cast<int>(i), std::move(match),
+                                  static_cast<int>(b)});
         ++entry.counters.matches;
         if (entry.consume_all) {
+          // The match consumed every open partial run including the
+          // current event; do not re-seed state 0 from this event (the
+          // oracle skips its seed predicate read here, so the stats do
+          // too).
           for (int s = 0; s < n; ++s) {
             ClearRow(row0 + static_cast<size_t>(s));
           }
@@ -542,9 +401,8 @@ void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
         if (n == 1) {
           PatternMatch match;
           match.state_times.assign(1, now);
-          batch_scratch_.push_back(MultiMatch{static_cast<int>(i),
-                                              std::move(match),
-                                              static_cast<int>(b)});
+          batch_scratch_.push_back(MultiMatch{static_cast<int>(i), std::move(match),
+                                    static_cast<int>(b)});
           ++entry.counters.matches;
           ClearRow(row0);
           entry.live_rows = 0;
@@ -591,29 +449,20 @@ void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
   // Pattern-major execution produced matches grouped by pattern; the
   // contract is per-event order with registration order within one event
   // (gate groups may visit patterns out of registration order, so the
-  // pattern index is part of the key; dominant mode emits at most one
-  // match per pattern per event, making the order total).
-  std::stable_sort(batch_scratch_.begin(), batch_scratch_.end(),
-                   [](const MultiMatch& a, const MultiMatch& b) {
-                     return a.batch_index != b.batch_index
-                                ? a.batch_index < b.batch_index
-                                : a.pattern_index < b.pattern_index;
-                   });
+  // pattern index is part of the key). Dominant mode emits at most one
+  // match per pattern per event, so the key is unique and an unstable
+  // sort is exact.
+  if (batch_scratch_.size() > 1) {
+    std::sort(batch_scratch_.begin(), batch_scratch_.end(),
+              [](const MultiMatch& a, const MultiMatch& b) {
+                return a.batch_index != b.batch_index
+                           ? a.batch_index < b.batch_index
+                           : a.pattern_index < b.pattern_index;
+              });
+  }
   for (MultiMatch& match : batch_scratch_) {
     out->push_back(std::move(match));
   }
-  batch_scratch_.clear();
-}
-
-bool MultiPatternMatcher::GateOpen(const Entry& entry) const {
-  if (entry.gate_bank_id < 0) {
-    return true;
-  }
-  if (bank_->decomposable(entry.gate_bank_id)) {
-    const int slot = bank_->slot_of(entry.gate_bank_id);
-    return (bank_->result_words()[slot >> 6] >> (slot & 63)) & 1;
-  }
-  return bank_->value(entry.gate_bank_id);
 }
 
 void MultiPatternMatcher::SyncStats(const Entry& entry) const {
@@ -663,41 +512,6 @@ const MatcherStats& MultiPatternMatcher::stats(int pattern_index) const {
   return entry.matcher->stats();
 }
 
-void MultiPatternMatcher::Process(const stream::Event& event,
-                                  std::vector<MultiMatch>* out) {
-  ScopedSweep sweep(sweeping_);
-  if (bank_dirty_) {
-    RebuildBank();
-  }
-  if (options_.mode == MatcherOptions::Mode::kDominant) {
-    if (!bank_->built()) {
-      bank_->Build();
-    }
-    if (arena_dirty_) {
-      BuildArena();
-    }
-    bank_->Evaluate(event);
-    ProcessFlat(event, out);
-    return;
-  }
-  // Exhaustive mode: per-pattern matchers own their (branching) run sets;
-  // only predicate evaluation is shared. A shut gate makes every effective
-  // state predicate (gate AND pose) false, so the entry is skipped whole.
-  bank_->Evaluate(event);
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    Entry& entry = entries_[i];
-    if (!GateOpen(entry)) {
-      continue;
-    }
-    scratch_matches_.clear();
-    entry.matcher->ProcessShared(event, *bank_, entry.bank_ids.data(),
-                                 &scratch_matches_);
-    for (PatternMatch& match : scratch_matches_) {
-      out->push_back(MultiMatch{static_cast<int>(i), std::move(match)});
-    }
-  }
-}
-
 void MultiPatternMatcher::ProcessBatch(const stream::Event* events,
                                        size_t count,
                                        std::vector<MultiMatch>* out) {
@@ -708,29 +522,32 @@ void MultiPatternMatcher::ProcessBatch(const stream::Event* events,
   if (bank_dirty_) {
     RebuildBank();
   }
+  bank_->EvaluateBatch(events, count);
   if (options_.mode == MatcherOptions::Mode::kDominant) {
-    if (!bank_->built()) {
-      bank_->Build();
-    }
     if (arena_dirty_) {
       BuildArena();
     }
-    bank_->EvaluateBatch(events, count);
-    ProcessFlatBatch(events, count, out);
+    if (count == 1) {
+      ProcessFlatBatch(events, std::integral_constant<size_t, 1>(), out);
+    } else {
+      ProcessFlatBatch(events, count, out);
+    }
     return;
   }
   // Exhaustive mode: runs branch per pattern, so only predicate
-  // evaluation is shared; the batch degenerates to per-event processing.
+  // evaluation is shared; the matchers step through the window event by
+  // event. A shut gate makes every effective state predicate (gate AND
+  // pose) false, so the entry skips that event whole.
   for (size_t b = 0; b < count; ++b) {
-    bank_->Evaluate(events[b]);
     for (size_t i = 0; i < entries_.size(); ++i) {
       Entry& entry = entries_[i];
-      if (!GateOpen(entry)) {
+      if (entry.gate_bank_id >= 0 &&
+          !bank_->batch_value(b, entry.gate_bank_id)) {
         continue;
       }
       scratch_matches_.clear();
-      entry.matcher->ProcessShared(events[b], *bank_, entry.bank_ids.data(),
-                                   &scratch_matches_);
+      entry.matcher->ProcessShared(events[b], b, *bank_,
+                                   entry.bank_ids.data(), &scratch_matches_);
       for (PatternMatch& match : scratch_matches_) {
         out->push_back(MultiMatch{static_cast<int>(i), std::move(match),
                                   static_cast<int>(b)});

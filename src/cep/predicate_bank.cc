@@ -502,9 +502,6 @@ void PredicateBank::Build() {
     index.memo_words.assign(num_words, 0);
     fields_.push_back(std::move(index));
   }
-
-  result_words_.assign(num_words, 0);
-  fallback_values_.assign(fallback_programs_.size(), -1);
 }
 
 bool PredicateBank::RegionContains(const FieldIndex& index, size_t region,
@@ -547,56 +544,6 @@ size_t PredicateBank::index_bytes() const {
              index.bounds.size() * sizeof(double);
   }
   return bytes;
-}
-
-void PredicateBank::Evaluate(const stream::Event& event) {
-  if (!built_) {
-    Build();
-  }
-  ++stats_.events;
-
-  const simd::Kernels& kernels = simd::Active();
-  const size_t num_words = result_words_.size();
-  // Walk the fields updating memos (exactly as before), but defer the
-  // bitset arithmetic: the fold kernel ANDs every field's contribution
-  // into the result row in ONE pass, so the row is written once per event
-  // instead of once per field.
-  fold_and_srcs_.clear();
-  fold_not_srcs_.clear();
-  for (FieldIndex& index : fields_) {
-    double v = event.values[index.field];
-    if (std::isnan(v)) {
-      // No interval contains NaN; clear every predicate constrained here.
-      fold_not_srcs_.push_back(index.constrained.data());
-      continue;
-    }
-    if (index.memo_valid && RegionContains(index, index.memo_region, v)) {
-      ++stats_.region_memo_hits;
-    } else {
-      ++stats_.region_searches;
-      size_t pos = static_cast<size_t>(
-          std::lower_bound(index.bounds.begin(), index.bounds.end(), v) -
-          index.bounds.begin());
-      size_t region = (pos < index.bounds.size() && index.bounds[pos] == v)
-                          ? 2 * pos + 1
-                          : 2 * pos;
-      SeekRegion(&index, region);
-    }
-    fold_and_srcs_.push_back(index.memo_words.data());
-  }
-  simd::FoldInto(kernels, result_words_.data(), fold_and_srcs_.data(),
-                 fold_and_srcs_.size(), fold_not_srcs_.data(),
-                 fold_not_srcs_.size(), num_words);
-
-  // Fallback predicates are interpreted lazily in value(), so events on
-  // which no NFA run consults them skip the program interpretations; the
-  // bank keeps a small capacity-reusing event copy for those deferred
-  // reads.
-  if (!fallback_values_.empty()) {
-    std::fill(fallback_values_.begin(), fallback_values_.end(), -1);
-    current_event_.timestamp = event.timestamp;
-    current_event_.values.assign(event.values.begin(), event.values.end());
-  }
 }
 
 void PredicateBank::EvaluateBatch(const stream::Event* events, size_t count) {
@@ -677,24 +624,6 @@ bool PredicateBank::batch_value(size_t b, int id) const {
     cached =
         fallback_programs_[static_cast<size_t>(predicate.slot)]->EvalBool(
             batch_events_[b])
-            ? 1
-            : 0;
-  }
-  return cached == 1;
-}
-
-bool PredicateBank::value(int id) const {
-  const Predicate& predicate = predicates_[id];
-  if (predicate.decomposable) {
-    const size_t bit = static_cast<size_t>(predicate.slot);
-    return (result_words_[bit >> 6] >> (bit & 63)) & 1;
-  }
-  int8_t& cached = fallback_values_[predicate.slot];
-  if (cached < 0) {
-    ++stats_.program_evaluations;
-    cached =
-        fallback_programs_[static_cast<size_t>(predicate.slot)]->EvalBool(
-            current_event_)
             ? 1
             : 0;
   }

@@ -1,4 +1,5 @@
-// PredicateBank: shared per-event predicate evaluation for many patterns.
+// PredicateBank: shared predicate evaluation for many patterns, one event
+// window at a time.
 //
 // Deploying hundreds of learned gesture queries naively costs
 // O(patterns x states) ExprProgram interpretations per event even though
@@ -34,13 +35,15 @@
 //     Evaluating an event is then, per referenced field, a bounds check
 //     (memo hit) or a binary search plus O(D/stride + stride) replay, and
 //     one bitset AND -- instead of O(patterns x states) program
-//     interpretations.
+//     interpretations. A run of consecutive same-region events in one
+//     window shares a single AND broadcast over its result rows.
 //
 // All registered patterns must be compiled against the same schema (they
 // are subscribers of one stream); the canonical-key dedup assumes field
 // names resolve to the same indices.
 //
-// A bank is write-once: registration freezes at the first Evaluate(). When
+// A bank is write-once: registration freezes at Build() (called by the
+// first EvaluateBatch()). When
 // the deployed pattern set changes at runtime, the owner constructs a
 // fresh bank, re-registers the surviving patterns, and swaps it in between
 // events (MultiPatternMatcher::bank_generation counts the swaps); the
@@ -72,14 +75,17 @@ struct PredicateBankStats {
   uint64_t region_memo_hits = 0;
   /// Field evaluations that had to binary-search and replay deltas.
   uint64_t region_searches = 0;
-  /// EvaluateBatch (field, event) rows whose region bitset came straight
-  /// from the still-valid cross-event memo, i.e. rows ANDed by broadcasting
-  /// one memo word run across the row block. The ~70% memo-hit claim is
+  /// (field, event) rows whose region bitset came straight from the
+  /// still-valid cross-event memo, i.e. rows ANDed by broadcasting one
+  /// memo word run across the row block. The ~70% memo-hit claim is
   /// batch_broadcast_rows / (batch_broadcast_rows + batch_recomputed_rows).
+  /// Since every evaluation is a window, this always equals
+  /// region_memo_hits (and batch_recomputed_rows equals region_searches);
+  /// both names stay because the end-to-end benchmark reports them.
   uint64_t batch_broadcast_rows = 0;
-  /// EvaluateBatch (field, event) rows whose event left the previous
-  /// elementary region, forcing a binary search + delta replay before the
-  /// broadcast run restarts.
+  /// (field, event) rows whose event left the previous elementary region,
+  /// forcing a binary search + delta replay before the broadcast run
+  /// restarts.
   uint64_t batch_recomputed_rows = 0;
 };
 
@@ -97,34 +103,26 @@ class PredicateBank {
   std::vector<int> RegisterPattern(const CompiledPattern& pattern);
 
   /// Decomposes predicates and builds the per-field interval indexes.
-  /// Called automatically by the first Evaluate().
+  /// Called automatically by the first EvaluateBatch().
   void Build();
   bool built() const { return built_; }
 
-  /// Evaluates the interval index against `event`; results are read back
-  /// with value() / CopyValues(). Fallback (non-decomposable) predicates
-  /// are interpreted lazily on first read (the bank keeps its own copy of
-  /// the event, reusing capacity). Thread-compatible, not thread-safe:
-  /// the lazy fallback cache mutates under value().
-  void Evaluate(const stream::Event& event);
-
-  /// Batched Evaluate: answers `count` events in one pass per field. Each
-  /// field performs ONE region-memo walk over the whole window -- the
-  /// binary search and checkpoint+delta replay happen only when an event
-  /// leaves the previous event's elementary region, so consecutive
-  /// same-region events (the common 30 Hz case) cost a bounds check and a
-  /// bitset AND each. Results are read back per in-batch index with
-  /// batch_result_words(b) / batch_value(b, id). `events` is borrowed, not
-  /// copied: it must stay valid until the next Evaluate/EvaluateBatch
-  /// (batch_value interprets fallback predicates lazily against it).
+  /// Answers `count` events (a single event is a window of one) in one
+  /// pass per field. Each field performs ONE region-memo walk over the
+  /// whole window -- the binary search and checkpoint+delta replay happen
+  /// only when an event leaves the previous event's elementary region, so
+  /// consecutive same-region events (the common 30 Hz case) cost a bounds
+  /// check and a bitset AND each. Results are read back per in-batch
+  /// index with batch_result_words(b) / batch_value(b, id). `events` is
+  /// borrowed, not copied: it must stay valid until the next
+  /// EvaluateBatch (batch_value interprets fallback predicates lazily
+  /// against it). Thread-compatible, not thread-safe: the lazy fallback
+  /// cache mutates under batch_value().
   void EvaluateBatch(const stream::Event* events, size_t count);
 
-  /// Truth of bank predicate `id` for the last evaluated event.
-  bool value(int id) const;
-
   /// Satisfied-predicate words of in-batch event `b` of the last
-  /// EvaluateBatch (num_decomposable() bits; same layout as
-  /// result_words()).
+  /// EvaluateBatch: bit `slot_of(id)` is the truth of decomposable
+  /// predicate `id` (num_decomposable() bits).
   const uint64_t* batch_result_words(size_t b) const {
     return batch_words_.data() + b * words();
   }
@@ -136,18 +134,16 @@ class PredicateBank {
   size_t row_words() const { return words(); }
 
   /// Truth of bank predicate `id` for in-batch event `b` of the last
-  /// EvaluateBatch. Fallback predicates are interpreted lazily per
-  /// (event, predicate), exactly like value().
+  /// EvaluateBatch. Fallback predicates are interpreted lazily, at most
+  /// once per (event, predicate) (program_evaluations counts them).
   bool batch_value(size_t b, int id) const;
 
-  /// Columnar read surface for the flattened multi-pattern runtime: the
-  /// truth of a decomposable predicate for the last evaluated event is bit
-  /// `slot_of(id)` of result_words() (num_decomposable() bits); fallback
-  /// predicates must go through value(). result_words() is stable once the
-  /// bank is built.
+  /// Columnar read surface for the flattened multi-pattern runtime: a
+  /// decomposable predicate is read as bit `slot_of(id)` of a
+  /// batch_result_words row; fallback predicates must go through
+  /// batch_value().
   bool decomposable(int id) const { return predicates_[id].decomposable; }
   int slot_of(int id) const { return predicates_[id].slot; }
-  const uint64_t* result_words() const { return result_words_.data(); }
 
   int num_predicates() const { return static_cast<int>(predicates_.size()); }
   /// Predicates served by the interval index.
@@ -183,7 +179,7 @@ class PredicateBank {
     const ExprProgram* program = nullptr;  // owned by a registered pattern
     const Expr* expr = nullptr;            // bound tree, for decomposition
     bool decomposable = false;
-    int slot = -1;  // bit index (decomposable) or fallback_values_ index
+    int slot = -1;  // bit index (decomposable) or fallback_programs_ index
     std::map<int, Interval> intervals;     // filled by Build()
   };
 
@@ -242,22 +238,10 @@ class PredicateBank {
   std::vector<FieldIndex> fields_;
   std::vector<const ExprProgram*> fallback_programs_;
 
-  // Last Evaluate() results. Fallback values are memoized lazily:
-  // -1 unknown, 0 false, 1 true. current_event_ is a capacity-reusing
-  // copy for those lazy interpretations.
-  simd::WordVector result_words_;
-  mutable std::vector<int8_t> fallback_values_;
-  stream::Event current_event_;
-
-  // Evaluate() scratch: per-event source lists for the fused fold kernel
-  // (memo bitsets to AND, constrained bitsets of NaN fields to clear).
-  // Members so the capacity survives across events.
-  std::vector<const uint64_t*> fold_and_srcs_;
-  std::vector<const uint64_t*> fold_not_srcs_;
-
   // Last EvaluateBatch() results: one words()-sized row per in-batch
   // event (32-byte aligned for the SIMD kernels), plus a
-  // (event x fallback slot) lazy truth grid over the borrowed window.
+  // (event x fallback slot) lazy truth grid over the borrowed window
+  // (-1 unknown, 0 false, 1 true).
   simd::WordVector batch_words_;
   mutable std::vector<int8_t> batch_fallback_values_;
   const stream::Event* batch_events_ = nullptr;

@@ -7,30 +7,9 @@
 namespace epl::cep::simd {
 namespace {
 
-void ScalarAndInto(uint64_t* dst, const uint64_t* src, size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    dst[w] &= src[w];
-  }
-}
-
 void ScalarAndNotInto(uint64_t* dst, const uint64_t* src, size_t words) {
   for (size_t w = 0; w < words; ++w) {
     dst[w] &= ~src[w];
-  }
-}
-
-void ScalarFoldInto(uint64_t* dst, const uint64_t* const* and_srcs,
-                    size_t num_and, const uint64_t* const* not_srcs,
-                    size_t num_not, size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    uint64_t acc = ~uint64_t{0};
-    for (size_t i = 0; i < num_and; ++i) {
-      acc &= and_srcs[i][w];
-    }
-    for (size_t i = 0; i < num_not; ++i) {
-      acc &= ~not_srcs[i][w];
-    }
-    dst[w] = acc;
   }
 }
 
@@ -63,8 +42,8 @@ bool ScalarGateColumn(const uint64_t* rows, size_t stride_words, size_t count,
 }
 
 const Kernels kScalarKernels = {
-    Dispatch::kScalar, "scalar",      ScalarAndInto,    ScalarAndNotInto,
-    ScalarFoldInto,    ScalarAndRows, ScalarGateColumn,
+    Dispatch::kScalar, "scalar",         ScalarAndNotInto,
+    ScalarAndRows,     ScalarGateColumn,
 };
 
 bool CpuHasAvx2() {

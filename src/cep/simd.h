@@ -1,11 +1,11 @@
 // Runtime-dispatched SIMD kernels for the flat multi-pattern path.
 //
-// The three hot loops of the flat runtime share one word-AND shape:
-// PredicateBank::Evaluate ANDs per-field memo bitsets into one result row,
-// EvaluateBatch materializes B result-word rows from run-length-compressed
-// memo words, and MultiPatternMatcher::ProcessFlatBatch derives the
-// per-(gate group, event) gate grid from those rows. All three call the
-// kernel table below instead of open-coding scalar loops.
+// The two hot loops of the flat runtime share one word-AND shape:
+// PredicateBank::EvaluateBatch materializes B result-word rows from
+// run-length-compressed memo words (clearing NaN fields' constrained
+// bits), and MultiPatternMatcher::ProcessFlatBatch derives the
+// per-(gate group, event) gate grid from those rows. Both call the kernel
+// table below instead of open-coding scalar loops.
 //
 // Dispatch model: the kernel set is selected ONCE, at the first Active()
 // call, by checking CPUID for AVX2 support; every later call returns the
@@ -46,23 +46,9 @@ struct Kernels {
   Dispatch dispatch = Dispatch::kScalar;
   const char* name = "scalar";
 
-  /// dst[w] &= src[w] for w in [0, words).
-  void (*and_into)(uint64_t* dst, const uint64_t* src, size_t words);
-
   /// dst[w] &= ~src[w] for w in [0, words) (the NaN clear:
   /// result &= ~constrained).
   void (*andnot_into)(uint64_t* dst, const uint64_t* src, size_t words);
-
-  /// Fused fold: dst[w] = AND of and_srcs[i][w], further ANDed with the
-  /// complement of every not_srcs[j][w] (all-ones when both lists are
-  /// empty). This is Evaluate's kernel: ONE dispatched call folds every
-  /// constrained field's memo bitset (and the ~constrained clear of every
-  /// NaN field) into the result row, so the destination chunk stays in
-  /// registers across all fields instead of being re-read and re-written
-  /// once per field.
-  void (*fold_into)(uint64_t* dst, const uint64_t* const* and_srcs,
-                    size_t num_and, const uint64_t* const* not_srcs,
-                    size_t num_not, size_t words);
 
   /// Row broadcast: rows[r * stride_words + w] &= src[w] for every
   /// r in [0, num_rows), w in [0, words). This is EvaluateBatch's kernel:
@@ -121,13 +107,13 @@ const Kernels* Avx2KernelsOrNull();
 // to every determinism guarantee -- they only move the inline/dispatch
 // boundary.
 
-inline constexpr size_t kInlineFoldWords = 32;
+inline constexpr size_t kInlineAndNotWords = 32;
 inline constexpr size_t kInlineRowWords = 256;
 
 /// andnot_into with an inline fast path for narrow rows.
 inline void AndNotInto(const Kernels& kernels, uint64_t* dst,
                        const uint64_t* src, size_t words) {
-  if (words <= kInlineFoldWords) {
+  if (words <= kInlineAndNotWords) {
     for (size_t w = 0; w < words; ++w) {
       dst[w] &= ~src[w];
     }
@@ -174,28 +160,6 @@ inline bool GateColumn(const Kernels& kernels, const uint64_t* rows,
     return bits != 0;
   }
   return kernels.gate_column(rows, stride_words, count, word, mask, out);
-}
-
-/// fold_into with an inline fast path for tiny folds (a couple of fields
-/// over a narrow bank).
-inline void FoldInto(const Kernels& kernels, uint64_t* dst,
-                     const uint64_t* const* and_srcs, size_t num_and,
-                     const uint64_t* const* not_srcs, size_t num_not,
-                     size_t words) {
-  if ((num_and + num_not) * words <= kInlineFoldWords) {
-    for (size_t w = 0; w < words; ++w) {
-      uint64_t acc = ~uint64_t{0};
-      for (size_t i = 0; i < num_and; ++i) {
-        acc &= and_srcs[i][w];
-      }
-      for (size_t i = 0; i < num_not; ++i) {
-        acc &= ~not_srcs[i][w];
-      }
-      dst[w] = acc;
-    }
-    return;
-  }
-  kernels.fold_into(dst, and_srcs, num_and, not_srcs, num_not, words);
 }
 
 /// Minimal 32-byte-aligned allocator so bitset storage (batch result rows,

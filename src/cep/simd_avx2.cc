@@ -21,6 +21,7 @@
 namespace epl::cep::simd {
 namespace {
 
+// dst[w] &= src[w]: the wide-row leg of Avx2AndRows.
 void Avx2AndInto(uint64_t* dst, const uint64_t* src, size_t words) {
   size_t w = 0;
   for (; w + 4 <= words; w += 4) {
@@ -49,39 +50,6 @@ void Avx2AndNotInto(uint64_t* dst, const uint64_t* src, size_t words) {
   }
   for (; w < words; ++w) {
     dst[w] &= ~src[w];
-  }
-}
-
-void Avx2FoldInto(uint64_t* dst, const uint64_t* const* and_srcs,
-                  size_t num_and, const uint64_t* const* not_srcs,
-                  size_t num_not, size_t words) {
-  const __m256i ones = _mm256_set1_epi64x(-1);
-  size_t w = 0;
-  for (; w + 4 <= words; w += 4) {
-    __m256i acc = ones;
-    for (size_t i = 0; i < num_and; ++i) {
-      acc = _mm256_and_si256(
-          acc, _mm256_loadu_si256(
-                   reinterpret_cast<const __m256i*>(and_srcs[i] + w)));
-    }
-    for (size_t i = 0; i < num_not; ++i) {
-      // andnot(b, a) = ~b & a.
-      acc = _mm256_andnot_si256(
-          _mm256_loadu_si256(
-              reinterpret_cast<const __m256i*>(not_srcs[i] + w)),
-          acc);
-    }
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), acc);
-  }
-  for (; w < words; ++w) {
-    uint64_t acc = ~uint64_t{0};
-    for (size_t i = 0; i < num_and; ++i) {
-      acc &= and_srcs[i][w];
-    }
-    for (size_t i = 0; i < num_not; ++i) {
-      acc &= ~not_srcs[i][w];
-    }
-    dst[w] = acc;
   }
 }
 
@@ -155,8 +123,8 @@ bool Avx2GateColumn(const uint64_t* rows, size_t stride_words, size_t count,
 }
 
 const Kernels kAvx2Kernels = {
-    Dispatch::kAvx2, "avx2",      Avx2AndInto,    Avx2AndNotInto,
-    Avx2FoldInto,    Avx2AndRows, Avx2GateColumn,
+    Dispatch::kAvx2, "avx2",         Avx2AndNotInto,
+    Avx2AndRows,     Avx2GateColumn,
 };
 
 }  // namespace

@@ -1,13 +1,16 @@
-// Batch-boundary behavior of the batched flat runtime, end to end:
-// matcher-level chunking equivalence (including chunk size 1, which must
-// take the same ProcessFlatBatch path and agree with per-event
-// ProcessFlat), partial runs spanning batch edges, MultiMatchOperator
-// window accumulation (control operations flush first; callback-driven
-// add/remove keeps per-event semantics mid-batch via pattern catch-up),
-// and ShardedEngine workers executing whole fan-out batches as one
-// matcher sweep without perturbing the deterministic merge order.
+// Batch-boundary behavior of the flat runtime, end to end: matcher-level
+// chunking equivalence (per-event Process is a window of one, so every
+// chunk size must agree with it), the counters of windows of one,
+// partial runs spanning batch edges, MultiMatchOperator window
+// accumulation (control operations flush first; callback-driven
+// add/remove keeps per-event semantics mid-batch via pattern catch-up;
+// feeding events from a callback dies), and ShardedEngine workers
+// executing whole fan-out batches as one matcher sweep without perturbing
+// the deterministic merge order.
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -21,6 +24,7 @@
 #include "cep/pattern.h"
 #include "cep/sharded_engine.h"
 #include "cep_workload_test_util.h"
+#include "common/rng.h"
 #include "query/compiler.h"
 #include "test_util.h"
 
@@ -160,6 +164,171 @@ TEST(BatchedExecutionTest, PartialRunSpansBatchEdge) {
                                     DurationFromMillis(200)}));
 }
 
+const stream::Schema& XgSchema() {
+  static const stream::Schema* schema =
+      new stream::Schema(std::vector<std::string>{"x", "g"});
+  return *schema;
+}
+
+template <typename... Predicates>
+std::vector<ExprPtr> PredicateList(Predicates... predicates) {
+  std::vector<ExprPtr> list;
+  (list.push_back(std::move(predicates)), ...);
+  return list;
+}
+
+/// A pattern over XgSchema: one pose per predicate, gap-bounded.
+CompiledPattern CompileXgChain(std::vector<ExprPtr> predicates,
+                               std::optional<Duration> within) {
+  std::vector<PatternExprPtr> poses;
+  for (ExprPtr& predicate : predicates) {
+    poses.push_back(PatternExpr::Pose("s", std::move(predicate)));
+  }
+  Result<CompiledPattern> compiled = CompiledPattern::Compile(
+      *PatternExpr::Sequence(std::move(poses), within, WithinMode::kGap),
+      XgSchema());
+  EPL_CHECK(compiled.ok()) << compiled.status();
+  return std::move(compiled).value();
+}
+
+/// Figures of one golden configuration: per pattern {events,
+/// predicate_cache_hits, matches, peak_runs}, then the bank's {events,
+/// region_memo_hits, region_searches, program_evaluations}.
+struct CounterGolden {
+  std::vector<std::vector<uint64_t>> patterns;
+  std::vector<uint64_t> bank;
+};
+
+CounterGolden RunCounterWorkload(MatcherOptions::Mode mode, bool gated) {
+  std::vector<CompiledPattern> patterns;
+  patterns.push_back(CompileXgChain(
+      PredicateList(Expr::RangePredicate("x", -20, 15),
+                    Expr::RangePredicate("x", 10, 15),
+                    Expr::RangePredicate("x", 40, 15)),
+      2 * kSecond));
+  patterns.push_back(CompileXgChain(
+      PredicateList(Expr::RangePredicate("x", 0, 30),
+                    Expr::RangePredicate("x", 50, 20)),
+      std::nullopt));
+  patterns.push_back(CompileXgChain(
+      PredicateList(Expr::RangePredicate("x", 60, 10)), std::nullopt));
+  // A disjunction is not decomposable: the bank interprets its program.
+  patterns.push_back(CompileXgChain(
+      PredicateList(Expr::Binary(BinaryOp::kOr,
+                                 Expr::RangePredicate("x", -60, 10),
+                                 Expr::RangePredicate("x", 80, 10)),
+                    Expr::RangePredicate("x", 0, 20)),
+      kSecond));
+  // Pattern 0 again: identical states share their bank predicates.
+  patterns.push_back(CompileXgChain(
+      PredicateList(Expr::RangePredicate("x", -20, 15),
+                    Expr::RangePredicate("x", 10, 15),
+                    Expr::RangePredicate("x", 40, 15)),
+      2 * kSecond));
+
+  // One decomposable and one fallback gate over the session-like field g.
+  CompiledPattern open_at_one = CompileXgChain(
+      PredicateList(Expr::RangePredicate("g", 1, 0.5)), std::nullopt);
+  CompiledPattern open_far = CompileXgChain(
+      PredicateList(Expr::Binary(BinaryOp::kOr,
+                                 Expr::RangePredicate("g", 2, 0.25),
+                                 Expr::RangePredicate("g", -2, 0.25))),
+      std::nullopt);
+  const CompiledPattern* gates[] = {&open_at_one, &open_far, &open_at_one,
+                                    nullptr, &open_far};
+
+  MatcherOptions options;
+  options.mode = mode;
+  MultiPatternMatcher multi(options);
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    multi.AddPattern(&patterns[p], gated ? gates[p] : nullptr);
+  }
+
+  Rng rng(1515);
+  double t_ms = 0;
+  double x = 0;
+  double g = 1;
+  std::vector<MultiPatternMatcher::MultiMatch> matches;
+  for (int e = 0; e < 3000; ++e) {
+    t_ms += rng.Bernoulli(0.01) ? 3000 : 33;
+    x = rng.Bernoulli(0.02) ? rng.Uniform(-100, 100)
+                            : std::clamp(x + rng.Uniform(-8, 8), -100.0,
+                                         100.0);
+    if (rng.Bernoulli(0.02)) {
+      const double kGateValues[] = {0, 1, 2, -2};
+      g = kGateValues[rng.UniformInt(0, 3)];
+    }
+    const double value =
+        rng.Bernoulli(0.005) ? std::numeric_limits<double>::quiet_NaN() : x;
+    multi.Process(Event(DurationFromMillis(t_ms), {value, g}), &matches);
+  }
+
+  CounterGolden golden;
+  for (size_t p = 0; p < patterns.size(); ++p) {
+    const MatcherStats& stats = multi.stats(static_cast<int>(p));
+    golden.patterns.push_back({stats.events, stats.predicate_cache_hits,
+                               stats.matches, stats.peak_runs});
+  }
+  const PredicateBankStats& bank = multi.bank().stats();
+  golden.bank = {bank.events, bank.region_memo_hits, bank.region_searches,
+                 bank.program_evaluations};
+  return golden;
+}
+
+// Per-event Process is a window of one. Its counters must stay exactly
+// those the dedicated per-event path (bank Evaluate + per-event flat loop)
+// reported; the expected figures were recorded from that implementation.
+TEST(BatchedExecutionTest, WindowOfOneKeepsPerEventCounters) {
+  struct Case {
+    MatcherOptions::Mode mode;
+    bool gated;
+    CounterGolden want;
+  };
+  const Case cases[] = {
+      {MatcherOptions::Mode::kDominant,
+       false,
+       {{{3000, 6574, 6, 2},
+         {3000, 4634, 31, 1},
+         {3000, 3000, 349, 0},
+         {3000, 5493, 9, 1},
+         {3000, 6574, 6, 2}},
+        {3000, 2468, 520, 2991}}},
+      {MatcherOptions::Mode::kDominant,
+       true,
+       {{{3000, 4262, 3, 2},
+         {3000, 3720, 17, 1},
+         {3000, 3000, 148, 0},
+         {3000, 5493, 9, 1},
+         {3000, 4266, 2, 2}},
+        {3000, 5425, 563, 5991}}},
+      {MatcherOptions::Mode::kExhaustive,
+       false,
+       {{{3000, 240314, 6, 1771},
+         {3000, 61710, 31, 155},
+         {3000, 3000, 349, 0},
+         {3000, 151561, 9, 153},
+         {3000, 240314, 6, 1771}},
+        {3000, 2468, 520, 3000}}},
+      {MatcherOptions::Mode::kExhaustive,
+       true,
+       {{{1107, 55291, 3, 223},
+         {1245, 16825, 17, 72},
+         {1107, 1107, 148, 0},
+         {3000, 151561, 9, 153},
+         {1245, 73222, 2, 411}},
+        {3000, 5425, 563, 6000}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << (c.mode == MatcherOptions::Mode::kDominant ? "dominant"
+                                                               : "exhaustive")
+                 << (c.gated ? " gated" : " ungated"));
+    const CounterGolden got = RunCounterWorkload(c.mode, c.gated);
+    EXPECT_EQ(got.patterns, c.want.patterns);
+    EXPECT_EQ(got.bank, c.want.bank);
+  }
+}
+
 TEST(BatchedExecutionTest, OperatorBatchSizeOneKeepsPerEventBehavior) {
   // batch_size 1 (the default) must not accumulate: detections fire
   // inside Process, before the call returns.
@@ -246,6 +415,41 @@ TEST(BatchedExecutionTest, CloseFromInsideACallbackDoesNotRerunTheWindow) {
   ASSERT_EQ(records.size(), 4u);
   for (size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(records[i].time, DurationFromMillis(10.0 * i));
+  }
+}
+
+// Feeding the operator from inside a detection callback is a contract
+// violation at every batch size: at batch_size 1 the nested sweep would
+// clear the outer sweep's undispatched matches, at batch_size > 1 it would
+// refill the window being dispatched. Both entry points fail loudly.
+TEST(BatchedExecutionDeathTest, FeedingFromInsideACallbackDies) {
+  for (size_t batch_size : {size_t{1}, size_t{4}}) {
+    for (bool via_batch : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "batch_size " << batch_size
+                                        << (via_batch ? " ProcessBatch"
+                                                      : " Process"));
+      EXPECT_DEATH(
+          {
+            MultiMatchOperator op(MatcherOptions(), batch_size);
+            MultiMatchOperator* raw = &op;
+            const Event nested = XEvent(1000, 1.0);
+            op.AddQuery(ChainSpec(
+                "every", {{1.0, 0.5}},
+                [raw, &nested, via_batch](const Detection&) {
+                  if (via_batch) {
+                    (void)raw->ProcessBatch(&nested, 1);
+                  } else {
+                    (void)raw->Process(nested);
+                  }
+                }));
+            for (int i = 0; i < 4; ++i) {
+              (void)op.Process(XEvent(10.0 * i, 1.0));
+            }
+            (void)op.Close();
+          },
+          via_batch ? "ProcessBatch from inside a detection callback"
+                    : "Process from inside a detection callback");
+    }
   }
 }
 

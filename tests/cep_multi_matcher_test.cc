@@ -254,7 +254,7 @@ TEST(MultiMatchOperatorTest, RejectsMixedSourceStreams) {
 // Gate groups (the multi-session runtime's sub-linear session skip): a
 // matcher fed UNCONJOINED patterns plus their session gates must produce
 // exactly the matches of the explicitly conjoined patterns run ungated,
-// in both the per-event and the batched flat path, with gated and ungated
+// for windows of one and for larger windows, with gated and ungated
 // patterns mixed in one matcher.
 TEST(MultiPatternMatcherTest, GateGroupsAreOutputExact) {
   // A merged multi-session stream: kinect fields plus a session id that

@@ -47,6 +47,13 @@ Event At(double x, double y = 0.0, double z = 0.0) {
   return Event(0, {x, y, z});
 }
 
+/// Evaluates `event` as a window of one; read results with
+/// bank.batch_value(0, id). The bank borrows `event` (fallback predicates
+/// are interpreted lazily against it), so it must outlive those reads.
+void EvaluateOne(PredicateBank& bank, const Event& event) {
+  bank.EvaluateBatch(&event, 1);
+}
+
 TEST(DecomposeTest, RangePredicateBecomesOneInterval) {
   ExprPtr expr = Bound(Expr::RangePredicate("x", 100, 50));
   auto intervals = DecomposeOrDie(*expr);
@@ -159,17 +166,19 @@ TEST(PredicateBankTest, BoundaryStrictnessIsExact) {
   bank.Build();
   EXPECT_EQ(bank.num_fallback(), 0);
 
-  bank.Evaluate(At(5.0));  // exactly on the shared endpoint
-  EXPECT_FALSE(bank.value(ids[0]));  // x < 5
-  EXPECT_TRUE(bank.value(ids[1]));   // x <= 5
-  EXPECT_FALSE(bank.value(ids[2]));  // x > 5
-  EXPECT_TRUE(bank.value(ids[3]));   // x >= 5
+  const Event on_endpoint = At(5.0);  // exactly on the shared endpoint
+  EvaluateOne(bank, on_endpoint);
+  EXPECT_FALSE(bank.batch_value(0, ids[0]));  // x < 5
+  EXPECT_TRUE(bank.batch_value(0, ids[1]));   // x <= 5
+  EXPECT_FALSE(bank.batch_value(0, ids[2]));  // x > 5
+  EXPECT_TRUE(bank.batch_value(0, ids[3]));   // x >= 5
 
-  bank.Evaluate(At(4.999));
-  EXPECT_TRUE(bank.value(ids[0]));
-  EXPECT_TRUE(bank.value(ids[1]));
-  EXPECT_FALSE(bank.value(ids[2]));
-  EXPECT_FALSE(bank.value(ids[3]));
+  const Event below = At(4.999);
+  EvaluateOne(bank, below);
+  EXPECT_TRUE(bank.batch_value(0, ids[0]));
+  EXPECT_TRUE(bank.batch_value(0, ids[1]));
+  EXPECT_FALSE(bank.batch_value(0, ids[2]));
+  EXPECT_FALSE(bank.batch_value(0, ids[3]));
 }
 
 TEST(PredicateBankTest, DeduplicatesAcrossPatterns) {
@@ -211,12 +220,14 @@ TEST(PredicateBankTest, FallbackPredicatesUseTheirProgram) {
   EXPECT_EQ(bank.num_decomposable(), 1);
   EXPECT_EQ(bank.num_fallback(), 1);
 
-  bank.Evaluate(At(-105.0, 0.5));
-  EXPECT_TRUE(bank.value(fancy_id));
-  EXPECT_TRUE(bank.value(plain_id));
-  bank.Evaluate(At(0.0, 5.0));
-  EXPECT_FALSE(bank.value(fancy_id));
-  EXPECT_FALSE(bank.value(plain_id));
+  const Event inside = At(-105.0, 0.5);
+  EvaluateOne(bank, inside);
+  EXPECT_TRUE(bank.batch_value(0, fancy_id));
+  EXPECT_TRUE(bank.batch_value(0, plain_id));
+  const Event outside = At(0.0, 5.0);
+  EvaluateOne(bank, outside);
+  EXPECT_FALSE(bank.batch_value(0, fancy_id));
+  EXPECT_FALSE(bank.batch_value(0, plain_id));
   EXPECT_EQ(bank.stats().events, 2u);
   EXPECT_EQ(bank.stats().program_evaluations, 2u);  // fallback only
 }
@@ -231,8 +242,9 @@ TEST(PredicateBankTest, EmptyIntersectionNeverMatches) {
   bank.Build();
   EXPECT_EQ(bank.num_fallback(), 0);
   for (double v : {0.0, 1.0, 1.5, 2.0, 3.0}) {
-    bank.Evaluate(At(v));
-    EXPECT_FALSE(bank.value(id)) << v;
+    const Event event = At(v);
+    EvaluateOne(bank, event);
+    EXPECT_FALSE(bank.batch_value(0, id)) << v;
   }
 }
 
@@ -243,9 +255,10 @@ TEST(PredicateBankTest, NanMatchesNothingConstrained) {
   int x_id = bank.RegisterPattern(on_x)[0];
   int y_id = bank.RegisterPattern(on_y)[0];
   bank.Build();
-  bank.Evaluate(At(std::numeric_limits<double>::quiet_NaN(), 0.0));
-  EXPECT_FALSE(bank.value(x_id));
-  EXPECT_TRUE(bank.value(y_id));
+  const Event nan_x = At(std::numeric_limits<double>::quiet_NaN(), 0.0);
+  EvaluateOne(bank, nan_x);
+  EXPECT_FALSE(bank.batch_value(0, x_id));
+  EXPECT_TRUE(bank.batch_value(0, y_id));
 }
 
 TEST(PredicateBankTest, CrossEventRegionMemoSkipsSearches) {
@@ -259,9 +272,10 @@ TEST(PredicateBankTest, CrossEventRegionMemoSkipsSearches) {
   // A 30 Hz-style dribble inside one elementary region: one search, then
   // memo hits, all with the right truth.
   for (double v : {-40.0, -41.5, -39.2, -44.0}) {
-    bank.Evaluate(At(v));
-    EXPECT_TRUE(bank.value(low_id)) << v;
-    EXPECT_FALSE(bank.value(high_id)) << v;
+    const Event event = At(v);
+    EvaluateOne(bank, event);
+    EXPECT_TRUE(bank.batch_value(0, low_id)) << v;
+    EXPECT_FALSE(bank.batch_value(0, high_id)) << v;
   }
   EXPECT_EQ(bank.stats().region_searches, 1u);
   EXPECT_EQ(bank.stats().region_memo_hits, 3u);
@@ -269,11 +283,12 @@ TEST(PredicateBankTest, CrossEventRegionMemoSkipsSearches) {
   // Leaving the region invalidates the memo (fresh search), and exact
   // endpoint stabs land in singleton regions the open-region memo must
   // not swallow.
-  bank.Evaluate(At(60.0));
-  EXPECT_FALSE(bank.value(low_id));
-  EXPECT_TRUE(bank.value(high_id));
+  const Event in_high = At(60.0);
+  EvaluateOne(bank, in_high);
+  EXPECT_FALSE(bank.batch_value(0, low_id));
+  EXPECT_TRUE(bank.batch_value(0, high_id));
   EXPECT_EQ(bank.stats().region_searches, 2u);
-  bank.Evaluate(At(60.0));
+  EvaluateOne(bank, in_high);
   EXPECT_EQ(bank.stats().region_memo_hits, 4u);
 }
 
@@ -300,7 +315,7 @@ TEST(PredicateBankTest, BatchCountersSplitBroadcastVsRecomputedRows) {
   }
   EXPECT_EQ(bank.stats().batch_recomputed_rows, 2u);
   EXPECT_EQ(bank.stats().batch_broadcast_rows, 4u);
-  // The batch split refines the same totals the per-event memo reports.
+  // The batch split equals the memo hit/search totals.
   EXPECT_EQ(bank.stats().region_searches, 2u);
   EXPECT_EQ(bank.stats().region_memo_hits, 4u);
 
@@ -363,9 +378,10 @@ TEST(PredicateBankTest, DeltaEncodingAgreesAcrossManyRegions) {
                          : rng.Uniform(-130, 130));
   }
   for (double v : probes) {
-    bank.Evaluate(At(v));
+    const Event event = At(v);
+    EvaluateOne(bank, event);
     for (size_t p = 0; p < patterns.size(); ++p) {
-      ASSERT_EQ(bank.value(ids[p]),
+      ASSERT_EQ(bank.batch_value(0, ids[p]),
                 patterns[p].predicate(0).EvalBool(At(v)))
           << patterns[p].predicate_expr(0).ToString() << " at " << v;
     }
@@ -419,9 +435,9 @@ TEST_P(PredicateBankProperty, AgreesWithProgramEvaluation) {
       }
     }
     Event event(0, values);
-    bank.Evaluate(event);
+    EvaluateOne(bank, event);
     for (size_t p = 0; p < patterns.size(); ++p) {
-      EXPECT_EQ(bank.value(ids[p]),
+      EXPECT_EQ(bank.batch_value(0, ids[p]),
                 patterns[p].predicate(0).EvalBool(event))
           << "pattern " << p << ": "
           << patterns[p].predicate_expr(0).ToString() << " at event "

@@ -42,25 +42,6 @@ class SimdKernelTest : public ::testing::Test {
   }
 };
 
-TEST_F(SimdKernelTest, AndIntoMatchesScalarAtEveryWidth) {
-  Rng rng(0x51D0001);
-  for (size_t words : kWordCounts) {
-    // offset 1 forces a 32-byte-misaligned start: the kernels must not
-    // rely on the aligned storage the bank happens to provide.
-    for (size_t offset : {size_t{0}, size_t{1}}) {
-      const std::vector<uint64_t> src = RandomWords(&rng, words + offset);
-      const std::vector<uint64_t> original = RandomWords(&rng, words + offset);
-      std::vector<uint64_t> scalar = original;
-      std::vector<uint64_t> avx2 = original;
-      ScalarKernels().and_into(scalar.data() + offset, src.data() + offset,
-                               words);
-      Avx2Kernels().and_into(avx2.data() + offset, src.data() + offset,
-                             words);
-      EXPECT_EQ(scalar, avx2) << "words=" << words << " offset=" << offset;
-    }
-  }
-}
-
 TEST_F(SimdKernelTest, AndNotIntoMatchesScalarAtEveryWidth) {
   Rng rng(0x51D0002);
   for (size_t words : kWordCounts) {
@@ -118,52 +99,10 @@ TEST_F(SimdKernelTest, AndRowsLeavesGapWordsUntouched) {
   }
 }
 
-TEST_F(SimdKernelTest, FoldIntoMatchesScalarAcrossSourceCounts) {
-  Rng rng(0x51D0006);
-  for (size_t words : kWordCounts) {
-    for (size_t num_and : {size_t{0}, size_t{1}, size_t{2}, size_t{5}}) {
-      for (size_t num_not : {size_t{0}, size_t{1}, size_t{3}}) {
-        std::vector<std::vector<uint64_t>> and_storage;
-        std::vector<std::vector<uint64_t>> not_storage;
-        std::vector<const uint64_t*> and_srcs;
-        std::vector<const uint64_t*> not_srcs;
-        for (size_t i = 0; i < num_and; ++i) {
-          and_storage.push_back(RandomWords(&rng, words));
-          and_srcs.push_back(and_storage.back().data());
-        }
-        for (size_t i = 0; i < num_not; ++i) {
-          not_storage.push_back(RandomWords(&rng, words));
-          not_srcs.push_back(not_storage.back().data());
-        }
-        // The fold overwrites dst; pre-fill with garbage to prove it.
-        std::vector<uint64_t> scalar = RandomWords(&rng, words);
-        std::vector<uint64_t> avx2 = RandomWords(&rng, words);
-        ScalarKernels().fold_into(scalar.data(), and_srcs.data(), num_and,
-                                  not_srcs.data(), num_not, words);
-        Avx2Kernels().fold_into(avx2.data(), and_srcs.data(), num_and,
-                                not_srcs.data(), num_not, words);
-        EXPECT_EQ(scalar, avx2) << "words=" << words << " and=" << num_and
-                                << " not=" << num_not;
-        // Reference semantics, independently of the scalar kernel.
-        for (size_t w = 0; w < words; ++w) {
-          uint64_t want = ~uint64_t{0};
-          for (size_t i = 0; i < num_and; ++i) {
-            want &= and_storage[i][w];
-          }
-          for (size_t i = 0; i < num_not; ++i) {
-            want &= ~not_storage[i][w];
-          }
-          EXPECT_EQ(avx2[w], want) << "w=" << w;
-        }
-      }
-    }
-  }
-}
-
 TEST_F(SimdKernelTest, InlineHelpersMatchKernelsAcrossTheThreshold) {
-  // The call-site helpers (AndNotInto / AndRows / GateColumn / FoldInto)
-  // run an inline loop below kInlineFoldWords of work and dispatch above
-  // it; both branches must agree with the raw kernel table.
+  // The call-site helpers (AndNotInto / AndRows / GateColumn) run an
+  // inline loop below their threshold of work and dispatch above it; both
+  // branches must agree with the raw kernel table.
   Rng rng(0x51D0007);
   for (const Kernels* kernels : {&ScalarKernels(), &Avx2Kernels()}) {
     for (size_t words : {size_t{3}, size_t{20}, size_t{40}, size_t{65}}) {
