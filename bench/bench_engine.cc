@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "stream/runner.h"
 #include "exp_util.h"
 
 namespace epl {
@@ -75,32 +74,6 @@ void BM_TransformViewOnly(benchmark::State& state) {
                           static_cast<int64_t>(events.size()));
 }
 BENCHMARK(BM_TransformViewOnly);
-
-void BM_ThreadedRunnerPipeline(benchmark::State& state) {
-  stream::StreamEngine engine;
-  EPL_CHECK(kinect::RegisterKinectStream(&engine).ok());
-  EPL_CHECK(transform::RegisterKinectTView(&engine).ok());
-  core::GestureDefinition definition = bench::TrainDefinition(
-      kinect::GestureShapes::SwipeRight(), 3, 41000);
-  uint64_t detections = 0;
-  EPL_CHECK(core::DeployGesture(
-                &engine, definition,
-                [&detections](const cep::Detection&) { ++detections; })
-                .ok());
-  std::vector<stream::Event> events = RawWorkload();
-  for (auto _ : state) {
-    stream::EngineRunner runner(&engine, 4096);
-    EPL_CHECK(runner.Start().ok());
-    for (const stream::Event& event : events) {
-      runner.Enqueue("kinect", event);
-    }
-    EPL_CHECK(runner.Stop().ok());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(events.size()));
-  benchmark::DoNotOptimize(detections);
-}
-BENCHMARK(BM_ThreadedRunnerPipeline);
 
 }  // namespace
 }  // namespace epl

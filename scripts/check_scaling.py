@@ -4,7 +4,9 @@
 Reads a Google Benchmark JSON file containing BM_ShardedScaleOut rows
 (wall-clock, work-stealing + pinned workers, 256 queries) and fails when
 the N-shard configuration does not deliver at least --min-speedup x the
-1-shard wall-clock throughput.
+1-shard wall-clock throughput, or when any row reports pin_failures > 0:
+a row whose workers silently ran unpinned does not measure the
+configuration the gate is for.
 
 Repetition-aware: with --benchmark_repetitions=K the JSON carries K
 "iteration" rows per configuration plus mean/median/stddev aggregates; we
@@ -43,10 +45,12 @@ DEPLOY_MAX_RATIO = 2.0
 
 
 def load_throughputs(path):
-    """name -> median items_per_second over iteration rows, keyed by shard count."""
+    """Shard count -> median items_per_second over iteration rows, plus the
+    sorted shard counts of the rows that reported pin_failures > 0."""
     with open(path) as fh:
         report = json.load(fh)
     samples = {}
+    unpinned = set()
     for row in report.get("benchmarks", []):
         match = SCALEOUT_ROW.match(row.get("name", ""))
         if not match:
@@ -59,7 +63,11 @@ def load_throughputs(path):
             continue
         shards = int(match.group(1))
         samples.setdefault(shards, []).append(float(ips))
-    return {shards: statistics.median(values) for shards, values in samples.items()}
+        if row.get("pin_failures", 0) > 0:
+            unpinned.add(shards)
+    medians = {shards: statistics.median(values)
+               for shards, values in samples.items()}
+    return medians, sorted(unpinned)
 
 
 def load_fanout_copies(path):
@@ -163,7 +171,7 @@ def main():
                         help="also gate BM_ShardedFleetDeploy linearity")
     args = parser.parse_args()
 
-    throughputs = load_throughputs(args.report)
+    throughputs, unpinned = load_throughputs(args.report)
     if not throughputs:
         print(f"error: no BM_ShardedScaleOut iteration rows in {args.report}")
         return 2
@@ -178,6 +186,11 @@ def main():
     for shards in sorted(throughputs):
         speedup = throughputs[shards] / baseline
         print(f"{shards:>8} {throughputs[shards]:>14,.0f} {speedup:>8.2f}x")
+
+    if unpinned:
+        print(f"\nFAIL: BM_ShardedScaleOut rows at {unpinned} shards ran with "
+              f"pin_failures > 0 -- their workers were not pinned")
+        return 1
 
     speedup = throughputs[args.gate_shards] / baseline
     if speedup < args.min_speedup:

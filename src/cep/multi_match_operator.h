@@ -34,10 +34,10 @@
 // Threading contract: this operator is single-threaded like the
 // StreamEngine that owns it -- AddQuery/RemoveQuery must be serialized
 // with event processing (call them on the dispatch thread, e.g. from a
-// detection callback or between EngineRunner batches; an EngineRunner
-// producer thread must not mutate a live operator directly). For
-// exchanges from arbitrary threads use cep::ShardedEngine, whose control
-// operations are internally synchronized.
+// detection callback or between pushes; another thread must not mutate a
+// live operator directly). For exchanges from arbitrary threads use
+// cep::ShardedEngine, whose control operations are internally
+// synchronized.
 
 #ifndef EPL_CEP_MULTI_MATCH_OPERATOR_H_
 #define EPL_CEP_MULTI_MATCH_OPERATOR_H_

@@ -106,47 +106,11 @@ int PickStealVictim(const std::vector<size_t>& backlogs,
   return victim;
 }
 
-int RecommendShardCount(int current_shards,
-                        const std::vector<uint64_t>& busy_ns,
-                        uint64_t elapsed_ns,
-                        const AdaptiveShardOptions& options) {
-  const int min_shards = std::max(1, options.min_shards);
-  const int max_shards = std::max(min_shards, options.max_shards);
-  const int current = std::clamp(current_shards, min_shards, max_shards);
-  if (elapsed_ns == 0 || busy_ns.empty()) {
-    return current;
-  }
-  const double elapsed = static_cast<double>(elapsed_ns);
-  double peak = 0.0;
-  double total = 0.0;
-  for (uint64_t ns : busy_ns) {
-    const double utilization = static_cast<double>(ns) / elapsed;
-    peak = std::max(peak, utilization);
-    total += utilization;
-  }
-  if (peak > options.grow_utilization && current < max_shards) {
-    return current + 1;
-  }
-  // Shrink only when the whole fleet's work would still average below the
-  // shrink threshold spread over one fewer shard -- the gap between the
-  // grow and shrink thresholds is the hysteresis band. A saturated shard
-  // vetoes shrinking even if the rest of the fleet idles (the common shape
-  // at max_shards with a skewed fleet): removing capacity under a hot
-  // bottleneck only deepens it.
-  if (current > min_shards && peak <= options.grow_utilization &&
-      total <= options.shrink_utilization * (current - 1)) {
-    return current - 1;
-  }
-  return current;
-}
-
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(options) {
   options_.num_shards = std::max(1, options_.num_shards);
   options_.batch_size = std::max<size_t>(1, options_.batch_size);
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
-  options_.max_query_skew = std::max(1, options_.max_query_skew);
-  options_.spin_wait_iterations = std::max(0, options_.spin_wait_iterations);
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(MakeShard(0));
@@ -194,7 +158,6 @@ Status ShardedEngine::Start() {
     return FailedPreconditionError("sharded engine cannot be restarted");
   }
   running_ = true;
-  last_adapt_time_ = std::chrono::steady_clock::now();
   for (size_t i = 0; i < shards_.size(); ++i) {
     // The affinity slot is the shard's fleet position: shrink always
     // retires from the back, so a surviving shard keeps its slot and a
@@ -215,14 +178,6 @@ bool ShardedEngine::Push(stream::Event event) {
   pending_batch_->events.push_back(std::move(event));
   if (pending_batch_->events.size() >= options_.batch_size) {
     FlushBatch();
-  }
-  if (options_.adaptive.enabled &&
-      next_seq_ - last_adapt_seq_ >= options_.adaptive.check_every_events) {
-    last_adapt_seq_ = next_seq_;
-    // Sizing is advisory on the hot path: a failed resize (a shard error
-    // surfacing mid-migration) is reported by the next Flush/Stop, not by
-    // Push.
-    AdaptShardCountLocked().ok();
   }
   return true;
 }
@@ -392,10 +347,6 @@ Status ShardedEngine::Resize(int num_shards) {
             std::this_thread::get_id())
       << "Resize from inside a detection callback";
   std::lock_guard<std::mutex> lock(control_mu_);
-  return ResizeLocked(num_shards);
-}
-
-Status ShardedEngine::ResizeLocked(int num_shards) {
   if (stopped_) {
     return FailedPreconditionError("sharded engine is stopped");
   }
@@ -505,7 +456,7 @@ Status ShardedEngine::ResizeLocked(int num_shards) {
       }
       ResizeIndexLocked();
       for (std::unique_ptr<Shard>& shard : doomed) {
-        shard->wake_epoch.fetch_add(1, std::memory_order_release);
+        ++shard->wake_epoch;
         shard->cv.notify_all();
       }
     }
@@ -535,54 +486,6 @@ Status ShardedEngine::ResizeLocked(int num_shards) {
     ResumeWorkers();
   }
   return OkStatus();
-}
-
-Status ShardedEngine::AdaptShardCount() {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "AdaptShardCount from inside a detection callback";
-  std::lock_guard<std::mutex> lock(control_mu_);
-  return AdaptShardCountLocked();
-}
-
-Status ShardedEngine::AdaptShardCountLocked() {
-  if (stopped_) {
-    return FailedPreconditionError("sharded engine is stopped");
-  }
-  const auto now = std::chrono::steady_clock::now();
-  const bool first_check =
-      last_adapt_time_ == std::chrono::steady_clock::time_point{};
-  const uint64_t elapsed_ns = first_check
-      ? 0
-      : static_cast<uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                now - last_adapt_time_)
-                .count());
-  last_adapt_time_ = now;
-  std::vector<uint64_t> busy;
-  busy.reserve(shards_.size());
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    const uint64_t total = shard->busy_ns.load(std::memory_order_relaxed);
-    busy.push_back(total - shard->busy_ns_checkpoint);
-    shard->busy_ns_checkpoint = total;
-  }
-  if (first_check || elapsed_ns == 0) {
-    return OkStatus();  // baseline established; nothing to recommend yet
-  }
-  const int target =
-      RecommendShardCount(static_cast<int>(shards_.size()), busy, elapsed_ns,
-                          options_.adaptive);
-  if (target == static_cast<int>(shards_.size())) {
-    return OkStatus();
-  }
-  Status status = ResizeLocked(target);
-  // The resize quiesce itself consumed wall-clock; restart the window so
-  // the pause is not billed as idle time to the new fleet.
-  last_adapt_time_ = std::chrono::steady_clock::now();
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->busy_ns_checkpoint = shard->busy_ns.load(std::memory_order_relaxed);
-  }
-  return status;
 }
 
 Result<std::vector<std::pair<int, NfaRunState>>>
@@ -879,32 +782,9 @@ void ShardedEngine::WorkerLoop(Shard* primary, int worker_index) {
       if (shutdown_) {
         return;
       }
-      const uint64_t epoch =
-          primary->wake_epoch.load(std::memory_order_acquire);
-      if (options_.spin_wait_iterations > 0) {
-        // Spin-then-park: poll the shard's own epoch outside the lock --
-        // a producer batching every few microseconds usually wakes this
-        // shard before the spin budget runs out, saving the futex round
-        // trip. Routed windows that skip the shard never bump its epoch,
-        // so the spin is also undisturbed by foreign-session traffic.
-        lock.unlock();
-        bool republished = false;
-        for (int i = 0; i < options_.spin_wait_iterations; ++i) {
-          if (primary->wake_epoch.load(std::memory_order_acquire) != epoch) {
-            republished = true;
-            break;
-          }
-          stream::CpuRelax();
-        }
-        lock.lock();
-        if (republished ||
-            primary->wake_epoch.load(std::memory_order_acquire) != epoch) {
-          continue;
-        }
-      }
+      const uint64_t epoch = primary->wake_epoch;
       primary->cv.wait(lock, [this, primary, epoch] {
-        return primary->wake_epoch.load(std::memory_order_relaxed) != epoch ||
-               shutdown_ || primary->retired;
+        return primary->wake_epoch != epoch || shutdown_ || primary->retired;
       });
       continue;
     }
@@ -950,14 +830,14 @@ void ShardedEngine::WorkerLoop(Shard* primary, int worker_index) {
 }
 
 void ShardedEngine::WakeShardLocked(Shard* shard) {
-  shard->wake_epoch.fetch_add(1, std::memory_order_release);
+  ++shard->wake_epoch;
   shard->cv.notify_one();
   wakeups_signaled_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void ShardedEngine::WakeAllWorkersLocked() {
   for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->wake_epoch.fetch_add(1, std::memory_order_release);
+    ++shard->wake_epoch;
     shard->cv.notify_all();
   }
 }
@@ -1101,37 +981,38 @@ void ShardedEngine::EnqueueAdvanceLocked(Shard* shard, uint64_t end_seq) {
 void ShardedEngine::DistributeBatch(std::shared_ptr<const Batch> batch) {
   const size_t window = batch->events.size();
   const size_t num_shards = shards_.size();
-  const bool routed = options_.routing_field >= 0;
+  // Without a routing field no event carries a key, so every event takes
+  // the key-less path to every shard and each shard shares the one copy.
+  const size_t field = options_.routing_field < 0
+                           ? SIZE_MAX
+                           : static_cast<size_t>(options_.routing_field);
   route_scratch_.resize(num_shards);
   for (std::vector<uint32_t>& indices : route_scratch_) {
     indices.clear();
   }
-  if (routed) {
-    const size_t field = static_cast<size_t>(options_.routing_field);
-    for (size_t i = 0; i < window; ++i) {
-      const stream::Event& event = batch->events[i];
-      if (field >= event.values.size()) {
-        // No routing key on this event: conservatively broadcast it.
-        for (std::vector<uint32_t>& indices : route_scratch_) {
-          indices.push_back(static_cast<uint32_t>(i));
-        }
-        continue;
+  for (size_t i = 0; i < window; ++i) {
+    const stream::Event& event = batch->events[i];
+    if (field >= event.values.size()) {
+      // No routing key on this event: conservatively broadcast it.
+      for (std::vector<uint32_t>& indices : route_scratch_) {
+        indices.push_back(static_cast<uint32_t>(i));
       }
-      for (int s : wildcard_shards_) {
-        route_scratch_[static_cast<size_t>(s)].push_back(
-            static_cast<uint32_t>(i));
-      }
-      const auto it = interest_.find(RoutingKey(event.values[field]));
-      if (it == interest_.end()) {
-        continue;  // only session-scoped queries of other sessions exist
-      }
-      for (int s : it->second) {
-        std::vector<uint32_t>& indices = route_scratch_[static_cast<size_t>(s)];
-        // A shard can be both wildcard and key-interested; indices for
-        // one event arrive adjacently, so dedup is a tail check.
-        if (indices.empty() || indices.back() != static_cast<uint32_t>(i)) {
-          indices.push_back(static_cast<uint32_t>(i));
-        }
+      continue;
+    }
+    for (int s : wildcard_shards_) {
+      route_scratch_[static_cast<size_t>(s)].push_back(
+          static_cast<uint32_t>(i));
+    }
+    const auto it = interest_.find(RoutingKey(event.values[field]));
+    if (it == interest_.end()) {
+      continue;  // only session-scoped queries of other sessions exist
+    }
+    for (int s : it->second) {
+      std::vector<uint32_t>& indices = route_scratch_[static_cast<size_t>(s)];
+      // A shard can be both wildcard and key-interested; indices for
+      // one event arrive adjacently, so dedup is a tail check.
+      if (indices.empty() || indices.back() != static_cast<uint32_t>(i)) {
+        indices.push_back(static_cast<uint32_t>(i));
       }
     }
   }
@@ -1139,13 +1020,12 @@ void ShardedEngine::DistributeBatch(std::shared_ptr<const Batch> batch) {
   // pool lock would stall the workers).
   std::vector<std::shared_ptr<const Batch>> to_enqueue(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    const size_t count = routed ? route_scratch_[s].size() : window;
-    if (!routed || count == window) {
+    const size_t count = route_scratch_[s].size();
+    stats_.events_routed += count;
+    if (count == window) {
       to_enqueue[s] = batch;  // full window: share the one copy
-      stats_.events_routed += window;
       continue;
     }
-    stats_.events_routed += count;
     stats_.events_skipped_by_filter += window - count;
     if (count == 0) {
       continue;  // advance token below
@@ -1390,7 +1270,7 @@ void ShardedEngine::ResizeIndexLocked() {
 
 uint64_t ShardedEngine::SkewBudget() const {
   if (index_.base_queries == 0) {
-    return static_cast<uint64_t>(options_.max_query_skew);
+    return 1;
   }
   // The budget tolerates one average PLACEMENT UNIT of imbalance. Under
   // kSessionAffinity that unit is a whole session group (unscoped
@@ -1402,8 +1282,7 @@ uint64_t ShardedEngine::SkewBudget() const {
                 index_.scoped_queries
           : index_.base_queries;
   const uint64_t average = (index_.total_weight + units - 1) / units;  // ceil
-  return static_cast<uint64_t>(options_.max_query_skew) *
-         std::max<uint64_t>(1, average);
+  return std::max<uint64_t>(1, average);
 }
 
 int ShardedEngine::LeastLoadedShard() const {

@@ -8,8 +8,7 @@
 // batches; deployed queries are partitioned across the shards, so each
 // shard evaluates a bank that is ~1/N the size and runs ~1/N of the NFAs.
 //
-// Dataflow (single producer thread, e.g. a StreamEngine dispatch thread or
-// an EngineRunner worker):
+// Dataflow (single producer thread, e.g. a StreamEngine dispatch thread):
 //
 //   Push(event) --> [batch of B events, one shared copy] --fan-out-->
 //     shard 0 FIFO --> some worker: bank eval + NFA advance for shard 0
@@ -55,15 +54,15 @@
 // runs (rebalancing moves the live NfaMatcher between shards). The same
 // mechanism powers Resize(): the worker fleet itself can grow or shrink
 // at an event boundary, migrating every doomed shard's queries -- partial
-// runs, statistics and all -- onto the survivors; AdaptShardCount() drives
-// that from observed per-shard busy time. The equivalence property tests
-// in tests/cep_dynamic_queries_test.cc pin these semantics down.
+// runs, statistics and all -- onto the survivors. The equivalence
+// property tests in tests/cep_dynamic_queries_test.cc pin these semantics
+// down.
 //
 // Threading contract: at most one producer may Push at a time, but
 // control operations (AddQuery/RemoveQuery/Flush/Stop/ResetMatchers/
 // Resize) may come from ANY thread -- a control mutex serializes them
 // against the producer, so an application thread can exchange gestures
-// while an EngineRunner worker drives the stream. Detection callbacks run
+// while another thread drives the stream. Detection callbacks run
 // on whichever thread performed the delivering call and must not call
 // back into the engine.
 
@@ -71,7 +70,6 @@
 #define EPL_CEP_SHARDED_ENGINE_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -90,28 +88,6 @@
 #include "stream/operator.h"
 
 namespace epl::cep {
-
-/// Policy knobs for AdaptShardCount(): grow/shrink the shard fleet from
-/// observed per-shard busy time (the fraction of wall-clock each worker
-/// spent executing batches since the previous check).
-struct AdaptiveShardOptions {
-  /// Also run the check automatically from Push every
-  /// `check_every_events` pushed events (otherwise the application calls
-  /// AdaptShardCount() at its own cadence).
-  bool enabled = false;
-  int min_shards = 1;
-  int max_shards = 8;
-  /// Events between automatic checks when `enabled`.
-  uint64_t check_every_events = 8192;
-  /// Grow by one shard when the busiest shard's utilization (busy time /
-  /// elapsed wall-clock) exceeds this -- the bottleneck shard is
-  /// saturated and splitting its query set buys wall-clock.
-  double grow_utilization = 0.75;
-  /// Shrink by one shard when the fleet's TOTAL utilization would still
-  /// fit under this per-shard average on one fewer shard -- the fleet is
-  /// mostly idle and fewer workers mean fewer fan-out copies and wakeups.
-  double shrink_utilization = 0.25;
-};
 
 /// Placement policy for base queries (see ShardedEngine::AddQuery and
 /// Rebalance).
@@ -144,11 +120,6 @@ struct ShardedEngineOptions {
   size_t queue_capacity = 64;
   /// Matcher options shared by every shard.
   MatcherOptions matcher;
-  /// After every add/remove, queries move from the heaviest to the
-  /// lightest shard until per-shard total weights (see QueryCostWeight)
-  /// differ by at most this many average query weights. With uniform
-  /// queries this is exactly the tolerated query-count skew.
-  int max_query_skew = 1;
   /// Makes ShardedMatchOperator::Process Flush() after every pushed event,
   /// so detections are delivered synchronously at the exact event boundary
   /// -- the order a fused single-threaded deployment would produce them in
@@ -170,20 +141,13 @@ struct ShardedEngineOptions {
   /// process shares its cores with other loads. Pin failures are counted
   /// (pin_failures()), never fatal.
   bool pin_workers = false;
-  /// Iterations an idle worker polls for new work before blocking on the
-  /// pool condition variable. Spinning trades idle CPU for wakeup
-  /// latency; ~1000s of iterations covers a producer that batches every
-  /// few microseconds. 0 parks immediately.
-  int spin_wait_iterations = 0;
-  /// Adaptive fleet sizing (see AdaptiveShardOptions).
-  AdaptiveShardOptions adaptive;
   /// Index into stream::Event::values of the routing key (GestureRuntime
   /// points it at the session id appended to merged session streams).
-  /// < 0 (default) broadcasts every batch to every shard, today's
-  /// behavior. >= 0 enables interest-routed fan-out: an event is
-  /// delivered only to shards hosting a query that could match it -- a
-  /// session-scoped query whose session_tag is BITWISE equal to the
-  /// event's routing-field value, or any non-session-scoped query.
+  /// < 0 (default): no event carries a routing key, so every event goes
+  /// to every shard (broadcast). >= 0 enables interest-routed fan-out: an
+  /// event is delivered only to shards hosting a query that could match
+  /// it -- a session-scoped query whose session_tag is BITWISE equal to
+  /// the event's routing-field value, or any non-session-scoped query.
   /// Producers must therefore write the routing field exactly (the
   /// runtime's session tap stores exact small integers); an event whose
   /// values do not reach the routing field is conservatively broadcast.
@@ -234,21 +198,6 @@ int PickRebalanceVictim(const std::vector<uint64_t>& shard_weights,
 /// lowest index on ties, or -1 when no other shard has stealable work.
 int PickStealVictim(const std::vector<size_t>& backlogs,
                     const std::vector<uint8_t>& claimable, int self);
-
-/// Pure fleet-sizing policy behind ShardedEngine::AdaptShardCount, exposed
-/// for direct unit testing. `busy_ns[i]` is shard i's batch-execution time
-/// over the `elapsed_ns` observation window. Returns the recommended shard
-/// count within [min_shards, max_shards]: one more than `current_shards`
-/// when the busiest shard exceeds `grow_utilization` (the bottleneck is
-/// saturated), one fewer when the total utilization still fits under
-/// `shrink_utilization` per shard on a fleet of current_shards - 1, and
-/// `current_shards` (clamped) otherwise. Single steps keep resizes cheap
-/// and the policy hysteretic: grow reacts to one saturated shard, shrink
-/// only to a mostly idle fleet.
-int RecommendShardCount(int current_shards,
-                        const std::vector<uint64_t>& busy_ns,
-                        uint64_t elapsed_ns,
-                        const AdaptiveShardOptions& options);
 
 class ShardedEngine {
  public:
@@ -313,13 +262,6 @@ class ShardedEngine {
   /// detection callback), before Start or while live; error once stopped.
   Status Resize(int num_shards);
 
-  /// One adaptive-sizing check: measures each shard's busy time since the
-  /// previous check and resizes the fleet per RecommendShardCount (see
-  /// ShardedEngineOptions::adaptive). The first call only establishes the
-  /// observation baseline. Also runs automatically from Push every
-  /// `adaptive.check_every_events` events when `adaptive.enabled`.
-  Status AdaptShardCount();
-
   /// One query's live matcher statistics, as aggregated by QueryStats().
   struct QueryStatsSnapshot {
     int query_id = -1;
@@ -371,7 +313,7 @@ class ShardedEngine {
   uint64_t stolen_batches() const;
   /// Worker pin attempts that the platform rejected (pin_workers only).
   int pin_failures() const;
-  /// Fleet resizes performed (Resize / AdaptShardCount) so far.
+  /// Fleet resizes performed by Resize so far.
   uint64_t resize_count() const;
   /// Cumulative batch-execution time per shard, in shard order.
   std::vector<uint64_t> shard_busy_ns() const;
@@ -467,13 +409,13 @@ class ShardedEngine {
     bool parked = false;
     bool retired = false;
 
-    // Per-shard wakeup channel: the shard's own worker spins on
-    // wake_epoch and parks on cv (both paired with pool_mu_), so waking
-    // one shard does not stampede the rest of the fleet -- a window that
-    // routing skips for this shard costs it no wakeup at all. Control
-    // paths (pause/resume/retire/shutdown) wake every shard.
+    // Per-shard wakeup channel: the shard's own worker waits on cv for
+    // wake_epoch to move (both guarded by pool_mu_), so waking one shard
+    // does not stampede the rest of the fleet -- a window that routing
+    // skips for this shard costs it no wakeup at all. Control paths
+    // (pause/resume/retire/shutdown) wake every shard.
     std::condition_variable cv;
-    std::atomic<uint64_t> wake_epoch{0};
+    uint64_t wake_epoch = 0;
 
     // Executor-only state while processing a batch -- exactly one worker
     // executes a shard at a time (the busy flag), and the pool lock
@@ -495,8 +437,6 @@ class ShardedEngine {
     std::atomic<uint64_t> processed_events{0};
     /// Cumulative batch-execution wall time.
     std::atomic<uint64_t> busy_ns{0};
-    /// busy_ns at the previous AdaptShardCount check (control_mu_).
-    uint64_t busy_ns_checkpoint = 0;
   };
 
   struct QueryInfo {
@@ -595,11 +535,6 @@ class ShardedEngine {
   /// Delivers every merged match below the fleet watermark.
   void DrainAndDeliver();
   uint64_t MinProcessed() const;
-  /// Resize body (control_mu_ held). `live` quiesce/resume is handled by
-  /// the caller when part of a larger quiesced section.
-  Status ResizeLocked(int num_shards);
-  /// AdaptShardCount body (control_mu_ held).
-  Status AdaptShardCountLocked();
   /// Per shard, the map from a query's local id to its current index in
   /// that shard's operator (one walk per operator instead of an O(Q^2)
   /// FindQuery scan per query; control_mu_ held).
@@ -621,8 +556,8 @@ class ShardedEngine {
   const std::vector<uint64_t>& ShardWeightsLocked() const {
     return index_.shard_weight;
   }
-  /// Tolerated heaviest-lightest gap: max_query_skew average weights of
-  /// the placement unit -- a base query under kBalanced, a whole session
+  /// Tolerated heaviest-lightest gap: one average weight of the
+  /// placement unit -- a base query under kBalanced, a whole session
   /// group under kSessionAffinity (a budget sized to single queries could
   /// never admit packing a multi-query session onto one shard). Composite
   /// queries live off-shard and count for nothing.
@@ -684,19 +619,17 @@ class ShardedEngine {
   int next_query_id_ = 0;
   uint64_t rebalanced_queries_ = 0;
   uint64_t resize_count_ = 0;
-  // AdaptShardCount observation window (control_mu_).
-  std::chrono::steady_clock::time_point last_adapt_time_{};
-  uint64_t last_adapt_seq_ = 0;
 
   bool running_ = false;
   bool stopped_ = false;
 
   // Shared scheduler pool. pool_mu_ guards every Shard's scheduler state
-  // (queue/busy/parked/retired), the shards_ vector shape, and shutdown_.
-  // Worker wakeups are per shard (Shard::cv / Shard::wake_epoch, the
-  // spin-then-park channel) so a routed window only disturbs the shards
-  // it targets; control_cv_ wakes the producer/control side
-  // (backpressure space, progress toward a watermark, a shard parking).
+  // (queue/busy/parked/retired/wake_epoch), the shards_ vector shape, and
+  // shutdown_.
+  // Worker wakeups are per shard (Shard::cv / Shard::wake_epoch) so a
+  // routed window only disturbs the shards it targets; control_cv_ wakes
+  // the producer/control side (backpressure space, progress toward a
+  // watermark, a shard parking).
   mutable std::mutex pool_mu_;
   std::condition_variable control_cv_;
   bool shutdown_ = false;
@@ -709,9 +642,9 @@ class ShardedEngine {
 };
 
 /// Stream-operator adapter: deploy a ShardedEngine as a subscriber of a
-/// StreamEngine stream (the stream/runner.h ingestion path then feeds it
-/// fan-out style). Open/Close map to Start/Stop; every dispatched event is
-/// pushed into the sharded engine and forwarded downstream unchanged.
+/// StreamEngine stream, fed fan-out style by whichever thread pushes into
+/// that StreamEngine. Open/Close map to Start/Stop; every dispatched event
+/// is pushed into the sharded engine and forwarded downstream unchanged.
 class ShardedMatchOperator : public stream::Operator {
  public:
   explicit ShardedMatchOperator(

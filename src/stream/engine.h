@@ -7,8 +7,8 @@
 // runtime, which is what enables the paper's "exchange gestures during
 // runtime" demonstration.
 //
-// The engine core is single-threaded and deterministic; stream/runner.h
-// adds a threaded ingestion wrapper.
+// The engine is single-threaded and deterministic: one thread at a time
+// pushes events and mutates deployments.
 
 #ifndef EPL_STREAM_ENGINE_H_
 #define EPL_STREAM_ENGINE_H_

@@ -66,15 +66,4 @@ bool PinCurrentThreadToAffinitySlot(int slot) {
 #endif
 }
 
-void CpuRelax() {
-#if defined(__x86_64__) || defined(__i386__)
-  __builtin_ia32_pause();
-#elif defined(__aarch64__) || defined(__arm__)
-  asm volatile("yield" ::: "memory");
-#else
-  // No architectural hint: a compiler barrier keeps the poll loop honest.
-  asm volatile("" ::: "memory");
-#endif
-}
-
 }  // namespace epl::stream

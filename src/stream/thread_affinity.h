@@ -1,8 +1,7 @@
-// Portability shim over CPU affinity and spin-wait hints.
+// Portability shim over CPU affinity.
 //
 // ShardedEngine pins shard workers to distinct CPUs (one cache-hot bank +
-// arena per core) and spins briefly before parking on the work condition
-// variable. Both are platform services: Linux exposes them through
+// arena per core). That is a platform service: Linux exposes it through
 // sched_getaffinity / pthread_setaffinity_np, other platforms may not.
 // This header isolates that dependency -- callers get an honest `false`
 // (and a hardware_concurrency fallback) where pinning is unavailable, so
@@ -24,11 +23,6 @@ int NumAffinityCpus();
 /// pinning is unsupported on this platform or rejected by the kernel;
 /// callers should treat that as "run unpinned", not as an error.
 bool PinCurrentThreadToAffinitySlot(int slot);
-
-/// One spin-wait iteration hint (x86 `pause` / arm `yield`): tells the
-/// core a sibling hyperthread may run and keeps the spin loop from
-/// saturating the load ports while polling.
-void CpuRelax();
 
 }  // namespace epl::stream
 

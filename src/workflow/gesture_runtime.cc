@@ -342,10 +342,6 @@ Result<GestureRuntime::Channel*> GestureRuntime::EnsureChannel(
     sharded.batch_size = options_.batch_size;
     sharded.matcher = options_.matcher;
     sharded.sync_delivery = options_.sync_detections;
-    sharded.work_stealing = options_.work_stealing;
-    sharded.pin_workers = options_.pin_workers;
-    sharded.spin_wait_iterations = options_.spin_wait_iterations;
-    sharded.adaptive = options_.adaptive_shards;
     sharded.placement = options_.shard_placement;
     if (options_.route_session_events && stream == kSessionStreamName) {
       // The merge tap appends the session id as the stream's last field;

@@ -136,20 +136,6 @@ struct GestureRuntimeOptions {
   /// controller needs). Off: detections surface at batch boundaries and
   /// Flush(), which is the throughput mode.
   bool sync_detections = true;
-  /// Sharded backend: idle shard workers execute the deepest-backlog
-  /// shard's pending batch instead of sleeping (skewed per-session query
-  /// costs; see ShardedEngineOptions::work_stealing). Detections stay
-  /// bit-identical either way.
-  bool work_stealing = false;
-  /// Sharded backend: pin each shard worker to a CPU of the process
-  /// affinity mask (see ShardedEngineOptions::pin_workers).
-  bool pin_workers = false;
-  /// Sharded backend: iterations an idle worker polls for new work before
-  /// parking (see ShardedEngineOptions::spin_wait_iterations).
-  int spin_wait_iterations = 0;
-  /// Sharded backend: adaptive fleet sizing from observed per-shard busy
-  /// time (see AdaptiveShardOptions; num_shards is the starting size).
-  cep::AdaptiveShardOptions adaptive_shards;
   /// Sharded backend: interest-routed fan-out on the merged session
   /// stream. Each session event is fanned out only to the shards hosting
   /// that session's queries (plus shards with unscoped queries), instead

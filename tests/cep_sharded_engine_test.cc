@@ -1,8 +1,8 @@
 // ShardedEngine correctness: a sharded deployment must produce exactly the
 // detections of the single-threaded fused deployment -- same records, same
 // (event-seq, query-id) order -- for every shard count, batch size, and
-// matcher mode, fed directly or through the StreamEngine/EngineRunner
-// ingestion path. Plus shard bookkeeping: partitioning, rebalancing on
+// matcher mode, fed directly or through a StreamEngine pushed from a
+// producer thread. Plus shard bookkeeping: partitioning, rebalancing on
 // skew, lifecycle errors.
 
 #include <algorithm>
@@ -26,7 +26,6 @@
 #include "kinect/sensor.h"
 #include "query/compiler.h"
 #include "stream/engine.h"
-#include "stream/runner.h"
 #include "test_util.h"
 
 namespace epl::cep {
@@ -270,7 +269,7 @@ TEST(ShardedEngineTest, RemovalSkewTriggersRebalance) {
   EXPECT_EQ(sharded.RemoveQuery(ids[0]).code(), StatusCode::kNotFound);
 }
 
-TEST(ShardedEngineTest, ShardedDeploymentViaEngineRunner) {
+TEST(ShardedEngineTest, ShardedDeploymentViaProducerThread) {
   std::vector<core::GestureDefinition> definitions = TrainedDefinitions(6);
   std::vector<Event> events = Workload(13);
   std::vector<DetectionRecord> expected =
@@ -290,13 +289,21 @@ TEST(ShardedEngineTest, ShardedDeploymentViaEngineRunner) {
   EXPECT_EQ(engine.deployment_count(), 1u);
   EXPECT_TRUE(deployment.engine->running());
 
-  stream::EngineRunner runner(&engine);
-  EPL_ASSERT_OK(runner.Start());
-  for (const Event& event : events) {
-    ASSERT_TRUE(runner.Enqueue("kinect", event));
-  }
-  EPL_ASSERT_OK(runner.Stop());
-  EXPECT_EQ(runner.processed(), events.size());
+  // A thread other than the one that deployed drives the stream.
+  Status producer_status;
+  size_t pushed = 0;
+  std::thread producer([&] {
+    for (const Event& event : events) {
+      producer_status = engine.Push("kinect", event);
+      if (!producer_status.ok()) {
+        return;
+      }
+      ++pushed;
+    }
+  });
+  producer.join();
+  EPL_ASSERT_OK(producer_status);
+  EXPECT_EQ(pushed, events.size());
 
   EPL_ASSERT_OK(deployment.engine->Flush());
   EXPECT_TRUE(actual == expected)
@@ -515,8 +522,6 @@ TEST(ShardedEngineTest, LifecycleErrors) {
   EXPECT_FALSE(sharded.Push(Event(1, {})));
   EXPECT_EQ(sharded.Start().code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.Resize(2).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(sharded.AdaptShardCount().code(),
-            StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------
@@ -544,56 +549,15 @@ TEST(StealPolicyTest, TieBreaksTowardTheLowestShard) {
 }
 
 // ---------------------------------------------------------------------------
-// The pure fleet-sizing policy behind AdaptShardCount.
-
-AdaptiveShardOptions AdaptiveBounds(int min_shards, int max_shards) {
-  AdaptiveShardOptions options;
-  options.min_shards = min_shards;
-  options.max_shards = max_shards;
-  return options;  // thresholds keep their defaults: grow .75, shrink .25
-}
-
-TEST(AdaptivePolicyTest, GrowsWhenTheBottleneckShardSaturates) {
-  // Shard 0 was executing 90% of the window: one more shard.
-  EXPECT_EQ(RecommendShardCount(2, {900, 100}, 1000, AdaptiveBounds(1, 8)), 3);
-  // Saturated but already at max_shards: hold.
-  EXPECT_EQ(RecommendShardCount(8, {999, 0, 0, 0, 0, 0, 0, 0}, 1000,
-                                AdaptiveBounds(1, 8)),
-            8);
-}
-
-TEST(AdaptivePolicyTest, ShrinksOnlyAMostlyIdleFleet) {
-  // Total utilization 0.10 fits under 0.25 x 3 survivors: drop one shard.
-  EXPECT_EQ(RecommendShardCount(4, {25, 25, 25, 25}, 1000,
-                                AdaptiveBounds(1, 8)),
-            3);
-  // Moderate load (total 0.5 > 0.25 x 1) sits in the hysteresis band:
-  // neither grow (peak 0.3 < 0.75) nor shrink.
-  EXPECT_EQ(RecommendShardCount(2, {300, 200}, 1000, AdaptiveBounds(1, 8)),
-            2);
-  // Idle but already at min_shards: hold.
-  EXPECT_EQ(RecommendShardCount(1, {0}, 1000, AdaptiveBounds(1, 8)), 1);
-}
-
-TEST(AdaptivePolicyTest, DegenerateWindowsRecommendNoChange) {
-  EXPECT_EQ(RecommendShardCount(3, {}, 1000, AdaptiveBounds(1, 8)), 3);
-  EXPECT_EQ(RecommendShardCount(3, {500, 500, 500}, 0, AdaptiveBounds(1, 8)),
-            3);
-  // An out-of-bounds current count clamps into [min, max] regardless.
-  EXPECT_EQ(RecommendShardCount(9, {}, 0, AdaptiveBounds(2, 4)), 4);
-  EXPECT_EQ(RecommendShardCount(1, {}, 0, AdaptiveBounds(2, 4)), 2);
-}
-
-// ---------------------------------------------------------------------------
-// Scheduling modes: work stealing, pinning, and spin-then-park must leave
-// detections bit-identical to the fused single-threaded operator.
+// Scheduling modes: work stealing and pinning must leave detections
+// bit-identical to the fused single-threaded operator.
 
 class ShardedScheduling
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(ShardedScheduling, StealingAndPinningMatchFusedDeployment) {
   const int num_shards = std::get<0>(GetParam());
-  const bool pin_and_spin = std::get<1>(GetParam()) != 0;
+  const bool pin = std::get<1>(GetParam()) != 0;
 
   std::vector<core::GestureDefinition> definitions = TrainedDefinitions(10);
   std::vector<Event> events = Workload(7);
@@ -605,8 +569,7 @@ TEST_P(ShardedScheduling, StealingAndPinningMatchFusedDeployment) {
   options.num_shards = num_shards;
   options.batch_size = 2;  // many small batches: maximal steal opportunity
   options.work_stealing = true;
-  options.pin_workers = pin_and_spin;
-  options.spin_wait_iterations = pin_and_spin ? 2000 : 0;
+  options.pin_workers = pin;
   ShardedEngine sharded(options);
   std::vector<DetectionRecord> actual;
   for (query::CompiledQuery& compiled : CompileDefinitions(definitions)) {
@@ -622,7 +585,7 @@ TEST_P(ShardedScheduling, StealingAndPinningMatchFusedDeployment) {
   ASSERT_TRUE(actual == expected)
       << actual.size() << " vs " << expected.size() << " detections at "
       << num_shards << " shards (stealing"
-      << (pin_and_spin ? " + pinning + spin)" : ")");
+      << (pin ? " + pinning)" : ")");
 }
 
 INSTANTIATE_TEST_SUITE_P(StealPinSpin, ShardedScheduling,
@@ -686,7 +649,6 @@ TEST(WorkStealingStressTest, SkewedFleetBitIdenticalAcrossShardCounts) {
     options.batch_size = 1;  // per-event handoff: maximal contention
     options.queue_capacity = 8;
     options.work_stealing = true;
-    options.spin_wait_iterations = 500;
     ShardedEngine sharded(options);
     std::vector<DetectionRecord> actual;
     for (MultiMatchOperator::QuerySpec& spec : SkewedFleet(&actual)) {
@@ -784,7 +746,6 @@ TEST(WorkStealingStressTest, CompositeLaddersBitIdenticalUnderStealing) {
     options.batch_size = 1;  // per-event handoff: maximal contention
     options.queue_capacity = 8;
     options.work_stealing = true;
-    options.spin_wait_iterations = 500;
     ShardedEngine sharded(options);
     std::vector<DetectionRecord> actual;
     for (MultiMatchOperator::QuerySpec& spec : CompositeSkewedFleet(&actual)) {
@@ -867,86 +828,6 @@ TEST(ShardedEngineTest, ResizeBeforeStartAndNoopResize) {
   EPL_ASSERT_OK(sharded.Start());
   EXPECT_TRUE(sharded.Push(Event(0, {1.0})));
   EPL_ASSERT_OK(sharded.Stop());
-}
-
-TEST(ShardedEngineTest, AdaptiveSizingFollowsForcedPolicyEndToEnd) {
-  const std::vector<Event> events = SkewedStream(2000);
-  std::vector<DetectionRecord> expected;
-  {
-    MultiMatchOperator fused((MatcherOptions()));
-    for (MultiMatchOperator::QuerySpec& spec : SkewedFleet(&expected)) {
-      fused.AddQuery(std::move(spec));
-    }
-    for (const Event& event : events) {
-      EPL_EXPECT_OK(fused.Process(event));
-    }
-  }
-  ASSERT_FALSE(expected.empty());
-
-  // Grow leg: a zero grow threshold makes every observation window with
-  // any busy time recommend one more shard, so the fleet must climb to
-  // max_shards while detections stay exact.
-  ShardedEngineOptions grow;
-  grow.num_shards = 1;
-  grow.batch_size = 4;
-  grow.adaptive.enabled = true;
-  grow.adaptive.min_shards = 1;
-  grow.adaptive.max_shards = 3;
-  grow.adaptive.check_every_events = 32;
-  grow.adaptive.grow_utilization = 0.0;
-  // A fully idle window (producer starved before any worker ran) would
-  // satisfy the shrink branch and oscillate the fleet on a loaded
-  // machine; a negative threshold disables shrinking for the forced
-  // grow policy.
-  grow.adaptive.shrink_utilization = -1.0;
-  ShardedEngine growing(grow);
-  std::vector<DetectionRecord> grow_records;
-  for (MultiMatchOperator::QuerySpec& spec : SkewedFleet(&grow_records)) {
-    growing.AddQuery(std::move(spec));
-  }
-  EPL_ASSERT_OK(growing.Start());
-  size_t pushed = 0;
-  for (const Event& event : events) {
-    ASSERT_TRUE(growing.Push(event));
-    if (++pushed % 32 == 0) {
-      // Drain between windows so every observation window has recorded
-      // busy time, whatever the worker/producer interleaving.
-      EPL_ASSERT_OK(growing.Flush());
-    }
-  }
-  EXPECT_EQ(growing.num_shards(), 3);
-  EXPECT_GE(growing.resize_count(), 2u);
-  EPL_ASSERT_OK(growing.Stop());
-  EXPECT_TRUE(grow_records == expected);
-
-  // Shrink leg: an unreachable grow threshold plus an always-satisfied
-  // shrink threshold walks the fleet down to min_shards no matter how
-  // busy the workers actually were.
-  ShardedEngineOptions shrink;
-  shrink.num_shards = 4;
-  shrink.batch_size = 4;
-  shrink.adaptive.enabled = true;
-  shrink.adaptive.min_shards = 1;
-  shrink.adaptive.max_shards = 4;
-  shrink.adaptive.check_every_events = 32;
-  shrink.adaptive.grow_utilization = 2.0;  // peak utilization can't exceed 1
-  shrink.adaptive.shrink_utilization = 8.0;
-  ShardedEngine shrinking(shrink);
-  std::vector<DetectionRecord> shrink_records;
-  for (MultiMatchOperator::QuerySpec& spec : SkewedFleet(&shrink_records)) {
-    shrinking.AddQuery(std::move(spec));
-  }
-  EPL_ASSERT_OK(shrinking.Start());
-  pushed = 0;
-  for (const Event& event : events) {
-    ASSERT_TRUE(shrinking.Push(event));
-    if (++pushed % 32 == 0) {
-      EPL_ASSERT_OK(shrinking.Flush());
-    }
-  }
-  EXPECT_EQ(shrinking.num_shards(), 1);
-  EPL_ASSERT_OK(shrinking.Stop());
-  EXPECT_TRUE(shrink_records == expected);
 }
 
 // ---------------------------------------------------------------------------
@@ -1085,6 +966,13 @@ TEST(InterestRoutingTest, RoutedMatchesBroadcastBitIdentically) {
     ASSERT_TRUE(on.records == expected)
         << on.records.size() << " vs " << expected.size()
         << " routed detections at " << num_shards << " shards";
+    // Broadcast hands every shard the producer's one copy of each window:
+    // no sub-batch, nothing skipped, no advance token.
+    EXPECT_EQ(off.stats.events_routed,
+              events.size() * static_cast<size_t>(num_shards));
+    EXPECT_EQ(off.stats.fanout_subbatches, 0u);
+    EXPECT_EQ(off.stats.events_skipped_by_filter, 0u);
+    EXPECT_EQ(off.stats.advance_tokens, 0u);
     if (num_shards == 1) {
       // One shard hosts every session: routing degenerates to full
       // windows sharing the producer's batch, with nothing to skip.

@@ -2,6 +2,9 @@
 // advertises — learn, persist, reload, deploy, exchange at runtime — plus
 // randomized round-trip properties that cross module boundaries.
 
+#include <atomic>
+#include <thread>
+
 #include <gtest/gtest.h>
 
 #include "apps/binding.h"
@@ -15,7 +18,6 @@
 #include "optimize/overlap.h"
 #include "query/compiler.h"
 #include "query/unparser.h"
-#include "stream/runner.h"
 #include "test_util.h"
 #include "transform/transform.h"
 #include "transform/view.h"
@@ -134,12 +136,18 @@ TEST(IntegrationTest, ThreadedRunnerDetectsGestures) {
   kinect::SessionBuilder session(UserProfile(), 410);
   session.Idle(0.5).Perform(GestureShapes::PushForward(), 0.4).Idle(0.5);
 
-  stream::EngineRunner runner(&engine);
-  EPL_ASSERT_OK(runner.Start());
-  for (const SkeletonFrame& frame : session.frames()) {
-    ASSERT_TRUE(runner.Enqueue("kinect", kinect::FrameToEvent(frame)));
-  }
-  EPL_ASSERT_OK(runner.Stop());
+  // A thread other than the one that deployed drives the stream.
+  Status producer_status;
+  std::thread producer([&] {
+    for (const SkeletonFrame& frame : session.frames()) {
+      producer_status = engine.Push("kinect", kinect::FrameToEvent(frame));
+      if (!producer_status.ok()) {
+        return;
+      }
+    }
+  });
+  producer.join();
+  EPL_ASSERT_OK(producer_status);
   EXPECT_EQ(detections.load(), 1);
 }
 

@@ -4,7 +4,6 @@
 
 #include "stream/engine.h"
 #include "stream/operators.h"
-#include "stream/runner.h"
 #include "stream/schema.h"
 #include "test_util.h"
 
@@ -226,41 +225,6 @@ TEST(EngineTest, UnregisterViewStopsEventFlow) {
   EPL_ASSERT_OK(engine.Push("s", Event(2, {3.0, 4.0})));
   ASSERT_EQ(sink_ptr->events().size(), 1u);
   EXPECT_EQ(sink_ptr->events()[0].timestamp, 2);
-}
-
-TEST(RunnerTest, ProcessesEnqueuedEvents) {
-  StreamEngine engine;
-  EPL_ASSERT_OK(engine.RegisterStream("s", Schema({"v"})));
-  auto sink = std::make_unique<CountingSink>();
-  CountingSink* sink_ptr = sink.get();
-  EPL_ASSERT_OK(engine.Deploy("s", std::move(sink)).status());
-
-  EngineRunner runner(&engine);
-  EPL_ASSERT_OK(runner.Start());
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(runner.Enqueue("s", Event(i, {static_cast<double>(i)})));
-  }
-  EPL_ASSERT_OK(runner.Stop());
-  EXPECT_EQ(sink_ptr->count(), 100u);
-  EXPECT_EQ(runner.processed(), 100u);
-}
-
-TEST(RunnerTest, SurfacesEngineErrors) {
-  StreamEngine engine;
-  EPL_ASSERT_OK(engine.RegisterStream("s", Schema({"v"})));
-  EngineRunner runner(&engine);
-  EPL_ASSERT_OK(runner.Start());
-  ASSERT_TRUE(runner.Enqueue("unknown", Event(1, {1.0})));
-  Status s = runner.Stop();
-  EXPECT_EQ(s.code(), StatusCode::kNotFound);
-}
-
-TEST(RunnerTest, DoubleStartFails) {
-  StreamEngine engine;
-  EngineRunner runner(&engine);
-  EPL_ASSERT_OK(runner.Start());
-  EXPECT_EQ(runner.Start().code(), StatusCode::kFailedPrecondition);
-  EPL_ASSERT_OK(runner.Stop());
 }
 
 }  // namespace

@@ -361,7 +361,6 @@ TEST(GestureRuntimeSessionTest, ResizeShardsMidStreamKeepsDetections) {
     GestureRuntimeOptions options;
     options.backend = RuntimeBackend::kSharded;
     options.num_shards = 1;
-    options.work_stealing = true;
     GestureRuntime runtime(&engine, options);
     EPL_ASSERT_OK_AND_ASSIGN(SessionId id, runtime.OpenSession("u"));
     EPL_ASSERT_OK(runtime.Deploy(id, swipe, Recorder(&resized_records)));
