@@ -99,8 +99,10 @@ void BM_QueryParseCompileDeploy(benchmark::State& state) {
     stream::StreamEngine engine;
     EPL_CHECK(kinect::RegisterKinectStream(&engine).ok());
     EPL_CHECK(transform::RegisterKinectTView(&engine).ok());
+    Result<query::ParsedQuery> parsed = query::ParseQuery(*text);
+    EPL_CHECK(parsed.ok());
     Result<stream::DeploymentId> id =
-        query::DeployQueryText(&engine, *text, nullptr);
+        query::DeployQuery(&engine, *parsed, nullptr);
     benchmark::DoNotOptimize(id.ok());
   }
 }

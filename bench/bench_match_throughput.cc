@@ -102,6 +102,24 @@ BENCHMARK(BM_EngineConcurrentQueries)
     ->Arg(256);
 
 
+/// One fused MultiMatchOperator on "kinect" (batch size 1, default
+/// matcher options) hosting every definition's query.
+void DeployFused(stream::StreamEngine* engine,
+                 const std::vector<core::GestureDefinition>& definitions,
+                 const cep::DetectionCallback& callback) {
+  Result<query::FusedDeployment> deployment =
+      query::DeployFusedOperator(engine, "kinect");
+  EPL_CHECK(deployment.ok()) << deployment.status();
+  for (const core::GestureDefinition& definition : definitions) {
+    Result<query::ParsedQuery> parsed = core::GenerateQuery(definition);
+    EPL_CHECK(parsed.ok()) << parsed.status();
+    Result<cep::MultiMatchOperator::QuerySpec> spec =
+        query::CompileQuerySpec(engine, *parsed, callback);
+    EPL_CHECK(spec.ok()) << spec.status();
+    deployment->op->AddQuery(std::move(spec).value());
+  }
+}
+
 /// One-shot cross-check (run once per benchmark registration): the fused
 /// deployment must produce exactly the detections of per-query deployment.
 void VerifyFusedEquivalence(
@@ -112,12 +130,9 @@ void VerifyFusedEquivalence(
   {
     stream::StreamEngine engine;
     EPL_CHECK(engine.RegisterStream("kinect", kinect::KinectSchema()).ok());
-    EPL_CHECK(core::DeployGesturesFused(
-                  &engine, definitions,
-                  [&fused](const cep::Detection& d) {
-                    fused.emplace_back(d.name, d.time, d.pose_times);
-                  })
-                  .ok());
+    DeployFused(&engine, definitions, [&fused](const cep::Detection& d) {
+      fused.emplace_back(d.name, d.time, d.pose_times);
+    });
     for (const stream::Event& event : events) {
       EPL_CHECK(engine.Push("kinect", event).ok());
     }
@@ -187,10 +202,8 @@ void BM_MultiMatcherConcurrentQueries(benchmark::State& state) {
   stream::StreamEngine engine;
   EPL_CHECK(engine.RegisterStream("kinect", kinect::KinectSchema()).ok());
   uint64_t detections = 0;
-  EPL_CHECK(core::DeployGesturesFused(
-                &engine, definitions,
-                [&detections](const cep::Detection&) { ++detections; })
-                .ok());
+  DeployFused(&engine, definitions,
+              [&detections](const cep::Detection&) { ++detections; });
   const std::vector<stream::Event>& events = bench::MatchWorkload();
   for (auto _ : state) {
     for (const stream::Event& event : events) {

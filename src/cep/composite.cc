@@ -68,11 +68,12 @@ bool CompositeRunner::Has(int id) const {
   return Find(id, &k, &q);
 }
 
-void CompositeRunner::Add(CompositeQuery query) {
-  EPL_CHECK(query.pattern != nullptr);
+void CompositeRunner::Add(InstalledQuery query,
+                          std::unique_ptr<NfaMatcher> matcher) {
+  EPL_CHECK(query.pattern != nullptr && matcher != nullptr);
   EPL_CHECK(!Has(query.id)) << "duplicate composite query id " << query.id;
   Level& level = LevelFor(query.level);
-  level.matcher.AddPattern(query.pattern.get());
+  level.matcher.AdoptPattern(std::move(matcher));
   level.queries.push_back(std::move(query));
   ++num_queries_;
 }
@@ -95,19 +96,6 @@ Result<NfaRunState> CompositeRunner::ExportRunState(int id) {
     return NotFoundError("unknown composite query id " + std::to_string(id));
   }
   return levels_[k]->matcher.matcher(static_cast<int>(q)).ExportRunState();
-}
-
-Status CompositeRunner::Restore(CompositeQuery query,
-                                const NfaRunState& runs) {
-  EPL_CHECK(query.pattern != nullptr);
-  EPL_CHECK(!Has(query.id)) << "duplicate composite query id " << query.id;
-  auto matcher = std::make_unique<NfaMatcher>(query.pattern.get(), options_);
-  EPL_RETURN_IF_ERROR(matcher->ImportRunState(runs));
-  Level& level = LevelFor(query.level);
-  level.matcher.AdoptPattern(std::move(matcher));
-  level.queries.push_back(std::move(query));
-  ++num_queries_;
-  return OkStatus();
 }
 
 Result<MatcherStats> CompositeRunner::QueryStats(int id) const {
@@ -156,7 +144,7 @@ void CompositeRunner::RunEpoch() {
         // combined with the outer loop this realizes the documented
         // (event-seq, level, query-id) total order.
         for (const MultiPatternMatcher::MultiMatch& mm : scratch_) {
-          const CompositeQuery& query =
+          const InstalledQuery& query =
               level.queries[static_cast<size_t>(mm.pattern_index)];
           Detection detection;
           detection.name = query.output_name;

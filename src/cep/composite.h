@@ -39,7 +39,7 @@
 // replays base events and re-derives composite detections through this
 // same code path, bit-identical to the uncrashed run. Composite run
 // state (partial multi-event composite matches) is checkpointed like any
-// other query via ExportRunState/Restore.
+// other query via ExportRunState/Add.
 //
 // Threading: single-threaded, owned either by a MultiMatchOperator
 // (fused path, driven inside RunBatch) or by a ShardedEngine (driven
@@ -88,21 +88,28 @@ double GestureTag(std::string_view name);
 stream::Event MakeDerivedEvent(double tag, double session_tag,
                                const Detection& detection);
 
-/// One composite query as the runner stores it. Ids live in the owning
+/// One installed query, as MultiMatchOperator stores its base queries and
+/// CompositeRunner its composite ones. Ids live in the owning
 /// operator/engine's stable-id space.
-struct CompositeQuery {
+struct InstalledQuery {
   int id = 0;
-  int level = 1;  // >= 1; inputs have level `level - 1` or lower
+  /// 0 for a base query; >= 1 for a composite, whose inputs have level
+  /// `level - 1` or lower.
+  int level = 0;
   std::string output_name;
-  // The NFA matcher holds a pointer to the pattern (compiled against
-  // DetectionSchema()), so it is owned by a stable unique_ptr.
+  // The NFA matcher holds a pointer to the pattern, so it is owned by a
+  // stable unique_ptr.
   std::unique_ptr<CompiledPattern> pattern;
   std::vector<ExprProgram> measures;
   DetectionCallback callback;
+  /// Base queries only: the group gate (see MultiPatternMatcher::AddPattern).
+  std::shared_ptr<const CompiledPattern> gate;
   /// This query's own derived-event identity (tag = GestureTag(name)),
-  /// used when ITS detections feed still-higher levels.
+  /// used when ITS detections feed composite levels above its own.
   double tag = 0;
   double session_tag = 0;
+  /// Base queries only: see MultiMatchOperator::QuerySpec::session_scoped.
+  bool session_scoped = false;
 };
 
 class CompositeRunner {
@@ -112,8 +119,11 @@ class CompositeRunner {
   CompositeRunner(const CompositeRunner&) = delete;
   CompositeRunner& operator=(const CompositeRunner&) = delete;
 
-  /// Registers `query` at its level. The id must be unused.
-  void Add(CompositeQuery query);
+  /// Registers `query` (level >= 1, unused id) at its level, running on
+  /// `matcher`: a matcher over query.pattern built with this runner's
+  /// options and seeded with the query's run state (empty for a fresh
+  /// deploy, imported on checkpoint restore).
+  void Add(InstalledQuery query, std::unique_ptr<NfaMatcher> matcher);
 
   /// Removes the query with stable id `id`, discarding partial runs.
   Status Remove(int id);
@@ -129,10 +139,6 @@ class CompositeRunner {
   /// Externalizes the live run state of query `id` (checkpoint path; the
   /// query keeps running).
   Result<NfaRunState> ExportRunState(int id);
-
-  /// Add, but seeded with previously exported run state. Fails without
-  /// registering when `runs` does not fit the query's pattern.
-  Status Restore(CompositeQuery query, const NfaRunState& runs);
 
   /// Live matcher statistics of query `id`.
   Result<MatcherStats> QueryStats(int id) const;
@@ -165,7 +171,7 @@ class CompositeRunner {
   struct Level {
     explicit Level(const MatcherOptions& options) : matcher(options) {}
     MultiPatternMatcher matcher;
-    std::vector<CompositeQuery> queries;  // index-aligned with matcher
+    std::vector<InstalledQuery> queries;  // index-aligned with matcher
   };
 
   /// The level hosting queries of composite level `level` (1-based),

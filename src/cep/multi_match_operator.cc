@@ -22,31 +22,54 @@ int MultiMatchOperator::FindQuery(int query_id) const {
 }
 
 int MultiMatchOperator::AddQuery(QuerySpec spec) {
+  Result<int> id = RestoreQuery(std::move(spec), NfaRunState());
+  EPL_CHECK(id.ok()) << id.status();  // empty run state fits any pattern
+  return *id;
+}
+
+MultiMatchOperator::DetachedQuery MultiMatchOperator::MakeQuery(
+    QuerySpec spec, const MatcherOptions& options) {
   EPL_CHECK(spec.level == 0 || spec.gate == nullptr)
       << "composite queries cannot be gated";
-  Query query;
-  query.id = next_query_id_++;
+  DetachedQuery made;
+  InstalledQuery& query = made.query;
+  query.level = spec.level;
   query.output_name = std::move(spec.output_name);
   query.pattern = std::make_unique<CompiledPattern>(std::move(spec.pattern));
   query.measures = std::move(spec.measures);
   query.callback = std::move(spec.callback);
   query.gate = std::move(spec.gate);
-  query.level = spec.level;
+  // The derived-event identity: composites match this query's detections
+  // (and, after a restore, keep re-deriving from it) by these tags.
   query.tag = spec.tag;
   query.session_tag = spec.session_tag;
   query.session_scoped = spec.session_scoped;
-  int id = query.id;
+  made.matcher = std::make_unique<NfaMatcher>(query.pattern.get(), options);
+  return made;
+}
+
+Result<int> MultiMatchOperator::RestoreQuery(QuerySpec spec,
+                                             const NfaRunState& runs) {
+  DetachedQuery query = MakeQuery(std::move(spec), matcher_.options());
+  EPL_RETURN_IF_ERROR(query.matcher->ImportRunState(runs));
+  return AdoptQuery(std::move(query));
+}
+
+int MultiMatchOperator::AdoptQuery(DetachedQuery detached) {
+  EPL_CHECK(detached.query.pattern != nullptr && detached.matcher != nullptr);
+  detached.query.id = next_query_id_++;
+  const int id = detached.query.id;
   if (processing_) {
     PendingOp op;
     op.is_add = true;
     op.query_id = id;
-    op.query = std::move(query);
+    op.query = std::move(detached);
     pending_ops_.push_back(std::move(op));
   } else {
     // The accumulated window predates this call; the new query must not
     // see it.
     FlushBatchedEvents();
-    ApplyAdd(std::move(query));
+    Install(std::move(detached));
   }
   return id;
 }
@@ -91,40 +114,11 @@ Result<MultiMatchOperator::DetachedQuery> MultiMatchOperator::ExtractQuery(
     }
     return NotFoundError("unknown query id " + std::to_string(query_id));
   }
-  Query& query = queries_[index];
   DetachedQuery detached;
-  detached.id = query.id;
-  detached.output_name = std::move(query.output_name);
-  detached.pattern = std::move(query.pattern);
-  detached.measures = std::move(query.measures);
-  detached.callback = std::move(query.callback);
-  detached.gate = std::move(query.gate);
-  detached.tag = query.tag;
-  detached.session_tag = query.session_tag;
-  detached.session_scoped = query.session_scoped;
+  detached.query = std::move(queries_[index]);
   detached.matcher = matcher_.ExtractPattern(index);
   queries_.erase(queries_.begin() + index);
   return detached;
-}
-
-int MultiMatchOperator::AdoptQuery(DetachedQuery detached) {
-  EPL_CHECK(!processing_) << "AdoptQuery from inside a detection callback";
-  EPL_CHECK(detached.pattern != nullptr && detached.matcher != nullptr);
-  FlushBatchedEvents();
-  Query query;
-  query.id = next_query_id_++;
-  query.output_name = std::move(detached.output_name);
-  query.pattern = std::move(detached.pattern);
-  query.measures = std::move(detached.measures);
-  query.callback = std::move(detached.callback);
-  query.gate = std::move(detached.gate);
-  query.tag = detached.tag;
-  query.session_tag = detached.session_tag;
-  query.session_scoped = detached.session_scoped;
-  int id = query.id;
-  matcher_.AdoptPattern(std::move(detached.matcher), query.gate.get());
-  queries_.push_back(std::move(query));
-  return id;
 }
 
 Result<NfaRunState> MultiMatchOperator::ExportQueryRunState(int query_id) {
@@ -143,46 +137,6 @@ Result<NfaRunState> MultiMatchOperator::ExportQueryRunState(int query_id) {
   return matcher_.matcher(index).ExportRunState();
 }
 
-Result<int> MultiMatchOperator::RestoreQuery(QuerySpec spec,
-                                             const NfaRunState& runs) {
-  EPL_CHECK(!processing_) << "RestoreQuery from inside a detection callback";
-  FlushBatchedEvents();
-  if (spec.level > 0) {
-    CompositeQuery composite;
-    composite.level = spec.level;
-    composite.output_name = std::move(spec.output_name);
-    composite.pattern =
-        std::make_unique<CompiledPattern>(std::move(spec.pattern));
-    composite.measures = std::move(spec.measures);
-    composite.callback = std::move(spec.callback);
-    composite.tag = spec.tag;
-    composite.session_tag = spec.session_tag;
-    composite.id = next_query_id_;
-    EPL_RETURN_IF_ERROR(
-        EnsureComposite().Restore(std::move(composite), runs));
-    return next_query_id_++;
-  }
-  Query query;
-  query.output_name = std::move(spec.output_name);
-  query.pattern = std::make_unique<CompiledPattern>(std::move(spec.pattern));
-  query.measures = std::move(spec.measures);
-  query.callback = std::move(spec.callback);
-  query.gate = std::move(spec.gate);
-  // Keep the derived-event identity: composites restored from the same
-  // snapshot re-derive from this query by its tag.
-  query.tag = spec.tag;
-  query.session_tag = spec.session_tag;
-  query.session_scoped = spec.session_scoped;
-  auto matcher =
-      std::make_unique<NfaMatcher>(query.pattern.get(), matcher_.options());
-  EPL_RETURN_IF_ERROR(matcher->ImportRunState(runs));
-  query.id = next_query_id_++;
-  const int id = query.id;
-  matcher_.AdoptPattern(std::move(matcher), query.gate.get());
-  queries_.push_back(std::move(query));
-  return id;
-}
-
 CompositeRunner& MultiMatchOperator::EnsureComposite() {
   if (composite_ == nullptr) {
     composite_ = std::make_unique<CompositeRunner>(matcher_.options());
@@ -190,22 +144,13 @@ CompositeRunner& MultiMatchOperator::EnsureComposite() {
   return *composite_;
 }
 
-void MultiMatchOperator::ApplyAdd(Query query) {
-  if (query.level > 0) {
-    CompositeQuery composite;
-    composite.id = query.id;
-    composite.level = query.level;
-    composite.output_name = std::move(query.output_name);
-    composite.pattern = std::move(query.pattern);
-    composite.measures = std::move(query.measures);
-    composite.callback = std::move(query.callback);
-    composite.tag = query.tag;
-    composite.session_tag = query.session_tag;
-    EnsureComposite().Add(std::move(composite));
+void MultiMatchOperator::Install(DetachedQuery query) {
+  if (query.query.level > 0) {
+    EnsureComposite().Add(std::move(query.query), std::move(query.matcher));
     return;
   }
-  matcher_.AddPattern(query.pattern.get(), query.gate.get());
-  queries_.push_back(std::move(query));
+  matcher_.AdoptPattern(std::move(query.matcher), query.query.gate.get());
+  queries_.push_back(std::move(query.query));
 }
 
 void MultiMatchOperator::ApplyRemove(int query_id) {
@@ -227,7 +172,7 @@ void MultiMatchOperator::ApplyPendingOps() {
       // If a batch sweep is in flight, the new query catches up on the
       // window's remaining events (RunBatch feeds them one by one).
       catchup_ids_.push_back(op.query_id);
-      ApplyAdd(std::move(op.query));
+      Install(std::move(op.query));
     } else {
       ApplyRemove(op.query_id);
     }
@@ -235,7 +180,7 @@ void MultiMatchOperator::ApplyPendingOps() {
   pending_ops_.clear();
 }
 
-void MultiMatchOperator::DispatchToQuery(const Query& query,
+void MultiMatchOperator::DispatchToQuery(const InstalledQuery& query,
                                          const PatternMatch& match,
                                          const stream::Event& event) {
   Detection detection;
@@ -332,7 +277,7 @@ void MultiMatchOperator::RunBatch(const stream::Event* events, size_t count) {
         // id from here on. Mutation-free sweeps -- the common case --
         // never pay for the snapshot.
         batch_ids_.clear();
-        for (const Query& query : queries_) {
+        for (const InstalledQuery& query : queries_) {
           batch_ids_.push_back(query.id);
         }
         indices_stale = true;

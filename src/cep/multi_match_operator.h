@@ -96,9 +96,9 @@ class MultiMatchOperator : public stream::Operator {
     bool session_scoped = false;
   };
 
-  /// Adds a query and returns its stable id (monotonic, never reused).
-  /// Callable at any time, including from a detection callback (applied
-  /// after the current event).
+  /// RestoreQuery from empty run state: adds a query and returns its
+  /// stable id (monotonic, never reused). Callable at any time, including
+  /// from a detection callback (applied after the current event).
   int AddQuery(QuerySpec spec);
 
   /// Removes the query with stable id `query_id`, discarding its partial
@@ -106,21 +106,19 @@ class MultiMatchOperator : public stream::Operator {
   /// (applied after the current event, which still sees the query).
   Status RemoveQuery(int query_id);
 
-  /// A query detached together with its live matcher state, for adoption
-  /// by another MultiMatchOperator (ShardedEngine rebalancing). The
-  /// detached matcher keeps its partial runs and statistics.
+  /// A query together with the matcher holding its run state: what
+  /// ExtractQuery detaches for adoption by another MultiMatchOperator
+  /// (ShardedEngine rebalancing), and what MakeQuery builds from a spec.
   struct DetachedQuery {
-    int id = 0;
-    std::string output_name;
-    std::unique_ptr<CompiledPattern> pattern;
-    std::vector<ExprProgram> measures;
-    DetectionCallback callback;
+    InstalledQuery query;
     std::unique_ptr<NfaMatcher> matcher;
-    std::shared_ptr<const CompiledPattern> gate;
-    double tag = 0;
-    double session_tag = 0;
-    bool session_scoped = false;
   };
+
+  /// The one QuerySpec conversion: the record stored for `spec` plus a
+  /// fresh matcher over its pattern built with `options`, for the caller
+  /// to seed with NfaMatcher::ImportRunState (level >= 1 specs must not
+  /// be gated). The id is left for the installing owner to assign.
+  static DetachedQuery MakeQuery(QuerySpec spec, const MatcherOptions& options);
 
   /// Detaches the query with stable id `query_id` without destroying its
   /// run state. Must not be called from inside a detection callback.
@@ -128,8 +126,11 @@ class MultiMatchOperator : public stream::Operator {
   /// migrate between shards (FailedPrecondition).
   Result<DetachedQuery> ExtractQuery(int query_id);
 
-  /// Adopts a query detached from another MultiMatchOperator, preserving
-  /// its partial runs; returns the query's new stable id here.
+  /// Installs `detached` -- a query detached from another
+  /// MultiMatchOperator, or built by MakeQuery -- with its run state;
+  /// returns the query's new stable id here. Callable at any time,
+  /// including from a detection callback (applied after the current
+  /// event).
   int AdoptQuery(DetachedQuery detached);
 
   /// Externalizes the live run state and statistics of the query with
@@ -139,10 +140,11 @@ class MultiMatchOperator : public stream::Operator {
   /// inside a detection callback.
   Result<NfaRunState> ExportQueryRunState(int query_id);
 
-  /// AddQuery, but the new query's matcher is seeded with previously
-  /// exported run state (checkpoint recovery) instead of starting empty.
-  /// Returns the query's stable id here; fails without adding the query
-  /// when `runs` does not fit the spec's pattern.
+  /// Adds a query whose matcher is seeded with `runs` (previously
+  /// exported run state on checkpoint recovery; empty for AddQuery):
+  /// MakeQuery, then AdoptQuery. Returns the query's stable id here;
+  /// fails without adding the query when `runs` does not fit the spec's
+  /// pattern. Callable from a detection callback like AddQuery.
   Result<int> RestoreQuery(QuerySpec spec, const NfaRunState& runs);
 
   /// Feeds one event (buffered into the window when batch_size > 1).
@@ -229,29 +231,17 @@ class MultiMatchOperator : public stream::Operator {
   }
 
  private:
-  struct Query {
-    int id = 0;
-    std::string output_name;
-    // The NFA matcher holds a pointer to the pattern, so the pattern is
-    // owned by a stable unique_ptr.
-    std::unique_ptr<CompiledPattern> pattern;
-    std::vector<ExprProgram> measures;
-    DetectionCallback callback;
-    std::shared_ptr<const CompiledPattern> gate;
-    int level = 0;
-    double tag = 0;
-    double session_tag = 0;
-    bool session_scoped = false;
-  };
-
   /// One deferred mutation queued from inside a detection callback.
   struct PendingOp {
     bool is_add = false;
-    int query_id = 0;   // remove target, or the id pre-assigned to the add
-    Query query;        // add payload
+    int query_id = 0;     // remove target, or the id assigned to the add
+    DetachedQuery query;  // add payload
   };
 
-  void ApplyAdd(Query query);
+  /// The one install routine every add, restore and adoption ends in
+  /// (directly, or deferred through ApplyPendingOps): hands a composite
+  /// to the runner, registers a base query with the matcher.
+  void Install(DetachedQuery query);
   void ApplyRemove(int query_id);
   /// The lazily created composite runner (first level >= 1 AddQuery).
   CompositeRunner& EnsureComposite();
@@ -264,7 +254,7 @@ class MultiMatchOperator : public stream::Operator {
   /// between events.
   void RunBatch(const stream::Event* events, size_t count);
   /// Builds and delivers the detection of one completed match.
-  void DispatchToQuery(const Query& query, const PatternMatch& match,
+  void DispatchToQuery(const InstalledQuery& query, const PatternMatch& match,
                        const stream::Event& event);
   /// Dispatch resolving the query by stable id -- the slow path once a
   /// mid-batch mutation shifted indices (a query removed mid-batch
@@ -274,7 +264,7 @@ class MultiMatchOperator : public stream::Operator {
                 const stream::Event& event);
 
   MultiPatternMatcher matcher_;
-  std::vector<Query> queries_;  // index-aligned with matcher_ entries
+  std::vector<InstalledQuery> queries_;  // index-aligned with matcher_
   // Composite (level >= 1) queries; null until the first one is added.
   // queries_ holds base queries only, so the flat path never pays for
   // the feedback machinery beyond one null/active check per event.

@@ -37,25 +37,8 @@ MultiPatternMatcher::MultiPatternMatcher(MatcherOptions options)
 int MultiPatternMatcher::AddPattern(const CompiledPattern* pattern,
                                     const CompiledPattern* gate) {
   EPL_CHECK(pattern != nullptr);
-  EPL_CHECK(gate == nullptr || gate->num_states() == 1)
-      << "a gate is a single-state pattern";
-  Entry entry;
-  entry.matcher = std::make_unique<NfaMatcher>(pattern, options_);
-  entry.gate = gate;
-  if (!bank_->built() && !bank_dirty_) {
-    // Bank not frozen yet (no event processed since the last rebuild):
-    // register incrementally instead of scheduling a full rebuild.
-    entry.bank_ids = bank_->RegisterPattern(*pattern);
-    if (gate != nullptr) {
-      entry.gate_bank_id = bank_->RegisterPattern(*gate)[0];
-    }
-  } else {
-    bank_dirty_ = true;
-  }
-  entry.counters.events_synced = arena_events_;
-  arena_dirty_ = true;
-  entries_.push_back(std::move(entry));
-  return static_cast<int>(entries_.size()) - 1;
+  // A fresh matcher is an adoption from empty run state.
+  return AdoptPattern(std::make_unique<NfaMatcher>(pattern, options_), gate);
 }
 
 void MultiPatternMatcher::RemovePattern(int index) {

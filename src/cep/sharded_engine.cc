@@ -230,57 +230,9 @@ Status ShardedEngine::Stop() {
 }
 
 int ShardedEngine::AddQuery(QuerySpec spec) {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "AddQuery from inside a detection callback";
-  std::lock_guard<std::mutex> lock(control_mu_);
-  const bool live = running_;
-  if (live) {
-    PauseWorkers();
-    DrainAndDeliver();
-  }
-  const int id = next_query_id_++;
-  QueryInfo info;
-  info.level = spec.level;
-  info.tag = spec.tag;
-  info.session_tag = spec.session_tag;
-  info.session_scoped = spec.level == 0 && spec.session_scoped;
-  info.static_weight = QueryCostWeight(spec.pattern);
-  info.weight = info.static_weight;
-  if (spec.level > 0) {
-    // Composite queries run in the engine-owned runner, fed from the
-    // watermark merge -- no shard, no recorder, and the user callback
-    // fires directly from the epoch fixed point (delivery thread).
-    info.shard = -1;
-    CompositeQuery composite;
-    composite.id = id;
-    composite.level = spec.level;
-    composite.output_name = std::move(spec.output_name);
-    composite.pattern =
-        std::make_unique<CompiledPattern>(std::move(spec.pattern));
-    composite.measures = std::move(spec.measures);
-    composite.callback = std::move(spec.callback);
-    composite.tag = spec.tag;
-    composite.session_tag = spec.session_tag;
-    EnsureCompositeLocked().Add(std::move(composite));
-    queries_.emplace(id, std::move(info));
-    if (live) {
-      ResumeWorkers();
-    }
-    return id;
-  }
-  info.callback = std::move(spec.callback);
-  info.shard = PlaceQueryLocked(info);
-  Shard* shard = shards_[static_cast<size_t>(info.shard)].get();
-  spec.callback = MakeRecorder(shard, id);
-  info.local_id = shard->op.AddQuery(std::move(spec));
-  IndexQueryLocked(info, info.shard, true);
-  queries_.emplace(id, std::move(info));
-  Rebalance();
-  if (live) {
-    ResumeWorkers();
-  }
-  return id;
+  Result<int> id = RestoreQuery(std::move(spec), NfaRunState());
+  EPL_CHECK(id.ok()) << id.status();  // empty run state fits any pattern
+  return *id;
 }
 
 Status ShardedEngine::RemoveQuery(int query_id) {
@@ -529,72 +481,56 @@ Result<int> ShardedEngine::RestoreQuery(QuerySpec spec,
                                         const NfaRunState& runs) {
   EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
             std::this_thread::get_id())
-      << "RestoreQuery from inside a detection callback";
+      << "AddQuery/RestoreQuery from inside a detection callback";
+  MultiMatchOperator::DetachedQuery query =
+      MultiMatchOperator::MakeQuery(std::move(spec), options_.matcher);
+  EPL_RETURN_IF_ERROR(query.matcher->ImportRunState(runs));
   std::lock_guard<std::mutex> lock(control_mu_);
   const bool live = running_;
   if (live) {
     PauseWorkers();
     DrainAndDeliver();
   }
-  const int id = next_query_id_;
-  QueryInfo info;
-  info.level = spec.level;
-  info.tag = spec.tag;
-  info.session_tag = spec.session_tag;
-  info.session_scoped = spec.level == 0 && spec.session_scoped;
-  info.static_weight = QueryCostWeight(spec.pattern);
-  info.weight = info.static_weight;
-  if (spec.level > 0) {
-    info.shard = -1;
-    CompositeQuery composite;
-    composite.id = id;
-    composite.level = spec.level;
-    composite.output_name = std::move(spec.output_name);
-    composite.pattern =
-        std::make_unique<CompiledPattern>(std::move(spec.pattern));
-    composite.measures = std::move(spec.measures);
-    composite.callback = std::move(spec.callback);
-    composite.tag = spec.tag;
-    composite.session_tag = spec.session_tag;
-    Status restored =
-        EnsureCompositeLocked().Restore(std::move(composite), runs);
-    if (restored.ok()) {
-      ++next_query_id_;
-      queries_.emplace(id, std::move(info));
-    }
-    if (live) {
-      ResumeWorkers();
-    }
-    if (!restored.ok()) {
-      return restored;
-    }
-    return id;
-  }
-  info.callback = std::move(spec.callback);
-  info.shard = PlaceQueryLocked(info);
-  Shard* shard = shards_[static_cast<size_t>(info.shard)].get();
-  spec.callback = MakeRecorder(shard, id);
-  Result<int> local = shard->op.RestoreQuery(std::move(spec), runs);
-  if (local.ok()) {
-    ++next_query_id_;
-    info.local_id = *local;
-    // The restored matcher carries its checkpointed statistics: weigh it
-    // by them now, exactly as a full refresh would (restored queries are
-    // appended in registration order).
-    const int index = static_cast<int>(shard->op.num_queries()) - 1;
-    EPL_CHECK(shard->op.query_id(index) == *local);
-    info.weight = MeasuredQueryCostWeight(shard->op.matcher_stats(index),
-                                          info.static_weight);
-    IndexQueryLocked(info, info.shard, true);
-    queries_.emplace(id, std::move(info));
-    Rebalance();
-  }
+  const int id = InstallLocked(std::move(query));
   if (live) {
     ResumeWorkers();
   }
-  if (!local.ok()) {
-    return local.status();
+  return id;
+}
+
+int ShardedEngine::InstallLocked(MultiMatchOperator::DetachedQuery query) {
+  const int id = next_query_id_++;
+  InstalledQuery& record = query.query;
+  QueryInfo info;
+  info.level = record.level;
+  info.tag = record.tag;
+  info.session_tag = record.session_tag;
+  info.session_scoped = record.level == 0 && record.session_scoped;
+  info.static_weight = QueryCostWeight(*record.pattern);
+  info.weight = info.static_weight;
+  if (record.level > 0) {
+    // Composite queries run in the engine-owned runner, fed from the
+    // watermark merge -- no shard, no recorder, and the user callback
+    // fires directly from the epoch fixed point (delivery thread).
+    record.id = id;
+    EnsureCompositeLocked().Add(std::move(record), std::move(query.matcher));
+    queries_.emplace(id, std::move(info));
+    return id;
   }
+  info.callback = std::move(record.callback);
+  info.shard = PlaceQueryLocked(info);
+  Shard* shard = shards_[static_cast<size_t>(info.shard)].get();
+  record.callback = MakeRecorder(shard, id);
+  // A restored matcher carries its checkpointed statistics: weigh it by
+  // them now, exactly as a full refresh would (a fresh query keeps its
+  // static weight).
+  const uint64_t weight =
+      MeasuredQueryCostWeight(query.matcher->stats(), info.static_weight);
+  info.local_id = shard->op.AdoptQuery(std::move(query));
+  info.weight = weight;
+  IndexQueryLocked(info, info.shard, true);
+  queries_.emplace(id, std::move(info));
+  Rebalance();
   return id;
 }
 
@@ -1331,7 +1267,7 @@ void ShardedEngine::MoveQueryLocked(int query_id, int destination_index) {
   EPL_CHECK(detached.ok()) << detached.status();
   // The recorder points at the old shard's buffers; rebind it.
   Shard* destination = shards_[static_cast<size_t>(destination_index)].get();
-  detached->callback = MakeRecorder(destination, query_id);
+  detached->query.callback = MakeRecorder(destination, query_id);
   info.local_id = destination->op.AdoptQuery(std::move(detached).value());
   // Index the arrival before the departure, so a one-query session's
   // entry is not dropped and re-created on the way.

@@ -120,14 +120,6 @@ struct ShardedEngineOptions {
   size_t queue_capacity = 64;
   /// Matcher options shared by every shard.
   MatcherOptions matcher;
-  /// Makes ShardedMatchOperator::Process Flush() after every pushed event,
-  /// so detections are delivered synchronously at the exact event boundary
-  /// -- the order a fused single-threaded deployment would produce them in
-  /// within the stream dispatch. Interactive workflows (the learning
-  /// controller, whose control-gesture detections steer the session) need
-  /// this; throughput deployments should leave it off and Flush at
-  /// convenient boundaries instead. Only read by ShardedMatchOperator.
-  bool sync_delivery = false;
   /// Work stealing: an idle worker executes the next pending batch of the
   /// deepest-backlog shard instead of parking. Pays off when per-shard
   /// costs are skewed (one hot query set); a perfectly balanced fleet
@@ -228,11 +220,11 @@ class ShardedEngine {
   /// restarted.
   Status Stop();
 
-  /// Adds a query (assigned to the least-loaded shard) and returns its
-  /// stable engine-wide id. Callable before Start or while live, from any
-  /// thread; when live, the shards are quiesced at an event boundary
-  /// first, so the query sees exactly the events pushed after this call
-  /// returns.
+  /// RestoreQuery from empty run state: adds a query (placed by the
+  /// placement policy) and returns its stable engine-wide id. Callable
+  /// before Start or while live, from any thread; when live, the shards
+  /// are quiesced at an event boundary first, so the query sees exactly
+  /// the events pushed after this call returns.
   ///
   /// Composite queries (spec.level >= 1, see cep/composite.h) do not live
   /// on a shard: they run in an engine-owned CompositeRunner driven from
@@ -282,10 +274,11 @@ class ShardedEngine {
   /// keeps running. Callable from any thread (not a detection callback).
   Result<std::vector<std::pair<int, NfaRunState>>> ExportRunStates();
 
-  /// AddQuery, but the query's matcher is seeded with previously exported
-  /// run state (checkpoint recovery). Quiesced like AddQuery; returns the
-  /// query's stable engine-wide id, or an error (query not added) when
-  /// `runs` does not fit the spec's pattern.
+  /// Adds a query whose matcher is seeded with `runs` (previously
+  /// exported run state on checkpoint recovery; empty for AddQuery).
+  /// Quiesced like AddQuery; returns the query's stable engine-wide id,
+  /// or an error (query not added) when `runs` does not fit the spec's
+  /// pattern.
   Result<int> RestoreQuery(QuerySpec spec, const NfaRunState& runs);
 
   /// Per-query matcher statistics snapshot, ordered by query id. Callable
@@ -539,6 +532,10 @@ class ShardedEngine {
   /// that shard's operator (one walk per operator instead of an O(Q^2)
   /// FindQuery scan per query; control_mu_ held).
   std::vector<std::unordered_map<int, int>> LocalIndexLocked() const;
+  /// The one install routine of AddQuery and RestoreQuery (control_mu_
+  /// held, workers quiesced when live): places `query`, whose matcher
+  /// already holds its run state, and returns its stable id.
+  int InstallLocked(MultiMatchOperator::DetachedQuery query);
   /// Re-derives every query's placement weight from its live matcher
   /// statistics when events were processed since the previous refresh;
   /// otherwise a no-op (control_mu_ held, workers quiesced when live).
@@ -647,9 +644,17 @@ class ShardedEngine {
 /// is pushed into the sharded engine and forwarded downstream unchanged.
 class ShardedMatchOperator : public stream::Operator {
  public:
+  /// `sync_delivery` makes Process Flush() after every pushed event, so
+  /// detections are delivered synchronously at the exact event boundary
+  /// -- the order a fused single-threaded deployment would produce them
+  /// in within the stream dispatch. Interactive workflows (the learning
+  /// controller, whose control-gesture detections steer the session) need
+  /// this; throughput deployments should leave it off and Flush at
+  /// convenient boundaries instead.
   explicit ShardedMatchOperator(
-      ShardedEngineOptions options = ShardedEngineOptions())
-      : engine_(options), sync_delivery_(options.sync_delivery) {}
+      ShardedEngineOptions options = ShardedEngineOptions(),
+      bool sync_delivery = false)
+      : engine_(options), sync_delivery_(sync_delivery) {}
 
   ShardedEngine& engine() { return engine_; }
   const ShardedEngine& engine() const { return engine_; }

@@ -98,78 +98,19 @@ Result<stream::DeploymentId> DeployGesture(
     cep::MatcherOptions matcher_options) {
   EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
                        GenerateQuery(definition, config));
-  // Thin compatibility wrapper over the shared path: a single-query fused
-  // operator instead of a standalone MatchOperator, so every learned
-  // gesture -- even a lone one -- runs on the bank-backed flat runtime.
-  // The handle semantics are unchanged (Undeploy removes the gesture).
-  std::vector<query::ParsedQuery> queries;
-  queries.push_back(std::move(parsed));
+  // A single-query fused operator instead of a standalone MatchOperator,
+  // so every learned gesture -- even a lone one -- runs on the
+  // bank-backed flat runtime. Compiled first, so a bad query leaves no
+  // empty operator deployed behind an error.
+  EPL_ASSIGN_OR_RETURN(
+      cep::MultiMatchOperator::QuerySpec spec,
+      query::CompileQuerySpec(engine, parsed, std::move(callback)));
   EPL_ASSIGN_OR_RETURN(
       query::FusedDeployment deployment,
-      query::DeployQueriesFused(engine, queries, std::move(callback),
-                                matcher_options));
+      query::DeployFusedOperator(engine, parsed.pattern->SourceStream(),
+                                 matcher_options));
+  deployment.op->AddQuery(std::move(spec));
   return deployment.id;
-}
-
-namespace {
-
-Result<std::vector<query::ParsedQuery>> GenerateQueries(
-    const std::vector<GestureDefinition>& definitions,
-    const QueryGenConfig& config) {
-  std::vector<query::ParsedQuery> queries;
-  queries.reserve(definitions.size());
-  for (const GestureDefinition& definition : definitions) {
-    EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
-                         GenerateQuery(definition, config));
-    queries.push_back(std::move(parsed));
-  }
-  return queries;
-}
-
-}  // namespace
-
-Result<query::FusedDeployment> DeployGesturesFused(
-    stream::StreamEngine* engine,
-    const std::vector<GestureDefinition>& definitions,
-    cep::DetectionCallback callback, const QueryGenConfig& config,
-    cep::MatcherOptions matcher_options) {
-  EPL_ASSIGN_OR_RETURN(std::vector<query::ParsedQuery> queries,
-                       GenerateQueries(definitions, config));
-  return query::DeployQueriesFused(engine, queries, std::move(callback),
-                                   matcher_options);
-}
-
-Result<int> AddFusedGesture(stream::StreamEngine* engine,
-                            const query::FusedDeployment& deployment,
-                            const GestureDefinition& definition,
-                            cep::DetectionCallback callback,
-                            const QueryGenConfig& config) {
-  EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
-                       GenerateQuery(definition, config));
-  return query::AddFusedQuery(engine, deployment, parsed,
-                              std::move(callback));
-}
-
-Result<query::ShardedDeployment> DeployGesturesSharded(
-    stream::StreamEngine* engine,
-    const std::vector<GestureDefinition>& definitions,
-    cep::DetectionCallback callback, const QueryGenConfig& config,
-    cep::ShardedEngineOptions sharded_options) {
-  EPL_ASSIGN_OR_RETURN(std::vector<query::ParsedQuery> queries,
-                       GenerateQueries(definitions, config));
-  return query::DeployQueriesSharded(engine, queries, std::move(callback),
-                                     sharded_options);
-}
-
-Result<int> AddShardedGesture(stream::StreamEngine* engine,
-                              const query::ShardedDeployment& deployment,
-                              const GestureDefinition& definition,
-                              cep::DetectionCallback callback,
-                              const QueryGenConfig& config) {
-  EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
-                       GenerateQuery(definition, config));
-  return query::AddShardedQuery(engine, deployment, parsed,
-                                std::move(callback));
 }
 
 }  // namespace epl::core

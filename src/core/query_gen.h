@@ -8,7 +8,6 @@
 #define EPL_CORE_QUERY_GEN_H_
 
 #include <string>
-#include <vector>
 
 #include "cep/detection.h"
 #include "cep/matcher.h"
@@ -37,55 +36,20 @@ Result<std::string> GenerateQueryText(
     const GestureDefinition& definition,
     const QueryGenConfig& config = QueryGenConfig());
 
-/// Generates and deploys the gesture's query on its source stream.
-/// Compatibility wrapper over the shared path: deploys a single-query
-/// fused operator (query::DeployQueriesFused), NOT a standalone
-/// MatchOperator, so lone gestures still run on the bank-backed flat
-/// runtime. Prefer workflow::GestureRuntime (named deploy/undeploy,
-/// hot-swap, multi-session) or DeployGesturesFused for query fleets.
+/// Generates and deploys the gesture's query on its source stream, as a
+/// single-query fused operator (query::DeployFusedOperator +
+/// query::CompileQuerySpec + AddQuery), NOT a standalone MatchOperator,
+/// so lone gestures still run on the bank-backed flat runtime. Undeploy
+/// the returned handle to remove the gesture. For query fleets, build on
+/// the same blocks: one DeployFusedOperator / DeployShardedOperator per
+/// stream, then GenerateQuery + CompileQuerySpec + AddQuery per gesture;
+/// for named deploy/undeploy, hot-swap and multi-session use
+/// workflow::GestureRuntime.
 Result<stream::DeploymentId> DeployGesture(
     stream::StreamEngine* engine, const GestureDefinition& definition,
     cep::DetectionCallback callback,
     const QueryGenConfig& config = QueryGenConfig(),
     cep::MatcherOptions matcher_options = cep::MatcherOptions());
-
-/// Generates queries for all `definitions` (which must share one source
-/// stream) and deploys them as ONE fused MultiMatchOperator sharing a
-/// predicate bank (query::DeployQueriesFused), instead of one match
-/// operator per gesture. The returned handle supports runtime gesture
-/// exchange (AddFusedGesture / FusedDeployment::op->RemoveQuery).
-Result<query::FusedDeployment> DeployGesturesFused(
-    stream::StreamEngine* engine,
-    const std::vector<GestureDefinition>& definitions,
-    cep::DetectionCallback callback,
-    const QueryGenConfig& config = QueryGenConfig(),
-    cep::MatcherOptions matcher_options = cep::MatcherOptions());
-
-/// Generates and adds one gesture to a live fused deployment; returns the
-/// query's stable id (for FusedDeployment::op->RemoveQuery).
-Result<int> AddFusedGesture(stream::StreamEngine* engine,
-                            const query::FusedDeployment& deployment,
-                            const GestureDefinition& definition,
-                            cep::DetectionCallback callback,
-                            const QueryGenConfig& config = QueryGenConfig());
-
-/// Like DeployGesturesFused, but partitions the gestures across the worker
-/// shards of a cep::ShardedEngine (query::DeployQueriesSharded) for
-/// multi-core scaling; detections are merged back in deterministic
-/// (event-seq, query-id) order.
-Result<query::ShardedDeployment> DeployGesturesSharded(
-    stream::StreamEngine* engine,
-    const std::vector<GestureDefinition>& definitions,
-    cep::DetectionCallback callback,
-    const QueryGenConfig& config = QueryGenConfig(),
-    cep::ShardedEngineOptions sharded_options = cep::ShardedEngineOptions());
-
-/// Generates and adds one gesture to a live sharded deployment; returns
-/// the query's stable id (for ShardedDeployment::engine->RemoveQuery).
-Result<int> AddShardedGesture(
-    stream::StreamEngine* engine, const query::ShardedDeployment& deployment,
-    const GestureDefinition& definition, cep::DetectionCallback callback,
-    const QueryGenConfig& config = QueryGenConfig());
 
 }  // namespace epl::core
 

@@ -51,133 +51,6 @@ Result<stream::DeploymentId> DeployQuery(stream::StreamEngine* engine,
   return engine->Deploy(source, std::move(op));
 }
 
-namespace {
-
-/// Validates that every query has a pattern and that all read one stream;
-/// returns that stream's name.
-Result<std::string> SharedSourceStream(const std::vector<ParsedQuery>& parsed) {
-  if (parsed.empty()) {
-    return InvalidArgumentError("fused deployment needs at least one query");
-  }
-  std::string source;
-  for (const ParsedQuery& query : parsed) {
-    if (query.pattern == nullptr) {
-      return InvalidArgumentError("query '" + query.name + "' has no pattern");
-    }
-    std::string query_source = query.pattern->SourceStream();
-    if (source.empty()) {
-      source = query_source;
-    } else if (query_source != source) {
-      return InvalidArgumentError(
-          "fused queries must share a source stream: '" + source + "' vs '" +
-          query_source + "' (query '" + query.name + "')");
-    }
-  }
-  return source;
-}
-
-cep::MultiMatchOperator::QuerySpec MakeQuerySpec(
-    CompiledQuery compiled, cep::DetectionCallback callback) {
-  cep::MultiMatchOperator::QuerySpec spec;
-  spec.output_name = std::move(compiled.name);
-  spec.pattern = std::move(compiled.pattern);
-  spec.measures = std::move(compiled.measures);
-  spec.callback = std::move(callback);
-  return spec;
-}
-
-/// Compiles one query destined for the live deployment `id`, validating
-/// that it reads the deployment's subscribed stream.
-Result<CompiledQuery> CompileForDeployment(stream::StreamEngine* engine,
-                                           stream::DeploymentId id,
-                                           const ParsedQuery& parsed) {
-  if (parsed.pattern == nullptr) {
-    return InvalidArgumentError("query '" + parsed.name + "' has no pattern");
-  }
-  EPL_ASSIGN_OR_RETURN(std::string deployed_stream,
-                       engine->DeploymentStream(id));
-  std::string source = parsed.pattern->SourceStream();
-  if (source != deployed_stream) {
-    return InvalidArgumentError("query '" + parsed.name + "' reads stream '" +
-                                source + "' but the deployment subscribes to '" +
-                                deployed_stream + "'");
-  }
-  EPL_ASSIGN_OR_RETURN(stream::Schema schema, engine->GetSchema(source));
-  return CompileQuery(parsed, schema);
-}
-
-}  // namespace
-
-Result<FusedDeployment> DeployQueriesFused(stream::StreamEngine* engine,
-                                           const std::vector<ParsedQuery>& parsed,
-                                           cep::DetectionCallback callback,
-                                           cep::MatcherOptions options,
-                                           size_t batch_size) {
-  EPL_ASSIGN_OR_RETURN(std::string source, SharedSourceStream(parsed));
-  Result<stream::Schema> schema = engine->GetSchema(source);
-  if (!schema.ok()) {
-    return schema.status().WithContext("fused queries read undeclared stream");
-  }
-  auto op = std::make_unique<cep::MultiMatchOperator>(options, batch_size);
-  cep::MultiMatchOperator* raw = op.get();
-  for (const ParsedQuery& query : parsed) {
-    EPL_ASSIGN_OR_RETURN(CompiledQuery compiled, CompileQuery(query, *schema));
-    op->AddQuery(MakeQuerySpec(std::move(compiled), callback));
-  }
-  EPL_ASSIGN_OR_RETURN(stream::DeploymentId id,
-                       engine->Deploy(source, std::move(op)));
-  return FusedDeployment{id, raw};
-}
-
-Result<int> AddFusedQuery(stream::StreamEngine* engine,
-                          const FusedDeployment& deployment,
-                          const ParsedQuery& parsed,
-                          cep::DetectionCallback callback) {
-  if (deployment.op == nullptr) {
-    return InvalidArgumentError("fused deployment has no operator");
-  }
-  EPL_ASSIGN_OR_RETURN(
-      CompiledQuery compiled,
-      CompileForDeployment(engine, deployment.id, parsed));
-  return deployment.op->AddQuery(
-      MakeQuerySpec(std::move(compiled), std::move(callback)));
-}
-
-Result<ShardedDeployment> DeployQueriesSharded(
-    stream::StreamEngine* engine, const std::vector<ParsedQuery>& parsed,
-    cep::DetectionCallback callback, cep::ShardedEngineOptions options) {
-  EPL_ASSIGN_OR_RETURN(std::string source, SharedSourceStream(parsed));
-  Result<stream::Schema> schema = engine->GetSchema(source);
-  if (!schema.ok()) {
-    return schema.status().WithContext(
-        "sharded queries read undeclared stream");
-  }
-  auto op = std::make_unique<cep::ShardedMatchOperator>(options);
-  cep::ShardedEngine* sharded = &op->engine();
-  for (const ParsedQuery& query : parsed) {
-    EPL_ASSIGN_OR_RETURN(CompiledQuery compiled, CompileQuery(query, *schema));
-    sharded->AddQuery(MakeQuerySpec(std::move(compiled), callback));
-  }
-  // Deploy calls Open(), which starts the shard workers.
-  EPL_ASSIGN_OR_RETURN(stream::DeploymentId id,
-                       engine->Deploy(source, std::move(op)));
-  return ShardedDeployment{id, sharded};
-}
-
-Result<int> AddShardedQuery(stream::StreamEngine* engine,
-                            const ShardedDeployment& deployment,
-                            const ParsedQuery& parsed,
-                            cep::DetectionCallback callback) {
-  if (deployment.engine == nullptr) {
-    return InvalidArgumentError("sharded deployment has no engine");
-  }
-  EPL_ASSIGN_OR_RETURN(
-      CompiledQuery compiled,
-      CompileForDeployment(engine, deployment.id, parsed));
-  return deployment.engine->AddQuery(
-      MakeQuerySpec(std::move(compiled), std::move(callback)));
-}
-
 Result<cep::MultiMatchOperator::QuerySpec> CompileQuerySpec(
     stream::StreamEngine* engine, const ParsedQuery& parsed,
     cep::DetectionCallback callback,
@@ -192,8 +65,11 @@ Result<cep::MultiMatchOperator::QuerySpec> CompileQuerySpec(
                                        "' reads undeclared stream");
   }
   EPL_ASSIGN_OR_RETURN(CompiledQuery compiled, CompileQuery(parsed, *schema));
-  cep::MultiMatchOperator::QuerySpec spec =
-      MakeQuerySpec(std::move(compiled), std::move(callback));
+  cep::MultiMatchOperator::QuerySpec spec;
+  spec.output_name = std::move(compiled.name);
+  spec.pattern = std::move(compiled.pattern);
+  spec.measures = std::move(compiled.measures);
+  spec.callback = std::move(callback);
   spec.gate = std::move(gate);
   return spec;
 }
@@ -212,21 +88,14 @@ Result<FusedDeployment> DeployFusedOperator(stream::StreamEngine* engine,
 
 Result<ShardedDeployment> DeployShardedOperator(
     stream::StreamEngine* engine, const std::string& stream,
-    cep::ShardedEngineOptions options) {
+    cep::ShardedEngineOptions options, bool sync_delivery) {
   EPL_RETURN_IF_ERROR(engine->GetSchema(stream).status());
-  auto op = std::make_unique<cep::ShardedMatchOperator>(options);
+  auto op = std::make_unique<cep::ShardedMatchOperator>(options, sync_delivery);
   cep::ShardedEngine* sharded = &op->engine();
+  // Deploy calls Open(), which starts the shard workers.
   EPL_ASSIGN_OR_RETURN(stream::DeploymentId id,
                        engine->Deploy(stream, std::move(op)));
   return ShardedDeployment{id, sharded};
-}
-
-Result<stream::DeploymentId> DeployQueryText(stream::StreamEngine* engine,
-                                             const std::string& text,
-                                             cep::DetectionCallback callback,
-                                             cep::MatcherOptions options) {
-  EPL_ASSIGN_OR_RETURN(ParsedQuery parsed, ParseQuery(text));
-  return DeployQuery(engine, parsed, std::move(callback), options);
 }
 
 }  // namespace epl::query

@@ -1,5 +1,15 @@
 // Semantic analysis and compilation of parsed queries, plus deployment
 // into a StreamEngine.
+//
+// Two ways to deploy. DeployQuery runs one query on its own per-query
+// MatchOperator: the reference path the legacy backend and the benchmark
+// oracle use. Shared deployments are assembled from building blocks:
+// deploy an empty operator on the source stream (DeployFusedOperator, or
+// DeployShardedOperator for multi-core scaling), compile each query into
+// a spec (CompileQuerySpec), and add or remove queries while the stream
+// is live (AddQuery / RemoveQuery on the returned operator or engine).
+// workflow::GestureRuntime builds named deploy, hot-swap and recovery on
+// exactly these blocks.
 
 #ifndef EPL_QUERY_COMPILER_H_
 #define EPL_QUERY_COMPILER_H_
@@ -40,12 +50,6 @@ Result<stream::DeploymentId> DeployQuery(stream::StreamEngine* engine,
                                          cep::DetectionCallback callback,
                                          cep::MatcherOptions options = {});
 
-/// Convenience: parse + deploy query text.
-Result<stream::DeploymentId> DeployQueryText(stream::StreamEngine* engine,
-                                             const std::string& text,
-                                             cep::DetectionCallback callback,
-                                             cep::MatcherOptions options = {});
-
 /// Handle for a fused deployment: the engine-owned operator stays
 /// addressable so queries can be exchanged at runtime.
 struct FusedDeployment {
@@ -53,35 +57,6 @@ struct FusedDeployment {
   /// Owned by the StreamEngine; valid until the deployment is undeployed.
   cep::MultiMatchOperator* op = nullptr;
 };
-
-/// Compiles every query in `parsed` (all must read the same source stream)
-/// and deploys ONE fused MultiMatchOperator subscribing to that stream, so
-/// all queries share a PredicateBank evaluation per event instead of
-/// running independent match operators. Detections from every query go to
-/// `callback` (distinguished by Detection::name). Undeploying the returned
-/// handle removes all the queries at once; individual queries can be
-/// exchanged at runtime via AddFusedQuery / FusedDeployment::op.
-/// `batch_size` > 1 makes the operator accumulate that many events per
-/// matcher sweep (offline replays; detections then fire at flush
-/// boundaries, still in exact per-event order -- see MultiMatchOperator).
-/// Drain the tail of a finished stream with
-/// `deployment.op->FlushBatchedEvents()` (Undeploy flushes via Close).
-Result<FusedDeployment> DeployQueriesFused(
-    stream::StreamEngine* engine, const std::vector<ParsedQuery>& parsed,
-    cep::DetectionCallback callback, cep::MatcherOptions options = {},
-    size_t batch_size = 1);
-
-/// Compiles `parsed` against the deployment's stream and adds it to the
-/// live fused operator (paper's "exchange gestures during runtime");
-/// returns the query's stable id, usable with
-/// `deployment.op->RemoveQuery(id)`. Must be serialized with event
-/// processing (the StreamEngine is single-threaded); exchanges from other
-/// threads belong on the sharded path, whose control ops synchronize
-/// internally.
-Result<int> AddFusedQuery(stream::StreamEngine* engine,
-                          const FusedDeployment& deployment,
-                          const ParsedQuery& parsed,
-                          cep::DetectionCallback callback);
 
 /// Handle for a sharded deployment: the adapter operator is engine-owned,
 /// the ShardedEngine it wraps stays addressable for runtime add/remove,
@@ -92,31 +67,12 @@ struct ShardedDeployment {
   cep::ShardedEngine* engine = nullptr;
 };
 
-/// Like DeployQueriesFused, but the queries are partitioned across the
-/// worker shards of a ShardedEngine (multi-core scaling); the adapter
-/// operator subscribes to the shared source stream and fans events out.
-/// Detections are merged back in deterministic (event-seq, query-id)
-/// order and delivered during stream pushes; call
-/// `deployment.engine->Flush()` to force out everything pending.
-/// Undeploying stops the shard workers.
-Result<ShardedDeployment> DeployQueriesSharded(
-    stream::StreamEngine* engine, const std::vector<ParsedQuery>& parsed,
-    cep::DetectionCallback callback, cep::ShardedEngineOptions options = {});
-
-/// Compiles `parsed` against the deployment's stream and adds it to the
-/// live sharded engine; returns the query's stable id, usable with
-/// `deployment.engine->RemoveQuery(id)`.
-Result<int> AddShardedQuery(stream::StreamEngine* engine,
-                            const ShardedDeployment& deployment,
-                            const ParsedQuery& parsed,
-                            cep::DetectionCallback callback);
-
 /// Compiles `parsed` against the schema of its source stream in `engine`
 /// into a QuerySpec ready for MultiMatchOperator::AddQuery /
-/// ShardedEngine::AddQuery, with `callback` and the optional group `gate`
-/// attached (see MultiPatternMatcher::AddPattern). This is the building
-/// block of the session-layer GestureRuntime, which manages deployments
-/// itself and needs compiled specs rather than one-shot deploy calls.
+/// ShardedEngine::AddQuery (or RestoreQuery), with `callback` and the
+/// optional group `gate` attached (see MultiPatternMatcher::AddPattern).
+/// The spec does not record the stream: adding it to an operator that
+/// subscribes to another stream is the caller's error to avoid.
 Result<cep::MultiMatchOperator::QuerySpec> CompileQuerySpec(
     stream::StreamEngine* engine, const ParsedQuery& parsed,
     cep::DetectionCallback callback,
@@ -124,7 +80,12 @@ Result<cep::MultiMatchOperator::QuerySpec> CompileQuerySpec(
 
 /// Deploys an EMPTY fused operator subscribing to `stream`; queries are
 /// added afterwards via FusedDeployment::op->AddQuery (runtime add/remove
-/// is the normal mode of operation for the session runtime).
+/// is the normal mode of operation). `batch_size` > 1 makes the operator
+/// accumulate that many events per matcher sweep (offline replays;
+/// detections then fire at flush boundaries, still in exact per-event
+/// order -- see MultiMatchOperator). Drain the tail of a finished stream
+/// with `deployment.op->FlushBatchedEvents()` (Undeploy flushes via
+/// Close).
 Result<FusedDeployment> DeployFusedOperator(stream::StreamEngine* engine,
                                             const std::string& stream,
                                             cep::MatcherOptions options = {},
@@ -132,10 +93,14 @@ Result<FusedDeployment> DeployFusedOperator(stream::StreamEngine* engine,
 
 /// Deploys an EMPTY sharded engine subscribing to `stream` (workers
 /// started); queries are added afterwards via
-/// ShardedDeployment::engine->AddQuery.
+/// ShardedDeployment::engine->AddQuery. Detections are merged back in
+/// deterministic (event-seq, query-id) order and delivered during stream
+/// pushes; call `deployment.engine->Flush()` to force out everything
+/// pending, or set `sync_delivery` to flush after every event (see
+/// cep::ShardedMatchOperator). Undeploying stops the shard workers.
 Result<ShardedDeployment> DeployShardedOperator(
     stream::StreamEngine* engine, const std::string& stream,
-    cep::ShardedEngineOptions options = {});
+    cep::ShardedEngineOptions options = {}, bool sync_delivery = false);
 
 }  // namespace epl::query
 

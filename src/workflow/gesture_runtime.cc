@@ -341,7 +341,6 @@ Result<GestureRuntime::Channel*> GestureRuntime::EnsureChannel(
     sharded.num_shards = options_.num_shards;
     sharded.batch_size = options_.batch_size;
     sharded.matcher = options_.matcher;
-    sharded.sync_delivery = options_.sync_detections;
     sharded.placement = options_.shard_placement;
     if (options_.route_session_events && stream == kSessionStreamName) {
       // The merge tap appends the session id as the stream's last field;
@@ -353,7 +352,8 @@ Result<GestureRuntime::Channel*> GestureRuntime::EnsureChannel(
     }
     EPL_ASSIGN_OR_RETURN(
         channel.sharded,
-        query::DeployShardedOperator(engine_, stream, sharded));
+        query::DeployShardedOperator(engine_, stream, sharded,
+                                     options_.sync_detections));
   }
   return &channels_.emplace(stream, std::move(channel)).first->second;
 }
@@ -407,6 +407,26 @@ Status GestureRuntime::Retire(const Gesture& gesture) {
     }
   }
   return InternalError("unknown backend");
+}
+
+Status GestureRuntime::Install(const GestureKey& key, Gesture gesture,
+                               cep::MultiMatchOperator::QuerySpec spec,
+                               const cep::NfaRunState& runs) {
+  EPL_ASSIGN_OR_RETURN(Channel * channel, EnsureChannel(gesture.stream));
+  auto existing = gestures_.find(key);
+  if (existing != gestures_.end()) {
+    EPL_RETURN_IF_ERROR(Retire(existing->second));
+  }
+  // A deploy is a restore from empty run state. Mid-callback, the fused
+  // operator defers the add to the end of the current event itself.
+  Result<int> id =
+      options_.backend == RuntimeBackend::kFused
+          ? channel->fused.op->RestoreQuery(std::move(spec), runs)
+          : channel->sharded.engine->RestoreQuery(std::move(spec), runs);
+  EPL_RETURN_IF_ERROR(id.status());
+  gesture.query_id = *id;
+  gestures_[key] = std::move(gesture);
+  return OkStatus();
 }
 
 Status GestureRuntime::DoDeploy(SessionId session,
@@ -476,14 +496,11 @@ Status GestureRuntime::DoDeploy(SessionId session,
   // session_tag; telling the engine lets it route fan-out and co-locate
   // the session's queries.
   spec.session_scoped = found != nullptr;
-  EPL_ASSIGN_OR_RETURN(Channel * channel, EnsureChannel(stream));
-  if (existing != gestures_.end()) {
-    EPL_RETURN_IF_ERROR(Retire(existing->second));
-  }
-  const int id = options_.backend == RuntimeBackend::kFused
-                     ? channel->fused.op->AddQuery(std::move(spec))
-                     : channel->sharded.engine->AddQuery(std::move(spec));
-  gestures_[key] = Gesture{stream, id, 0, std::move(query_text)};
+  Gesture gesture;
+  gesture.stream = stream;
+  gesture.query_text = std::move(query_text);
+  EPL_RETURN_IF_ERROR(
+      Install(key, std::move(gesture), std::move(spec), cep::NfaRunState()));
   if (log_deploy) {
     EPL_RETURN_IF_ERROR(LogRecord(record));
   }
@@ -602,21 +619,13 @@ Status GestureRuntime::DoDeployComposite(SessionId session,
   spec.level = level;
   spec.tag = cep::GestureTag(definition.name);
   spec.session_tag = static_cast<double>(session);
-  EPL_ASSIGN_OR_RETURN(Channel * channel, EnsureChannel(stream));
-  const GestureKey key{session, definition.name};
-  auto existing = gestures_.find(key);
-  if (existing != gestures_.end()) {
-    EPL_RETURN_IF_ERROR(Retire(existing->second));
-  }
-  const int id = options_.backend == RuntimeBackend::kFused
-                     ? channel->fused.op->AddQuery(std::move(spec))
-                     : channel->sharded.engine->AddQuery(std::move(spec));
   Gesture gesture;
   gesture.stream = stream;
-  gesture.query_id = id;
   gesture.level = level;
   gesture.composite = definition;
-  gestures_[key] = std::move(gesture);
+  const GestureKey key{session, definition.name};
+  EPL_RETURN_IF_ERROR(
+      Install(key, std::move(gesture), std::move(spec), cep::NfaRunState()));
   if (log_deploy) {
     EPL_RETURN_IF_ERROR(LogRecord(record));
   }
@@ -908,45 +917,26 @@ Status GestureRuntime::Checkpoint() {
 
 Status GestureRuntime::RestoreQuery(const durability::QueryState& state,
                                     const DetectionCallbackFactory& factory) {
+  Gesture gesture;
+  gesture.level = state.level;
+  query::ParsedQuery parsed;
+  std::shared_ptr<const cep::CompiledPattern> gate;
   if (state.level > 0) {
     // A composite restores from its serialized definition and recorded
     // channel; its inputs' liveness was proven at original deploy time
     // and their run state restores from the same snapshot.
-    EPL_ASSIGN_OR_RETURN(CompositeDefinition definition,
-                         ParseComposite(state.definition));
-    EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
-                         BuildCompositeQuery(definition));
+    EPL_ASSIGN_OR_RETURN(gesture.composite, ParseComposite(state.definition));
+    EPL_ASSIGN_OR_RETURN(parsed, BuildCompositeQuery(gesture.composite));
     EPL_RETURN_IF_ERROR(EnsureDetectionStream());
-    cep::DetectionCallback callback =
-        factory ? factory(state.session, state.name) : nullptr;
-    EPL_ASSIGN_OR_RETURN(
-        cep::MultiMatchOperator::QuerySpec spec,
-        query::CompileQuerySpec(engine_, parsed, Guard(std::move(callback)),
-                                nullptr));
-    spec.level = state.level;
-    spec.tag = cep::GestureTag(state.name);
-    spec.session_tag = static_cast<double>(state.session);
-    EPL_ASSIGN_OR_RETURN(Channel * channel, EnsureChannel(state.stream));
-    Result<int> id =
-        options_.backend == RuntimeBackend::kFused
-            ? channel->fused.op->RestoreQuery(std::move(spec), state.runs)
-            : channel->sharded.engine->RestoreQuery(std::move(spec),
-                                                    state.runs);
-    EPL_RETURN_IF_ERROR(id.status());
-    Gesture gesture;
     gesture.stream = state.stream;
-    gesture.query_id = *id;
-    gesture.level = state.level;
-    gesture.composite = std::move(definition);
-    gestures_[GestureKey{state.session, state.name}] = std::move(gesture);
-    return OkStatus();
-  }
-  EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
-                       query::ParseQuery(state.query_text));
-  std::shared_ptr<const cep::CompiledPattern> gate;
-  if (state.session != kLocalSession) {
-    EPL_ASSIGN_OR_RETURN(Session * found, FindSession(state.session));
-    gate = found->gate;
+  } else {
+    EPL_ASSIGN_OR_RETURN(parsed, query::ParseQuery(state.query_text));
+    if (state.session != kLocalSession) {
+      EPL_ASSIGN_OR_RETURN(Session * found, FindSession(state.session));
+      gate = found->gate;
+    }
+    gesture.stream = parsed.pattern->SourceStream();
+    gesture.query_text = state.query_text;
   }
   cep::DetectionCallback callback =
       factory ? factory(state.session, state.name) : nullptr;
@@ -956,23 +946,12 @@ Status GestureRuntime::RestoreQuery(const durability::QueryState& state,
                               gate));
   // Restore the derived-event identity too: composites recovered from the
   // same snapshot (and WAL replay) keep re-deriving from this query.
+  spec.level = state.level;
   spec.tag = cep::GestureTag(state.name);
   spec.session_tag = static_cast<double>(state.session);
   spec.session_scoped = gate != nullptr;
-  const std::string stream = parsed.pattern->SourceStream();
-  EPL_ASSIGN_OR_RETURN(Channel * channel, EnsureChannel(stream));
-  Result<int> id =
-      options_.backend == RuntimeBackend::kFused
-          ? channel->fused.op->RestoreQuery(std::move(spec), state.runs)
-          : channel->sharded.engine->RestoreQuery(std::move(spec),
-                                                  state.runs);
-  EPL_RETURN_IF_ERROR(id.status());
-  Gesture gesture;
-  gesture.stream = stream;
-  gesture.query_id = *id;
-  gesture.query_text = state.query_text;
-  gestures_[GestureKey{state.session, state.name}] = std::move(gesture);
-  return OkStatus();
+  const GestureKey key{state.session, state.name};
+  return Install(key, std::move(gesture), std::move(spec), state.runs);
 }
 
 Status GestureRuntime::ApplyWalRecord(const durability::WalRecord& record,

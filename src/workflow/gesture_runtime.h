@@ -46,7 +46,10 @@
 // detection callback (the controller's finish gesture does exactly that);
 // operations the underlying backend cannot apply mid-dispatch are deferred
 // and applied at the next PushFrame/Flush boundary -- which keeps the swap
-// semantics above, since no events flow in between. Each session's frames
+// semantics above, since no events flow in between. The calls that cannot
+// run mid-dispatch at all -- OpenSession, LoadStore, PushFrame, Flush,
+// ResizeShards, Checkpoint -- return FailedPrecondition from inside a
+// detection callback and leave the runtime untouched. Each session's frames
 // must be timestamp-monotonic; ordering ACROSS sessions is by arrival.
 // (That suffices because every session query is fully session-scoped: it
 // only ever advances on its own session's events, whose timestamps are
@@ -190,6 +193,7 @@ class GestureRuntime {
   /// Opens a session for `user`: registers "<user>/kinect" (and its
   /// "<user>/kinect_t" view unless transform_sessions is off), ensures the
   /// shared session stream exists, and taps the session's events into it.
+  /// FailedPrecondition from inside a detection callback.
   Result<SessionId> OpenSession(const std::string& user);
 
   /// Undeploys every gesture of the session, detaches its tap, and
@@ -276,7 +280,7 @@ class GestureRuntime {
   /// record that fails to parse (truncated/corrupt file) does NOT abort
   /// the load: every parseable gesture still deploys, and the first bad
   /// record's error -- naming the offending file -- is returned instead of
-  /// the count.
+  /// the count. FailedPrecondition from inside a detection callback.
   Result<int> LoadStore(SessionId session, const gesturedb::GestureStore& store,
                         cep::DetectionCallback callback);
   Result<int> LoadStore(const gesturedb::GestureStore& store,
@@ -285,7 +289,8 @@ class GestureRuntime {
   }
 
   /// Applies deferred mutations, then feeds the frame into the session's
-  /// raw stream (kLocalSession: "kinect").
+  /// raw stream (kLocalSession: "kinect"). FailedPrecondition from inside
+  /// a detection callback.
   Status PushFrame(SessionId session, const kinect::SkeletonFrame& frame);
   Status PushFrame(const kinect::SkeletonFrame& frame) {
     return PushFrame(kLocalSession, frame);
@@ -295,13 +300,13 @@ class GestureRuntime {
 
   /// Applies deferred mutations and flushes every channel: fused batched
   /// windows are swept, sharded engines quiesce and deliver everything
-  /// pending.
+  /// pending. FailedPrecondition from inside a detection callback.
   Status Flush();
 
   /// Resizes every live sharded channel's worker fleet to `num_shards` at
   /// a quiesced event boundary (run-state preserving; see
-  /// cep::ShardedEngine::Resize). Sharded backend only; must not be
-  /// called from a detection callback.
+  /// cep::ShardedEngine::Resize). Sharded backend only; FailedPrecondition
+  /// on other backends and from inside a detection callback.
   Status ResizeShards(int num_shards);
 
   /// Deployed gestures across all sessions.
@@ -320,7 +325,8 @@ class GestureRuntime {
   /// the WAL prefix it covers: Flush, export every deployed query's live
   /// NFA runs, rotate the WAL segment, atomically write
   /// snapshot-<seq>.snap, then drop stale snapshots and covered segments.
-  /// Durable runtimes only; must not be called from a detection callback.
+  /// Durable runtimes only; FailedPrecondition on a runtime without a
+  /// durability dir and from inside a detection callback.
   Status Checkpoint();
 
   /// Rebuilds a runtime from `options.durability.dir`: restores sessions,
@@ -389,8 +395,9 @@ class GestureRuntime {
   /// paths (logging suppressed via replaying_).
   Status ApplyWalRecord(const durability::WalRecord& record,
                         const DetectionCallbackFactory& factory);
-  /// Restores one snapshot query: reparse its canonical text, recompile
-  /// against the restored session's gate, adopt with its live runs.
+  /// Restores one snapshot query: reparse its canonical text (or composite
+  /// definition), recompile against the restored session's gate, and
+  /// Install it with its live runs.
   Status RestoreQuery(const durability::QueryState& state,
                       const DetectionCallbackFactory& factory);
   /// Wraps a detection callback so the runtime knows when it is inside a
@@ -421,6 +428,13 @@ class GestureRuntime {
                            const CompositeDefinition& definition,
                            cep::DetectionCallback callback);
   Status DoUndeploy(SessionId session, const std::string& name);
+  /// The one install step of Deploy, DeployComposite and checkpoint
+  /// restore (fused/sharded backends): ensures the gesture's channel,
+  /// retires any query live under `key`, adds `spec` to the channel seeded
+  /// with `runs` (empty for a deploy), and records `gesture` under `key`.
+  Status Install(const GestureKey& key, Gesture gesture,
+                 cep::MultiMatchOperator::QuerySpec spec,
+                 const cep::NfaRunState& runs);
   /// Retires one gesture's query/deployment (map entry already removed).
   Status Retire(const Gesture& gesture);
 

@@ -461,17 +461,16 @@ TEST(DynamicQueryTest, AddFusedQueryJoinsLiveDeployment) {
   stream::StreamEngine engine;
   EPL_ASSERT_OK(kinect::RegisterKinectStream(&engine));
   std::vector<DetectionRecord> records;
-  EPL_ASSERT_OK_AND_ASSIGN(
-      query::FusedDeployment deployment,
-      core::DeployGesturesFused(&engine, {definitions[0]},
-                                Recorder(&records)));
+  std::vector<query::CompiledQuery> compiled = CompileDefinitions(definitions);
+  EPL_ASSERT_OK_AND_ASSIGN(query::FusedDeployment deployment,
+                           query::DeployFusedOperator(&engine, "kinect"));
+  deployment.op->AddQuery(MakeSpec(std::move(compiled[0]), Recorder(&records)));
   const size_t half = events.size() / 2;
   for (size_t i = 0; i < half; ++i) {
     EPL_ASSERT_OK(engine.Push("kinect", events[i]));
   }
-  EPL_ASSERT_OK_AND_ASSIGN(
-      int added, core::AddFusedGesture(&engine, deployment, definitions[1],
-                                       Recorder(&records)));
+  const int added = deployment.op->AddQuery(
+      MakeSpec(std::move(compiled[1]), Recorder(&records)));
   EXPECT_EQ(deployment.op->num_queries(), 2u);
   for (size_t i = half; i < events.size(); ++i) {
     EPL_ASSERT_OK(engine.Push("kinect", events[i]));
@@ -479,13 +478,6 @@ TEST(DynamicQueryTest, AddFusedQueryJoinsLiveDeployment) {
   EXPECT_FALSE(records.empty());
   EPL_ASSERT_OK(deployment.op->RemoveQuery(added));
   EXPECT_EQ(deployment.op->num_queries(), 1u);
-
-  // A query reading another stream is rejected.
-  core::GestureDefinition other = definitions[2];
-  other.source_stream = "other";
-  Result<int> bad = core::AddFusedGesture(&engine, deployment, other, nullptr);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -216,13 +216,19 @@ TEST(MultiMatchOperatorTest, FusedDeploymentMatchesPerQueryDeployment) {
   {
     stream::StreamEngine engine;
     EPL_ASSERT_OK(kinect::RegisterKinectStream(&engine));
-    EPL_ASSERT_OK(core::DeployGesturesFused(
-                      &engine, definitions,
-                      [&fused](const Detection& detection) {
-                        fused.push_back({detection.name, detection.time,
-                                         detection.pose_times});
-                      })
-                      .status());
+    auto record = [&fused](const Detection& detection) {
+      fused.push_back({detection.name, detection.time, detection.pose_times});
+    };
+    EPL_ASSERT_OK_AND_ASSIGN(query::FusedDeployment deployment,
+                             query::DeployFusedOperator(&engine, "kinect"));
+    for (const core::GestureDefinition& definition : definitions) {
+      EPL_ASSERT_OK_AND_ASSIGN(query::ParsedQuery parsed,
+                               core::GenerateQuery(definition));
+      EPL_ASSERT_OK_AND_ASSIGN(
+          MultiMatchOperator::QuerySpec spec,
+          query::CompileQuerySpec(&engine, parsed, record));
+      deployment.op->AddQuery(std::move(spec));
+    }
     // One subscriber serves all queries.
     EXPECT_EQ(engine.deployment_count(), 1u);
     for (const Event& event : events) {
@@ -233,22 +239,6 @@ TEST(MultiMatchOperatorTest, FusedDeploymentMatchesPerQueryDeployment) {
   EXPECT_GT(per_query.size(), 0u);
   EXPECT_EQ(per_query.size(), fused.size());
   ASSERT_TRUE(per_query == fused);
-}
-
-TEST(MultiMatchOperatorTest, RejectsMixedSourceStreams) {
-  stream::StreamEngine engine;
-  EPL_ASSERT_OK(kinect::RegisterKinectStream(&engine));
-  std::vector<query::ParsedQuery> parsed;
-  core::GestureDefinition a = SyntheticDefinition("a", "kinect");
-  core::GestureDefinition b = SyntheticDefinition("b", "other");
-  EPL_ASSERT_OK_AND_ASSIGN(query::ParsedQuery qa, core::GenerateQuery(a));
-  EPL_ASSERT_OK_AND_ASSIGN(query::ParsedQuery qb, core::GenerateQuery(b));
-  parsed.push_back(std::move(qa));
-  parsed.push_back(std::move(qb));
-  Result<query::FusedDeployment> deployed =
-      query::DeployQueriesFused(&engine, parsed, nullptr);
-  ASSERT_FALSE(deployed.ok());
-  EXPECT_EQ(deployed.status().code(), StatusCode::kInvalidArgument);
 }
 
 // Gate groups (the multi-session runtime's sub-linear session skip): a
@@ -362,9 +352,15 @@ TEST(MultiMatchOperatorTest, UndeployRemovesAllQueries) {
   EPL_ASSERT_OK(kinect::RegisterKinectStream(&engine));
   std::vector<core::GestureDefinition> definitions = {
       SyntheticDefinition("a", "kinect"), SyntheticDefinition("b", "kinect")};
-  EPL_ASSERT_OK_AND_ASSIGN(
-      query::FusedDeployment deployment,
-      core::DeployGesturesFused(&engine, definitions, nullptr));
+  EPL_ASSERT_OK_AND_ASSIGN(query::FusedDeployment deployment,
+                           query::DeployFusedOperator(&engine, "kinect"));
+  for (const core::GestureDefinition& definition : definitions) {
+    EPL_ASSERT_OK_AND_ASSIGN(query::ParsedQuery parsed,
+                             core::GenerateQuery(definition));
+    EPL_ASSERT_OK_AND_ASSIGN(MultiMatchOperator::QuerySpec spec,
+                             query::CompileQuerySpec(&engine, parsed, nullptr));
+    deployment.op->AddQuery(std::move(spec));
+  }
   EXPECT_EQ(engine.deployment_count(), 1u);
   EPL_ASSERT_OK(engine.Undeploy(deployment.id));
   EXPECT_EQ(engine.deployment_count(), 0u);

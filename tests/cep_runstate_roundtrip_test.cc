@@ -2,19 +2,25 @@
 // DURABILITY CODEC -- run the prefix of a workload, export its live NFA
 // runs (both the checkpoint-path ExportQueryRunState and the
 // rebalancing-path ExtractQuery), serialize with EncodeRunState, decode,
-// and seed a fresh operator that runs the suffix -- produces detections
-// bit-identical to the query running the whole workload uninterrupted.
-// Exercised in dominant and exhaustive mode, ungated and with active
-// session gate groups, per-event and batched, at several cut points.
+// and seed a fresh operator and a fresh ShardedEngine that run the
+// suffix -- produces detections bit-identical to the query running the
+// whole workload uninterrupted. Exercised in dominant and exhaustive
+// mode, ungated and with active session gate groups, per-event and
+// batched, with a composite query over the base detections, at several
+// cut points. Cut 0 restores every query from empty run state, which
+// must behave exactly like adding it.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cep/composite.h"
 #include "cep/multi_match_operator.h"
+#include "cep/sharded_engine.h"
 #include "cep_workload_test_util.h"
 #include "core/query_gen.h"
 #include "durability/codec.h"
@@ -71,10 +77,37 @@ WorkloadCase MakeSetup(bool gated) {
   return setup;
 }
 
+/// Number of queries of a setup: one per definition, plus a level-1
+/// composite sequencing the detections of the first two.
+size_t NumQueries(const WorkloadCase& setup) {
+  return setup.definitions.size() + 1;
+}
+
 /// Compiles query `q` fresh (CompiledPattern is move-only, so every
-/// deployment recompiles) with its session gate when gated.
+/// deployment recompiles) with its session gate when gated. Base queries
+/// carry their derived-event tag; the last query is the composite.
 MultiMatchOperator::QuerySpec BuildSpec(const WorkloadCase& setup, size_t q,
                                         DetectionCallback callback) {
+  if (q == setup.definitions.size()) {
+    std::vector<PatternExprPtr> poses;
+    for (size_t input = 0; input < 2; ++input) {
+      const double tag = GestureTag(setup.definitions[input].name);
+      poses.push_back(PatternExpr::Pose(
+          kDetectionStreamName,
+          Expr::RangePredicate(kDetectionGestureField, tag, 0.5)));
+    }
+    Result<CompiledPattern> compiled = CompiledPattern::Compile(
+        *PatternExpr::Sequence(std::move(poses), std::nullopt,
+                               WithinMode::kSpan),
+        DetectionSchema());
+    EPL_CHECK(compiled.ok()) << compiled.status();
+    MultiMatchOperator::QuerySpec spec;
+    spec.output_name = "composite";
+    spec.pattern = std::move(compiled).value();
+    spec.callback = std::move(callback);
+    spec.level = 1;
+    return spec;
+  }
   Result<query::ParsedQuery> parsed =
       core::GenerateQuery(setup.definitions[q]);
   EPL_CHECK(parsed.ok()) << parsed.status();
@@ -83,6 +116,7 @@ MultiMatchOperator::QuerySpec BuildSpec(const WorkloadCase& setup, size_t q,
   EPL_CHECK(compiled.ok()) << compiled.status();
   MultiMatchOperator::QuerySpec spec =
       MakeSpec(std::move(compiled).value(), std::move(callback));
+  spec.tag = GestureTag(setup.definitions[q].name);
   if (!setup.gates.empty()) {
     spec.gate = setup.gates[q % kSessions];
   }
@@ -117,7 +151,7 @@ TEST_P(RunStateRoundTripTest, SplitResumeIsBitIdentical) {
     std::vector<DetectionRecord> reference;
     {
       MultiMatchOperator op(options, batch_size);
-      for (size_t q = 0; q < setup.definitions.size(); ++q) {
+      for (size_t q = 0; q < NumQueries(setup); ++q) {
         op.AddQuery(BuildSpec(setup, q, Recorder(&reference)));
       }
       for (const Event& event : setup.events) {
@@ -126,28 +160,40 @@ TEST_P(RunStateRoundTripTest, SplitResumeIsBitIdentical) {
       op.FlushBatchedEvents();
     }
     ASSERT_FALSE(reference.empty());
+    size_t composite_detections = 0;
+    for (const DetectionRecord& record : reference) {
+      composite_detections += record.name == "composite";
+    }
+    ASSERT_GT(composite_detections, 0u);
 
-    for (size_t cut : {n / 4, n / 2, 3 * n / 4}) {
+    for (size_t cut : {size_t{0}, n / 4, n / 2, 3 * n / 4}) {
       SCOPED_TRACE("batch " + std::to_string(batch_size) + " cut " +
                    std::to_string(cut));
       std::vector<DetectionRecord> detections;  // prefix + suffix combined
       MultiMatchOperator a(options, batch_size);
       std::vector<int> ids;
-      for (size_t q = 0; q < setup.definitions.size(); ++q) {
+      for (size_t q = 0; q < NumQueries(setup); ++q) {
         ids.push_back(a.AddQuery(BuildSpec(setup, q, Recorder(&detections))));
       }
       for (size_t i = 0; i < cut; ++i) {
         EPL_ASSERT_OK(a.Process(setup.events[i]));
       }
 
-      // Move every query across the codec boundary into a fresh operator:
-      // even ids via the non-destructive checkpoint export, odd ids via
-      // destructive extraction (the detached matcher serializes the same
-      // way).
+      // Move every query across the codec boundary into a fresh operator
+      // and a fresh two-shard engine: even ids (and the composite, which
+      // never migrates) via the non-destructive checkpoint export, odd
+      // ids via destructive extraction (the detached matcher serializes
+      // the same way).
       MultiMatchOperator b(options, batch_size);
-      for (size_t q = 0; q < setup.definitions.size(); ++q) {
+      ShardedEngineOptions sharded_options;
+      sharded_options.num_shards = 2;
+      sharded_options.batch_size = batch_size;
+      sharded_options.matcher = options;
+      ShardedEngine c(sharded_options);
+      std::vector<DetectionRecord> sharded_detections;
+      for (size_t q = 0; q < NumQueries(setup); ++q) {
         NfaRunState state;
-        if (q % 2 == 0) {
+        if (q % 2 == 0 || q == setup.definitions.size()) {
           EPL_ASSERT_OK_AND_ASSIGN(state, a.ExportQueryRunState(ids[q]));
         } else {
           EPL_ASSERT_OK_AND_ASSIGN(MultiMatchOperator::DetachedQuery detached,
@@ -169,13 +215,26 @@ TEST_P(RunStateRoundTripTest, SplitResumeIsBitIdentical) {
         }
         EXPECT_EQ(reexported.stats.events, decoded.stats.events);
         EXPECT_EQ(reexported.stats.matches, decoded.stats.matches);
+        Result<int> sharded_id =
+            c.RestoreQuery(BuildSpec(setup, q, Recorder(&sharded_detections)),
+                           decoded);
+        EPL_ASSERT_OK(sharded_id.status());
       }
+      // Both destinations resume from the same delivered prefix.
+      sharded_detections = detections;
 
       for (size_t i = cut; i < n; ++i) {
         EPL_ASSERT_OK(b.Process(setup.events[i]));
       }
       b.FlushBatchedEvents();
       ASSERT_EQ(detections, reference);
+
+      EPL_ASSERT_OK(c.Start());
+      for (size_t i = cut; i < n; ++i) {
+        ASSERT_TRUE(c.Push(setup.events[i]));
+      }
+      EPL_ASSERT_OK(c.Stop());
+      ASSERT_EQ(sharded_detections, reference);
     }
   }
 }

@@ -284,8 +284,11 @@ TEST(ShardedEngineTest, ShardedDeploymentViaProducerThread) {
   options.batch_size = 8;
   EPL_ASSERT_OK_AND_ASSIGN(
       query::ShardedDeployment deployment,
-      core::DeployGesturesSharded(&engine, definitions, Recorder(&actual),
-                                  core::QueryGenConfig(), options));
+      query::DeployShardedOperator(&engine, "kinect", options));
+  for (query::CompiledQuery& compiled : CompileDefinitions(definitions)) {
+    deployment.engine->AddQuery(
+        MakeSpec(std::move(compiled), Recorder(&actual)));
+  }
   EXPECT_EQ(engine.deployment_count(), 1u);
   EXPECT_TRUE(deployment.engine->running());
 
@@ -321,18 +324,20 @@ TEST(ShardedEngineTest, AddShardedGestureJoinsLiveDeployment) {
   stream::StreamEngine engine;
   EPL_ASSERT_OK(kinect::RegisterKinectStream(&engine));
   std::vector<DetectionRecord> records;
-  EPL_ASSERT_OK_AND_ASSIGN(
-      query::ShardedDeployment deployment,
-      core::DeployGesturesSharded(
-          &engine, {definitions[0], definitions[1]}, Recorder(&records)));
+  std::vector<query::CompiledQuery> compiled = CompileDefinitions(definitions);
+  EPL_ASSERT_OK_AND_ASSIGN(query::ShardedDeployment deployment,
+                           query::DeployShardedOperator(&engine, "kinect"));
+  deployment.engine->AddQuery(
+      MakeSpec(std::move(compiled[0]), Recorder(&records)));
+  deployment.engine->AddQuery(
+      MakeSpec(std::move(compiled[1]), Recorder(&records)));
 
   const size_t half = events.size() / 2;
   for (size_t i = 0; i < half; ++i) {
     EPL_ASSERT_OK(engine.Push("kinect", events[i]));
   }
-  EPL_ASSERT_OK_AND_ASSIGN(
-      int added, core::AddShardedGesture(&engine, deployment, definitions[2],
-                                         Recorder(&records)));
+  const int added = deployment.engine->AddQuery(
+      MakeSpec(std::move(compiled[2]), Recorder(&records)));
   EXPECT_EQ(deployment.engine->num_queries(), 3u);
   for (size_t i = half; i < events.size(); ++i) {
     EPL_ASSERT_OK(engine.Push("kinect", events[i]));
@@ -341,14 +346,6 @@ TEST(ShardedEngineTest, AddShardedGestureJoinsLiveDeployment) {
   EXPECT_FALSE(records.empty());
   EPL_ASSERT_OK(deployment.engine->RemoveQuery(added));
   EXPECT_EQ(deployment.engine->num_queries(), 2u);
-
-  // A gesture reading another stream is rejected.
-  core::GestureDefinition other = definitions[3];
-  other.source_stream = "other";
-  Result<int> bad =
-      core::AddShardedGesture(&engine, deployment, other, nullptr);
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardedEngineTest, CrossThreadExchangeWhileStreaming) {

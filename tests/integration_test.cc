@@ -299,10 +299,11 @@ TEST(IntegrationTest, PaperTraceEndToEndViaQueryText) {
       stream::Schema(std::vector<std::string>{"rHand_x", "rHand_y",
                                               "rHand_z"})));
   int detections = 0;
-  EPL_ASSERT_OK(query::DeployQueryText(&engine, text,
-                                       [&detections](const cep::Detection&) {
-                                         ++detections;
-                                       })
+  EPL_ASSERT_OK_AND_ASSIGN(query::ParsedQuery parsed, query::ParseQuery(text));
+  EPL_ASSERT_OK(query::DeployQuery(&engine, parsed,
+                                   [&detections](const cep::Detection&) {
+                                     ++detections;
+                                   })
                     .status());
   for (const stream::Event& event : events) {
     stream::Event relative(event.timestamp,

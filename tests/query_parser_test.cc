@@ -284,13 +284,14 @@ TEST(DeployTest, EndToEndDetection) {
   EPL_ASSERT_OK(engine.RegisterStream("s", stream::Schema({"x"})));
   std::vector<cep::Detection> detections;
   EPL_ASSERT_OK_AND_ASSIGN(
-      stream::DeploymentId id,
-      DeployQueryText(
-          &engine,
-          "SELECT \"up\", x MATCHING s(x < 1) -> s(x > 9) within 1 seconds;",
-          [&detections](const cep::Detection& d) {
-            detections.push_back(d);
-          }));
+      ParsedQuery parsed,
+      ParseQuery(
+          "SELECT \"up\", x MATCHING s(x < 1) -> s(x > 9) within 1 seconds;"));
+  auto record = [&detections](const cep::Detection& d) {
+    detections.push_back(d);
+  };
+  EPL_ASSERT_OK_AND_ASSIGN(stream::DeploymentId id,
+                           DeployQuery(&engine, parsed, record));
   EPL_ASSERT_OK(engine.Push("s", stream::Event(0, {0.0})));
   EPL_ASSERT_OK(engine.Push("s", stream::Event(500 * kMillisecond, {10.0})));
   ASSERT_EQ(detections.size(), 1u);
@@ -307,8 +308,9 @@ TEST(DeployTest, EndToEndDetection) {
 
 TEST(DeployTest, UnknownStreamFails) {
   stream::StreamEngine engine;
-  Result<stream::DeploymentId> r = DeployQueryText(
-      &engine, "SELECT \"g\" MATCHING ghost(x > 1);", nullptr);
+  EPL_ASSERT_OK_AND_ASSIGN(ParsedQuery parsed,
+                           ParseQuery("SELECT \"g\" MATCHING ghost(x > 1);"));
+  Result<stream::DeploymentId> r = DeployQuery(&engine, parsed, nullptr);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }

@@ -2,8 +2,9 @@
 // (durability_crash_test.cc) does not pin down structurally: multi-session
 // checkpoint/recover state restoration, WAL replay of session open/close
 // and deploy/undeploy mutations, recovery from an empty directory, the
-// legacy-backend guard -- plus the session GC regression: a close ->
-// reopen cycle leaves no trace in the engine.
+// legacy-backend guard, the re-entry contract of detection callbacks --
+// plus the session GC regression: a close -> reopen cycle leaves no trace
+// in the engine.
 
 #include <algorithm>
 #include <memory>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "cep_workload_test_util.h"
+#include "gesturedb/store.h"
 #include "kinect/gesture_shapes.h"
 #include "kinect/sensor.h"
 #include "kinect/synthesizer.h"
@@ -237,6 +239,76 @@ TEST(WorkflowDurabilityTest, CheckpointRequiresDurability) {
   GestureRuntime runtime(&engine);  // no durability dir
   EXPECT_EQ(runtime.Checkpoint().code(), StatusCode::kFailedPrecondition);
 }
+
+// ---------------------------------------------------------------------------
+// Re-entry contract: from inside a detection callback, the calls that
+// cannot run mid-dispatch return FailedPrecondition -- they neither hang
+// nor corrupt the runtime, which keeps detecting afterwards.
+
+class GestureRuntimeReentryTest
+    : public ::testing::TestWithParam<RuntimeBackend> {};
+
+TEST_P(GestureRuntimeReentryTest, ControlCallsFromCallbackFail) {
+  epl::testing::ScopedTempDir dir;
+  GestureRuntimeOptions options = DurableOptions(dir.path() + "/wal");
+  options.backend = GetParam();
+  options.num_shards = 2;
+  EPL_ASSERT_OK_AND_ASSIGN(
+      gesturedb::GestureStore store,
+      gesturedb::GestureStore::Open(dir.path() + "/store"));
+  const core::GestureDefinition swipe = TrainedDefinitions(1)[0];
+  kinect::SessionBuilder builder(UserProfile(), 7);
+  builder.Perform(kinect::GestureShapes::SwipeRight(), 0.2).Idle(0.5);
+  const size_t second_swipe = builder.frames().size();
+  builder.Perform(kinect::GestureShapes::SwipeRight(), 0.2);
+  const std::vector<SkeletonFrame> frames = builder.TakeFrames();
+
+  stream::StreamEngine engine;
+  GestureRuntime runtime(&engine, options);
+  EPL_ASSERT_OK_AND_ASSIGN(SessionId alice, runtime.OpenSession("alice"));
+  int detections = 0;
+  std::vector<std::pair<std::string, Status>> reentered;
+  auto reenter = [&](const cep::Detection&) {
+    if (detections++ > 0) {
+      return;
+    }
+    reentered.emplace_back("Flush", runtime.Flush());
+    reentered.emplace_back("Checkpoint", runtime.Checkpoint());
+    reentered.emplace_back("ResizeShards", runtime.ResizeShards(1));
+    reentered.emplace_back("PushFrame", runtime.PushFrame(alice, frames[0]));
+    reentered.emplace_back("OpenSession", runtime.OpenSession("bob").status());
+    reentered.emplace_back("LoadStore",
+                           runtime.LoadStore(alice, store, nullptr).status());
+  };
+  EPL_ASSERT_OK(runtime.Deploy(alice, swipe, reenter));
+
+  for (size_t i = 0; i < second_swipe; ++i) {
+    EPL_ASSERT_OK(runtime.PushFrame(alice, frames[i]));
+  }
+  EPL_ASSERT_OK(runtime.Flush());
+  ASSERT_GT(detections, 0) << "the first swipe was not detected";
+  ASSERT_EQ(reentered.size(), 6u);
+  for (const auto& [call, status] : reentered) {
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+        << call << " from a detection callback: " << status;
+  }
+
+  // The runtime is intact: the next swipe is detected too.
+  const int after_first = detections;
+  for (size_t i = second_swipe; i < frames.size(); ++i) {
+    EPL_ASSERT_OK(runtime.PushFrame(alice, frames[i]));
+  }
+  EPL_ASSERT_OK(runtime.Flush());
+  EXPECT_GT(detections, after_first);
+  EXPECT_EQ(runtime.num_deployed(), 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, GestureRuntimeReentryTest,
+    ::testing::Values(RuntimeBackend::kFused, RuntimeBackend::kSharded),
+    [](const ::testing::TestParamInfo<RuntimeBackend>& info) {
+      return info.param == RuntimeBackend::kFused ? "Fused" : "Sharded";
+    });
 
 }  // namespace
 }  // namespace epl::workflow
