@@ -26,6 +26,14 @@ as bench/baseline/BENCH_summary.json after every successful main run.
 missing (expired artifact, fork without artifact access, local runs), so
 the comparison always has SOME baseline instead of silently skipping.
 
+Rows are only comparable on the same kind of machine and build. Each
+bench file's provenance -- nproc, cpu_model, simd_dispatch and
+library_build_type, read from the Google Benchmark JSON context (CI
+passes nproc and cpu_model as --benchmark_context) -- is recorded in the
+compact summary too. A baseline whose provenance differs from the
+current file's, or that records none (a summary written before
+provenance was recorded), is reported as incomparable and not gated.
+
 Usage:
   bench_compare.py --current DIR --baseline DIR [--tolerance 0.15]
                    [--baseline-summary FILE]
@@ -42,6 +50,8 @@ import sys
 import tempfile
 
 OVERHEAD_ABS_FLOOR = 2.0  # percentage points
+PROVENANCE_KEYS = ("nproc", "cpu_model", "simd_dispatch",
+                   "library_build_type")
 
 
 def load_metrics(path):
@@ -62,6 +72,26 @@ def load_metrics(path):
     return {name: statistics.median(values) for name, values in samples.items()}
 
 
+def load_provenance(path):
+    """BENCH JSON context -> {key: str or None} for PROVENANCE_KEYS."""
+    with open(path) as fh:
+        context = json.load(fh).get("context", {})
+    provenance = {}
+    for key in PROVENANCE_KEYS:
+        value = context.get(key)
+        if value is None and key == "nproc":
+            value = context.get("num_cpus")  # set by the library itself
+        provenance[key] = None if value is None else str(value)
+    return provenance
+
+
+def provenance_mismatch(base, cur):
+    """-> 'key base vs cur' strings for every differing provenance key."""
+    base = base or {}
+    return [f"{key} {base.get(key)!r} vs {cur.get(key)!r}"
+            for key in PROVENANCE_KEYS if base.get(key) != cur.get(key)]
+
+
 def classify(metric, base, cur, tolerance):
     """-> (status, delta_pct). status: 'ok' | 'regression' | 'improved'."""
     higher_is_better = metric.endswith("[events/s]")
@@ -80,30 +110,34 @@ def classify(metric, base, cur, tolerance):
 
 
 def load_summary(path):
-    """Committed compact baseline -> {file_name: {metric: value}}."""
+    """Committed compact baseline -> ({file_name: {metric: value}},
+    {file_name: provenance}); a summary without provenance maps to {}."""
     if not path or not os.path.isfile(path):
-        return {}
+        return {}, {}
     with open(path) as fh:
         summary = json.load(fh)
-    return {name: {metric: float(value) for metric, value in metrics.items()}
-            for name, metrics in summary.get("files", {}).items()}
+    files = {name: {metric: float(value) for metric, value in metrics.items()}
+             for name, metrics in summary.get("files", {}).items()}
+    return files, summary.get("provenance", {})
 
 
 def write_summary(current_dir, path):
     """Distill a directory of BENCH_*.json into the compact baseline file."""
-    files = {}
+    files, provenance = {}, {}
     for current_path in sorted(glob.glob(os.path.join(current_dir,
                                                       "BENCH_*.json"))):
         metrics = load_metrics(current_path)
         if metrics:
-            files[os.path.basename(current_path)] = metrics
+            name = os.path.basename(current_path)
+            files[name] = metrics
+            provenance[name] = load_provenance(current_path)
     if not files:
         print(f"error: no gated metrics under {current_dir}")
         return 1
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump({"format": "bench-summary/1", "files": files}, fh,
-                  indent=1, sort_keys=True)
+        json.dump({"format": "bench-summary/2", "provenance": provenance,
+                   "files": files}, fh, indent=1, sort_keys=True)
         fh.write("\n")
     rows = sum(len(metrics) for metrics in files.values())
     print(f"wrote {path}: {rows} gated metrics from {len(files)} bench files")
@@ -115,7 +149,7 @@ def compare_dirs(current_dir, baseline_dir, tolerance, baseline_summary=None):
     lines = ["| benchmark | baseline | current | delta | status |",
              "|---|---:|---:|---:|---|"]
     regressions, notes = [], []
-    summary = load_summary(baseline_summary)
+    summary, summary_provenance = load_summary(baseline_summary)
     current_files = sorted(glob.glob(os.path.join(current_dir, "BENCH_*.json")))
     if not current_files:
         notes.append(f"no BENCH_*.json files under {current_dir}")
@@ -125,11 +159,25 @@ def compare_dirs(current_dir, baseline_dir, tolerance, baseline_summary=None):
             else None
         if baseline_path and os.path.isfile(baseline_path):
             base_metrics = load_metrics(baseline_path)
+            base_provenance = load_provenance(baseline_path)
         elif name in summary:
             base_metrics = summary[name]
+            base_provenance = summary_provenance.get(name)
             notes.append(f"{name}: baseline from committed summary")
         else:
             notes.append(f"{name}: no baseline (first run of this bench?)")
+            continue
+        if not base_provenance:
+            mismatch = ["baseline records no provenance"]
+        else:
+            mismatch = provenance_mismatch(base_provenance,
+                                           load_provenance(current_path))
+        if mismatch:
+            # Different machine or build: the rows say nothing about the
+            # change, so they are shown as incomparable and not gated.
+            lines.append(f"| `{name}` | — | — | — | incomparable |")
+            notes.append(f"{name}: incomparable baseline, not gated "
+                         f"({'; '.join(mismatch)})")
             continue
         cur_metrics = load_metrics(current_path)
         for metric in sorted(cur_metrics):
@@ -172,7 +220,7 @@ def emit(lines, regressions, notes, tolerance):
             fh.write(text + "\n")
 
 
-def synthetic_report(ips, overhead, extra=None):
+def synthetic_report(ips, overhead, extra=None, nproc=4):
     benchmarks = [
         {"name": "BM_ShardedScaleOut/4/256/real_time",
          "run_type": "iteration", "items_per_second": ips},
@@ -184,7 +232,9 @@ def synthetic_report(ips, overhead, extra=None):
     if extra is not None:
         benchmarks.append({"name": extra, "run_type": "iteration",
                            "items_per_second": ips})
-    return {"benchmarks": benchmarks}
+    context = {"num_cpus": 8, "nproc": str(nproc), "cpu_model": "Test CPU",
+               "simd_dispatch": "avx2", "library_build_type": "release"}
+    return {"context": context, "benchmarks": benchmarks}
 
 
 def self_test():
@@ -240,8 +290,39 @@ def self_test():
         if not any("committed summary" in note for note in sum_notes):
             print("self-test FAILED: summary fallback not noted")
             return 1
+        # Provenance: the same injected regressions against a baseline
+        # from another machine (1 core), or against a summary that records
+        # no provenance, are reported as incomparable and never gated.
+        with tempfile.TemporaryDirectory() as other:
+            with open(os.path.join(other, "BENCH_x.json"), "w") as fh:
+                json.dump(synthetic_report(1_000_000.0, 10.0, nproc=1), fh)
+            lines, regressions, notes = compare_dirs(bad, other, 0.15)
+            if regressions or not any("incomparable" in note and
+                                      "nproc '1' vs '4'" in note
+                                      for note in notes):
+                print(f"self-test FAILED: nproc mismatch gated or not "
+                      f"reported (regressions {regressions}, notes {notes})")
+                return 1
+            if not any("| incomparable |" in line for line in lines):
+                print("self-test FAILED: incomparable bench missing from "
+                      "the table")
+                return 1
+            legacy_path = os.path.join(other, "BENCH_summary.json")
+            with open(summary_path) as fh:
+                legacy = json.load(fh)
+            legacy.pop("provenance")
+            with open(legacy_path, "w") as fh:
+                json.dump(legacy, fh)
+            _, regressions, notes = compare_dirs(
+                bad, None, 0.15, baseline_summary=legacy_path)
+            if regressions or not any("records no provenance" in note
+                                      for note in notes):
+                print(f"self-test FAILED: provenance-less summary gated "
+                      f"(regressions {regressions}, notes {notes})")
+                return 1
         print("self-test OK: injected regression trips the gate (artifact "
-              "and summary baselines), in-tolerance noise does not")
+              "and summary baselines), in-tolerance noise does not, and a "
+              "baseline from another machine is reported, not gated")
         return 0
 
 
@@ -272,7 +353,7 @@ def main():
                      "required (or --self-test / --write-summary)")
     baseline_dir = args.baseline if args.baseline and \
         os.path.isdir(args.baseline) else None
-    if baseline_dir is None and not load_summary(args.baseline_summary):
+    if baseline_dir is None and not load_summary(args.baseline_summary)[0]:
         print("no baseline artifact directory and no committed summary; "
               "skipping comparison (first run on this branch?)")
         return 0

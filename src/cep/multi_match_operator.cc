@@ -319,14 +319,7 @@ Status MultiMatchOperator::Process(const stream::Event& event) {
     RunBatch(&event, 1);
     return Forward(event);
   }
-  if (window_count_ < window_.size()) {
-    stream::Event& slot = window_[window_count_];
-    slot.timestamp = event.timestamp;
-    slot.values.assign(event.values.begin(), event.values.end());
-  } else {
-    window_.push_back(event);
-  }
-  ++window_count_;
+  stream::FillSlot(window_, window_count_, event);
   if (window_count_ >= batch_size_) {
     FlushBatchedEvents();
   }

@@ -167,7 +167,7 @@ Status ShardedEngine::Start() {
   return OkStatus();
 }
 
-bool ShardedEngine::Push(stream::Event event) {
+bool ShardedEngine::Push(const stream::Event& event) {
   EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
             std::this_thread::get_id())
       << "Push from inside a detection callback";
@@ -175,8 +175,8 @@ bool ShardedEngine::Push(stream::Event event) {
   if (!running_) {
     return false;
   }
-  pending_batch_->events.push_back(std::move(event));
-  if (pending_batch_->events.size() >= options_.batch_size) {
+  stream::FillSlot(pending_batch_->events, pending_batch_->size, event);
+  if (pending_batch_->size >= options_.batch_size) {
     FlushBatch();
   }
   return true;
@@ -261,6 +261,7 @@ Status ShardedEngine::RemoveQuery(int query_id) {
   }
   Shard* shard = shards_[static_cast<size_t>(it->second.shard)].get();
   status = shard->op.RemoveQuery(it->second.local_id);
+  UnlinkInfoLocked(&it->second);
   IndexQueryLocked(it->second, it->second.shard, false);
   queries_.erase(it);
   Rebalance();
@@ -406,6 +407,10 @@ Status ShardedEngine::Resize(int num_shards) {
         doomed.push_back(std::move(shards_.back()));
         shards_.pop_back();
       }
+      // Fewer FIFOs hold fewer windows: trim the pool to the new bound.
+      if (spare_windows_.size() > MaxSpareWindowsLocked()) {
+        spare_windows_.resize(MaxSpareWindowsLocked());
+      }
       ResizeIndexLocked();
       for (std::unique_ptr<Shard>& shard : doomed) {
         ++shard->wake_epoch;
@@ -502,6 +507,7 @@ int ShardedEngine::InstallLocked(MultiMatchOperator::DetachedQuery query) {
   const int id = next_query_id_++;
   InstalledQuery& record = query.query;
   QueryInfo info;
+  info.id = id;
   info.level = record.level;
   info.tag = record.tag;
   info.session_tag = record.session_tag;
@@ -529,7 +535,7 @@ int ShardedEngine::InstallLocked(MultiMatchOperator::DetachedQuery query) {
   info.local_id = shard->op.AdoptQuery(std::move(query));
   info.weight = weight;
   IndexQueryLocked(info, info.shard, true);
-  queries_.emplace(id, std::move(info));
+  shard->infos.push_back(&queries_.emplace(id, std::move(info)).first->second);
   Rebalance();
   return id;
 }
@@ -544,37 +550,42 @@ std::vector<ShardedEngine::QueryStatsSnapshot> ShardedEngine::QueryStats() {
     // Quiesce so no worker is mid-event while stats are read.
     PauseWorkers();
   }
-  const std::vector<std::unordered_map<int, int>> local_index =
-      LocalIndexLocked();
   std::vector<QueryStatsSnapshot> snapshots;
   snapshots.reserve(queries_.size());
-  for (auto& [query_id, info] : queries_) {
-    QueryStatsSnapshot snapshot;
-    snapshot.query_id = query_id;
-    snapshot.shard = info.shard;
-    if (info.shard < 0) {
+  // The snapshot is the natural moment to fold observed cost back into
+  // placement weights: workers are quiesced, so the numbers are mutually
+  // consistent, and one stats read per query serves both.
+  RefreshBaseQueriesLocked(
+      [&](const QueryInfo& info, size_t shard, const MatcherStats& stats) {
+        QueryStatsSnapshot snapshot;
+        snapshot.query_id = info.id;
+        snapshot.shard = info.shard;
+        snapshot.weight = info.weight;
+        snapshot.stats = stats;
+        snapshot.bank = shards_[shard]->op.bank_stats();
+        snapshots.push_back(snapshot);
+      });
+  if (composite_ != nullptr) {
+    for (const auto& [query_id, info] : queries_) {
+      if (info.shard >= 0) {
+        continue;
+      }
       // Composite queries: matcher stats from the engine-owned runner
       // (bank stats stay default -- composites share no shard bank).
       Result<MatcherStats> stats = composite_->QueryStats(query_id);
       EPL_CHECK(stats.ok()) << stats.status();
+      QueryStatsSnapshot snapshot;
+      snapshot.query_id = query_id;
+      snapshot.shard = info.shard;
       snapshot.stats = *stats;
       snapshot.weight = info.weight;
       snapshots.push_back(snapshot);
-      continue;
     }
-    MultiMatchOperator& op = shards_[static_cast<size_t>(info.shard)]->op;
-    // One stats sync per query serves both the snapshot and the
-    // measured-weight refresh (the snapshot is the natural moment to fold
-    // observed cost back into placement weights: workers are quiesced, so
-    // the numbers are mutually consistent).
-    snapshot.stats = op.matcher_stats(
-        local_index[static_cast<size_t>(info.shard)].at(info.local_id));
-    snapshot.bank = op.bank_stats();
-    SetWeightLocked(info,
-                    MeasuredQueryCostWeight(snapshot.stats, info.static_weight));
-    snapshot.weight = info.weight;
-    snapshots.push_back(snapshot);
   }
+  std::sort(snapshots.begin(), snapshots.end(),
+            [](const QueryStatsSnapshot& a, const QueryStatsSnapshot& b) {
+              return a.query_id < b.query_id;
+            });
   weights_seq_ = next_seq_;
   if (live) {
     ResumeWorkers();
@@ -673,6 +684,16 @@ std::vector<uint64_t> ShardedEngine::shard_busy_ns() const {
   return busy;
 }
 
+size_t ShardedEngine::spare_windows() const {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return spare_windows_.size();
+}
+
+size_t ShardedEngine::max_spare_windows() const {
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return MaxSpareWindowsLocked();
+}
+
 int ShardedEngine::shard_of(int query_id) const {
   EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
             std::this_thread::get_id())
@@ -749,8 +770,8 @@ void ShardedEngine::WorkerLoop(Shard* primary, int worker_index) {
     }
     lock.unlock();
     ExecuteBatch(victim, *entry.batch);
-    entry.batch.reset();
     lock.lock();
+    ReleaseWindowLocked(entry.batch);
     victim->busy = false;
     if (!victim->queue.empty()) {
       // The shard is claimable again and still has work: republish it to
@@ -819,8 +840,7 @@ void ShardedEngine::ExecuteBatch(Shard* shard, const Batch& batch) {
   // batch-event hook keeps current_seq exact per event.
   shard->batch_base_seq = batch.base_seq;
   shard->batch_seqs = batch.seqs.empty() ? nullptr : &batch.seqs;
-  Status status =
-      shard->op.ProcessBatch(batch.events.data(), batch.events.size());
+  Status status = shard->op.ProcessBatch(batch.events.data(), batch.size);
   shard->batch_seqs = nullptr;
   if (!status.ok()) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -848,46 +868,83 @@ void ShardedEngine::ExecuteBatch(Shard* shard, const Batch& batch) {
 
 void ShardedEngine::PauseWorkers() {
   FlushBatch();
-  {
-    std::unique_lock<std::mutex> lock(pool_mu_);
-    for (std::unique_ptr<Shard>& shard : shards_) {
-      shard->queue.push_back(QueueEntry{nullptr, 0, true});  // sync token
+  std::unique_lock<std::mutex> lock(pool_mu_);
+  for (std::unique_ptr<Shard>& shard : shards_) {
+    if (shard->queue.empty() && !shard->busy) {
+      // Idle: the last executor published its watermark before clearing
+      // busy under pool_mu_, so every batch sent to the shard is fully
+      // processed already. It parks in place, with no sync token and no
+      // wakeup round trip.
+      shard->parked = true;
+      continue;
     }
-    // Control wakeups reach every shard: sync tokens traverse all FIFOs
-    // regardless of routing.
-    WakeAllWorkersLocked();
-    control_cv_.wait(lock, [this] {
-      for (const std::unique_ptr<Shard>& shard : shards_) {
-        if (!shard->parked || shard->busy) {
-          return false;
-        }
-      }
-      return true;
-    });
+    // A sync token traverses the FIFO behind the shard's pending work.
+    // This control wakeup is not counted in worker_wakeups.
+    shard->queue.push_back(QueueEntry{nullptr, 0, true});
+    ++shard->wake_epoch;
+    shard->cv.notify_one();
   }
+  control_cv_.wait(lock, [this] {
+    for (const std::unique_ptr<Shard>& shard : shards_) {
+      if (!shard->parked || shard->busy) {
+        return false;
+      }
+    }
+    return true;
+  });
 }
 
 void ShardedEngine::ResumeWorkers() {
   std::lock_guard<std::mutex> lock(pool_mu_);
   for (std::unique_ptr<Shard>& shard : shards_) {
     shard->parked = false;
+    // A pause leaves every FIFO empty, so a resumed worker has nothing to
+    // do until the next enqueue wakes it; only queued work needs a
+    // (control) wakeup now.
+    if (!shard->queue.empty()) {
+      ++shard->wake_epoch;
+      shard->cv.notify_one();
+    }
   }
-  WakeAllWorkersLocked();
 }
 
 void ShardedEngine::FlushBatch() {
-  if (pending_batch_->events.empty()) {
+  if (pending_batch_->size == 0) {
     return;
   }
   pending_batch_->base_seq = next_seq_;
-  next_seq_ += pending_batch_->events.size();
+  next_seq_ += pending_batch_->size;
   pending_batch_->end_seq = next_seq_;
-  std::shared_ptr<const Batch> batch = std::move(pending_batch_);
-  pending_batch_ = std::make_unique<Batch>();
-  pending_batch_->events.reserve(options_.batch_size);
   ++stats_.fanout_batches;
-  DistributeBatch(std::move(batch));
+  DistributeBatch();
   DrainAndDeliver();
+}
+
+std::unique_ptr<ShardedEngine::Batch> ShardedEngine::TakeWindowLocked() {
+  if (spare_windows_.empty()) {
+    return std::make_unique<Batch>();  // the pool is still warming up
+  }
+  std::unique_ptr<Batch> window = std::move(spare_windows_.back());
+  spare_windows_.pop_back();
+  return window;
+}
+
+void ShardedEngine::ReleaseWindowLocked(Batch* window) {
+  if (--window->refs > 0) {
+    return;
+  }
+  std::unique_ptr<Batch> owned(window);
+  if (spare_windows_.size() < MaxSpareWindowsLocked()) {
+    owned->size = 0;
+    owned->seqs.clear();
+    spare_windows_.push_back(std::move(owned));
+  }
+}
+
+size_t ShardedEngine::MaxSpareWindowsLocked() const {
+  // Each FIFO holds at most queue_capacity windows and its executor one
+  // more; the producer adds the window it fills and the one it routes.
+  return shards_.size() * (options_.queue_capacity + 1) + 2;
 }
 
 void ShardedEngine::EnqueueAdvanceLocked(Shard* shard, uint64_t end_seq) {
@@ -914,11 +971,12 @@ void ShardedEngine::EnqueueAdvanceLocked(Shard* shard, uint64_t end_seq) {
   shard->queue.push_back(QueueEntry{nullptr, end_seq, false});
 }
 
-void ShardedEngine::DistributeBatch(std::shared_ptr<const Batch> batch) {
-  const size_t window = batch->events.size();
+void ShardedEngine::DistributeBatch() {
+  Batch* const window = pending_batch_.release();
+  const size_t size = window->size;
   const size_t num_shards = shards_.size();
   // Without a routing field no event carries a key, so every event takes
-  // the key-less path to every shard and each shard shares the one copy.
+  // the key-less path to every shard and each shard shares the one window.
   const size_t field = options_.routing_field < 0
                            ? SIZE_MAX
                            : static_cast<size_t>(options_.routing_field);
@@ -926,8 +984,8 @@ void ShardedEngine::DistributeBatch(std::shared_ptr<const Batch> batch) {
   for (std::vector<uint32_t>& indices : route_scratch_) {
     indices.clear();
   }
-  for (size_t i = 0; i < window; ++i) {
-    const stream::Event& event = batch->events[i];
+  for (size_t i = 0; i < size; ++i) {
+    const stream::Event& event = window->events[i];
     if (field >= event.values.size()) {
       // No routing key on this event: conservatively broadcast it.
       for (std::vector<uint32_t>& indices : route_scratch_) {
@@ -952,31 +1010,43 @@ void ShardedEngine::DistributeBatch(std::shared_ptr<const Batch> batch) {
       }
     }
   }
-  // Build routed sub-batches outside pool_mu_ (copying events under the
-  // pool lock would stall the workers).
-  std::vector<std::shared_ptr<const Batch>> to_enqueue(num_shards);
+  route_windows_.assign(num_shards, nullptr);
+  size_t subbatches = 0;
   for (size_t s = 0; s < num_shards; ++s) {
     const size_t count = route_scratch_[s].size();
     stats_.events_routed += count;
-    if (count == window) {
-      to_enqueue[s] = batch;  // full window: share the one copy
-      continue;
+    stats_.events_skipped_by_filter += size - count;
+    if (count == size) {
+      route_windows_[s] = window;  // full window: share it
+    } else if (count > 0) {
+      ++subbatches;
     }
-    stats_.events_skipped_by_filter += window - count;
-    if (count == 0) {
-      continue;  // advance token below
+  }
+  if (subbatches > 0) {
+    // Routed sub-batches come from the pool in one pool_mu_ visit and are
+    // filled outside it (copying events under the pool lock would stall
+    // the workers). Until enqueued below, the producer owns them.
+    {
+      std::lock_guard<std::mutex> lock(pool_mu_);
+      for (size_t s = 0; s < num_shards; ++s) {
+        if (route_windows_[s] == nullptr && !route_scratch_[s].empty()) {
+          route_windows_[s] = TakeWindowLocked().release();
+        }
+      }
     }
-    auto sub = std::make_shared<Batch>();
-    sub->base_seq = batch->base_seq;
-    sub->end_seq = batch->end_seq;
-    sub->events.reserve(count);
-    sub->seqs.reserve(count);
-    for (uint32_t index : route_scratch_[s]) {
-      sub->events.push_back(batch->events[index]);
-      sub->seqs.push_back(batch->base_seq + index);
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (route_windows_[s] == window || route_scratch_[s].empty()) {
+        continue;
+      }
+      Batch* sub = route_windows_[s];
+      sub->base_seq = window->base_seq;
+      sub->end_seq = window->end_seq;
+      for (uint32_t index : route_scratch_[s]) {
+        stream::FillSlot(sub->events, sub->size, window->events[index]);
+        sub->seqs.push_back(window->base_seq + index);
+      }
     }
-    ++stats_.fanout_subbatches;
-    to_enqueue[s] = std::move(sub);
+    stats_.fanout_subbatches += subbatches;
   }
   {
     std::unique_lock<std::mutex> lock(pool_mu_);
@@ -985,20 +1055,23 @@ void ShardedEngine::DistributeBatch(std::shared_ptr<const Batch> batch) {
     // per-shard backlog spread bounded by the capacity, which is what
     // makes the deepest-backlog steal heuristic meaningful. Skipped
     // shards only receive a coalescing token, which needs no room.
-    control_cv_.wait(lock, [this, &to_enqueue] {
+    control_cv_.wait(lock, [this] {
       for (size_t s = 0; s < shards_.size(); ++s) {
-        if (to_enqueue[s] != nullptr &&
+        if (route_windows_[s] != nullptr &&
             shards_[s]->queue.size() >= options_.queue_capacity) {
           return false;
         }
       }
       return true;
     });
+    // The producer holds the window until every share is enqueued.
+    window->refs = 1;
     bool stealable_backlog = false;
     for (size_t s = 0; s < num_shards; ++s) {
       Shard* shard = shards_[s].get();
-      if (to_enqueue[s] == nullptr) {
-        EnqueueAdvanceLocked(shard, batch->end_seq);
+      Batch* batch = route_windows_[s];
+      if (batch == nullptr) {
+        EnqueueAdvanceLocked(shard, window->end_seq);
         continue;
       }
       if (shard->busy || !shard->queue.empty()) {
@@ -1006,12 +1079,17 @@ void ShardedEngine::DistributeBatch(std::shared_ptr<const Batch> batch) {
         // on, an idle worker elsewhere could.
         stealable_backlog = true;
       }
-      shard->queue.push_back(QueueEntry{std::move(to_enqueue[s]), 0, false});
+      ++batch->refs;
+      shard->queue.push_back(QueueEntry{batch, 0, false});
       WakeShardLocked(shard);
     }
     if (options_.work_stealing && stealable_backlog) {
       WakeIdleWorkersLocked();
     }
+    // Back to the pool now if no shard took the whole window, so it can be
+    // the very next pending window.
+    ReleaseWindowLocked(window);
+    pending_batch_ = TakeWindowLocked();
   }
 }
 
@@ -1084,17 +1162,21 @@ uint64_t ShardedEngine::MinProcessed() const {
   return watermark;
 }
 
-std::vector<std::unordered_map<int, int>> ShardedEngine::LocalIndexLocked()
-    const {
-  std::vector<std::unordered_map<int, int>> local_index(shards_.size());
+template <typename Visit>
+void ShardedEngine::RefreshBaseQueriesLocked(Visit visit) {
   for (size_t s = 0; s < shards_.size(); ++s) {
     const MultiMatchOperator& op = shards_[s]->op;
-    for (size_t q = 0; q < op.num_queries(); ++q) {
-      local_index[s].emplace(op.query_id(static_cast<int>(q)),
-                             static_cast<int>(q));
+    const std::vector<QueryInfo*>& infos = shards_[s]->infos;
+    for (size_t q = 0; q < infos.size(); ++q) {
+      QueryInfo& info = *infos[q];
+      const int index = static_cast<int>(q);
+      EPL_CHECK(op.query_id(index) == info.local_id)
+          << "shard " << s << " query index out of step";
+      const MatcherStats& stats = op.matcher_stats(index);
+      SetWeightLocked(info, MeasuredQueryCostWeight(stats, info.static_weight));
+      visit(info, s, stats);
     }
   }
-  return local_index;
 }
 
 void ShardedEngine::RefreshWeightsLocked() {
@@ -1105,18 +1187,8 @@ void ShardedEngine::RefreshWeightsLocked() {
   if (weights_seq_ == next_seq_) {
     return;
   }
-  const std::vector<std::unordered_map<int, int>> local_index =
-      LocalIndexLocked();
-  for (auto& [query_id, info] : queries_) {
-    (void)query_id;
-    if (info.shard < 0) {
-      continue;  // composite queries never participate in placement
-    }
-    MultiMatchOperator& op = shards_[static_cast<size_t>(info.shard)]->op;
-    const MatcherStats& stats = op.matcher_stats(
-        local_index[static_cast<size_t>(info.shard)].at(info.local_id));
-    SetWeightLocked(info, MeasuredQueryCostWeight(stats, info.static_weight));
-  }
+  RefreshBaseQueriesLocked(
+      [](const QueryInfo&, size_t, const MatcherStats&) {});
   weights_seq_ = next_seq_;
 }
 
@@ -1266,14 +1338,22 @@ void ShardedEngine::MoveQueryLocked(int query_id, int destination_index) {
           info.local_id);
   EPL_CHECK(detached.ok()) << detached.status();
   // The recorder points at the old shard's buffers; rebind it.
+  UnlinkInfoLocked(&info);
   Shard* destination = shards_[static_cast<size_t>(destination_index)].get();
   detached->query.callback = MakeRecorder(destination, query_id);
   info.local_id = destination->op.AdoptQuery(std::move(detached).value());
+  destination->infos.push_back(&info);
   // Index the arrival before the departure, so a one-query session's
   // entry is not dropped and re-created on the way.
   IndexQueryLocked(info, destination_index, true);
   IndexQueryLocked(info, info.shard, false);
   info.shard = destination_index;
+}
+
+void ShardedEngine::UnlinkInfoLocked(QueryInfo* info) {
+  std::vector<QueryInfo*>& infos =
+      shards_[static_cast<size_t>(info->shard)]->infos;
+  infos.erase(std::find(infos.begin(), infos.end(), info));
 }
 
 void ShardedEngine::Rebalance() {

@@ -10,10 +10,19 @@
 //
 // Dataflow (single producer thread, e.g. a StreamEngine dispatch thread):
 //
-//   Push(event) --> [batch of B events, one shared copy] --fan-out-->
-//     shard 0 FIFO --> some worker: bank eval + NFA advance for shard 0
-//     ...
-//     shard N-1 FIFO --> some worker
+//   Push(event) --copy into a recycled slot--> [window of B events]
+//     --fan-out--> shard 0 FIFO --> some worker: bank eval + NFA advance
+//     ...          shard N-1 FIFO --> some worker
+//
+// Every shard that wants the whole window shares that one window; a
+// shard that wants only part of it gets a routed sub-batch holding just
+// its events. Windows and sub-batches come from one pool of reused
+// windows: a window goes back to the pool when its last shard has run
+// it, its event slots keep their capacity, and the next fill overwrites
+// them in place. In steady state a frame therefore reaches the shard
+// sweep without a heap allocation on the producer thread. The pool keeps
+// at most as many spare windows as the FIFOs can hold
+// (num_shards x (queue_capacity + 1) + 2), so memory stays bounded.
 //
 // Fan-out is interest-routed when `routing_field` is set: each shard's
 // resident queries induce an interest filter (the session keys its
@@ -48,7 +57,8 @@
 //
 // The query set is dynamic: AddQuery/RemoveQuery work while the stream is
 // live. Control operations quiesce the shards at an exact event boundary
-// (a sync token through every shard FIFO), deliver all pending matches,
+// (an idle shard parks in place, a busy one behind a sync token through
+// its FIFO), deliver all pending matches,
 // mutate, rebalance, and resume -- so every query observes a precise
 // prefix/suffix of the stream and surviving queries keep their partial
 // runs (rebalancing moves the live NfaMatcher between shards). The same
@@ -108,7 +118,7 @@ struct ShardedEngineOptions {
   /// Number of worker shards (clamped to >= 1).
   int num_shards = 1;
   /// Events per fan-out batch. Batching amortizes queue locking (one
-  /// enqueue per shard per batch, sharing a single copy of the events)
+  /// enqueue per shard per batch, sharing a single window of the events)
   /// AND matcher execution: each worker runs the whole batch as one
   /// MultiPatternMatcher::ProcessBatch sweep -- one bank pass per field
   /// per batch, each pattern advanced across the window in one go.
@@ -209,7 +219,9 @@ class ShardedEngine {
   /// advances only its own queries. Returns false once stopped.
   /// Completed matches ready for delivery are dispatched from inside Push
   /// at batch boundaries, in (event-seq, query-id) order.
-  bool Push(stream::Event event);
+  /// The event's values are copied into a reused window slot, so the
+  /// caller keeps ownership of `event`.
+  bool Push(const stream::Event& event);
 
   /// Blocks until every shard has processed everything pushed so far and
   /// delivers all pending matches. Error if not running.
@@ -310,6 +322,12 @@ class ShardedEngine {
   uint64_t resize_count() const;
   /// Cumulative batch-execution time per shard, in shard order.
   std::vector<uint64_t> shard_busy_ns() const;
+  /// Fan-out windows waiting in the pool for reuse. Never more than
+  /// max_spare_windows().
+  size_t spare_windows() const;
+  /// The pool's bound: num_shards x (queue_capacity + 1) + 2, the most
+  /// windows the FIFOs, the executing workers and the producer can hold.
+  size_t max_spare_windows() const;
 
   /// Fan-out and placement counters, cumulative since construction.
   /// Without routing (routing_field < 0) every window is a full
@@ -358,18 +376,26 @@ class ShardedEngine {
     int level = 0;
   };
 
-  /// A fan-out unit covering the window [base_seq, end_seq). A full
-  /// broadcast batch holds the whole window (`seqs` empty: event i has
-  /// sequence base_seq + i, one copy shared by every shard). A routed
-  /// sub-batch holds the subset of the window its shard is interested
-  /// in, with `seqs[i]` carrying each event's absolute sequence number.
-  /// Executing either advances the shard's watermark to end_seq -- the
-  /// events the filter skipped are exact no-ops for the shard's queries.
+  /// A fan-out unit covering the window [base_seq, end_seq), recycled
+  /// through the engine's window pool. Slots [0, size) of `events` hold
+  /// the unit's events; slots past `size` keep their values capacity for
+  /// the next fill. A full window has `seqs` empty (slot i has sequence
+  /// base_seq + i) and is shared by every shard that wants all of it. A
+  /// routed sub-batch holds the subset of the window its shard is
+  /// interested in, with `seqs[i]` carrying each slot's absolute sequence
+  /// number. Executing either advances the shard's watermark to end_seq --
+  /// the events the filter skipped are exact no-ops for the shard's
+  /// queries.
   struct Batch {
     uint64_t base_seq = 0;
     uint64_t end_seq = 0;
+    size_t size = 0;
     std::vector<stream::Event> events;
     std::vector<uint64_t> seqs;
+    /// Holders of an in-flight window (pool_mu_): the FIFO entries and
+    /// executing workers that still need it, plus the producer while it
+    /// distributes. The last release returns it to the pool.
+    size_t refs = 0;
   };
 
   /// One shard-FIFO entry. `batch` carries events; with a null batch the
@@ -379,10 +405,12 @@ class ShardedEngine {
   /// skipped entirely. Advance tokens coalesce in place at the queue
   /// tail, so a mostly skipped shard's FIFO stays one entry deep.
   struct QueueEntry {
-    std::shared_ptr<const Batch> batch;
+    Batch* batch = nullptr;
     uint64_t advance_to = 0;
     bool sync = false;
   };
+
+  struct QueryInfo;
 
   struct Shard {
     explicit Shard(const MatcherOptions& matcher_options)
@@ -405,8 +433,11 @@ class ShardedEngine {
     // Per-shard wakeup channel: the shard's own worker waits on cv for
     // wake_epoch to move (both guarded by pool_mu_), so waking one shard
     // does not stampede the rest of the fleet -- a window that routing
-    // skips for this shard costs it no wakeup at all. Control paths
-    // (pause/resume/retire/shutdown) wake every shard.
+    // skips for this shard costs it no wakeup at all. Control wakeups
+    // reach only the shards that need them: a pause wakes the shards
+    // that still have work ahead of its sync token (idle ones park in
+    // place), a resume the shards with queued work, a retire the doomed
+    // shards, and shutdown every shard.
     std::condition_variable cv;
     uint64_t wake_epoch = 0;
 
@@ -422,6 +453,13 @@ class ShardedEngine {
     const std::vector<uint64_t>* batch_seqs = nullptr;
     std::vector<PendingMatch> local;
 
+    // The QueryInfo of every query on this shard, aligned with the
+    // operator's local order: infos[q] describes op.query_id(q). Kept in
+    // step by InstallLocked, RemoveQuery and MoveQueryLocked (control_mu_),
+    // so a weight refresh reads each query's stats by index instead of
+    // looking its local id up.
+    std::vector<QueryInfo*> infos;
+
     std::mutex mu;  // guards pending and status
     std::deque<PendingMatch> pending;
     Status status;
@@ -433,6 +471,7 @@ class ShardedEngine {
   };
 
   struct QueryInfo {
+    int id = -1;  // stable engine-wide id (the queries_ key)
     /// Hosting shard, or -1 for composite queries (which live in the
     /// engine-owned CompositeRunner, not on any shard -- every placement
     /// and rebalancing path skips shard < 0).
@@ -498,18 +537,27 @@ class ShardedEngine {
   /// Runs one fan-out batch on `shard` (no engine locks held; the
   /// caller claimed the shard via its busy flag).
   void ExecuteBatch(Shard* shard, const Batch& batch);
-  /// Flushes the partial batch, sends sync tokens, and waits until every
-  /// shard is parked (all prior events fully processed).
+  /// Flushes the partial batch and parks every shard at the control
+  /// barrier: an idle shard in place, a busy one through a sync token.
+  /// Returns once all prior events are fully processed.
   void PauseWorkers();
   void ResumeWorkers();
   /// Routes the pending partial batch: a full-window share to every
   /// interested shard (or a routed sub-batch when only part of the
   /// window is), an advance token to the rest.
   void FlushBatch();
-  /// Splits `batch` by routing key and enqueues per-shard work. Computes
-  /// destinations from the interest index (control_mu_ held), then
-  /// enqueues and wakes only destination shards.
-  void DistributeBatch(std::shared_ptr<const Batch> batch);
+  /// Splits the pending window by routing key and enqueues per-shard
+  /// work. Computes destinations from the interest index (control_mu_
+  /// held), then enqueues and wakes only destination shards, and takes a
+  /// fresh pending window from the pool.
+  void DistributeBatch();
+  /// An empty window (size 0, no seqs): a spare one from the pool, or a
+  /// new one while the pool is warming up. pool_mu_ held.
+  std::unique_ptr<Batch> TakeWindowLocked();
+  /// Drops one holder of `window`; the last one returns it to the pool,
+  /// or frees it when the pool is full. pool_mu_ held.
+  void ReleaseWindowLocked(Batch* window);
+  size_t MaxSpareWindowsLocked() const;
   /// Advances a skipped shard's watermark to `end_seq`: a direct
   /// processed_events store when the shard is idle (no wakeup at all),
   /// else a coalescing advance token behind its in-flight work
@@ -517,8 +565,8 @@ class ShardedEngine {
   void EnqueueAdvanceLocked(Shard* shard, uint64_t end_seq);
   /// Work-availability wakeup of one shard's worker (pool_mu_ held).
   void WakeShardLocked(Shard* shard);
-  /// Wakes every worker (control transitions: pause/resume/retire/
-  /// shutdown; not counted in worker_wakeups). pool_mu_ held.
+  /// Wakes every worker (shutdown; not counted in worker_wakeups).
+  /// pool_mu_ held.
   void WakeAllWorkersLocked();
   /// Wakes workers whose shard has no queued work -- the candidates
   /// parked with nothing of their own to do; work stealing uses it to
@@ -528,10 +576,12 @@ class ShardedEngine {
   /// Delivers every merged match below the fleet watermark.
   void DrainAndDeliver();
   uint64_t MinProcessed() const;
-  /// Per shard, the map from a query's local id to its current index in
-  /// that shard's operator (one walk per operator instead of an O(Q^2)
-  /// FindQuery scan per query; control_mu_ held).
-  std::vector<std::unordered_map<int, int>> LocalIndexLocked() const;
+  /// Re-derives the placement weight of every base query from its live
+  /// matcher statistics, walking each shard's `infos` in local order, and
+  /// calls `visit(info, shard_index, stats)` for each (control_mu_ held,
+  /// workers quiesced when live).
+  template <typename Visit>
+  void RefreshBaseQueriesLocked(Visit visit);
   /// The one install routine of AddQuery and RestoreQuery (control_mu_
   /// held, workers quiesced when live): places `query`, whose matcher
   /// already holds its run state, and returns its stable id.
@@ -567,6 +617,9 @@ class ShardedEngine {
   /// `destination_index`, rebinding its recorder (control_mu_ held,
   /// workers quiesced when live).
   void MoveQueryLocked(int query_id, int destination_index);
+  /// Removes `info` from its shard's `infos`, at the index the operator
+  /// just erased it from.
+  void UnlinkInfoLocked(QueryInfo* info);
   /// Packs each session split across shards back onto its majority shard
   /// when the move keeps the fleet inside the skew budget
   /// (kSessionAffinity only; increments affinity_moves).
@@ -585,6 +638,7 @@ class ShardedEngine {
   // Serializes the producer (Push) against control operations
   // (Add/Remove/Flush/Stop/Reset/Resize) and guards all state below it.
   mutable std::mutex control_mu_;
+  // The window Push fills; never null.
   std::unique_ptr<Batch> pending_batch_;
   uint64_t next_seq_ = 0;
   std::vector<PendingMatch> merge_scratch_;
@@ -606,8 +660,10 @@ class ShardedEngine {
   std::unordered_map<uint64_t, std::vector<int>> interest_;
   std::vector<int> wildcard_shards_;
   // DistributeBatch scratch (control_mu_): per shard, the window indices
-  // it is interested in.
+  // it is interested in, and the window it is sent (the pending window, a
+  // routed sub-batch, or null for an advance token).
   std::vector<std::vector<uint32_t>> route_scratch_;
+  std::vector<Batch*> route_windows_;
   // Fan-out counters (control_mu_; worker_wakeups is the atomic below).
   EngineStats stats_;
   // Composite (level >= 1) queries, keyed by engine query id; null until
@@ -621,8 +677,8 @@ class ShardedEngine {
   bool stopped_ = false;
 
   // Shared scheduler pool. pool_mu_ guards every Shard's scheduler state
-  // (queue/busy/parked/retired/wake_epoch), the shards_ vector shape, and
-  // shutdown_.
+  // (queue/busy/parked/retired/wake_epoch), the shards_ vector shape,
+  // shutdown_, the window pool and every in-flight window's refs.
   // Worker wakeups are per shard (Shard::cv / Shard::wake_epoch) so a
   // routed window only disturbs the shards it targets; control_cv_ wakes
   // the producer/control side (backpressure space, progress toward a
@@ -633,6 +689,9 @@ class ShardedEngine {
   std::atomic<uint64_t> stolen_batches_{0};
   std::atomic<uint64_t> wakeups_signaled_{0};
   std::atomic<int> pin_failures_{0};
+  // Windows ready for reuse, at most MaxSpareWindowsLocked(). A window in
+  // flight is owned by its holders (Batch::refs).
+  std::vector<std::unique_ptr<Batch>> spare_windows_;
   // PickRunnableLocked scratch (pool_mu_ held by every caller).
   std::vector<size_t> steal_backlogs_;
   std::vector<uint8_t> steal_claimable_;

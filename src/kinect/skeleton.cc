@@ -55,15 +55,20 @@ const stream::Schema& KinectSchema() {
 
 stream::Event FrameToEvent(const SkeletonFrame& frame) {
   stream::Event event;
-  event.timestamp = frame.timestamp;
-  event.values.reserve(1 + 3 * kNumJoints);
-  event.values.push_back(static_cast<double>(frame.player));
-  for (const Vec3& joint : frame.joints) {
-    event.values.push_back(joint.x);
-    event.values.push_back(joint.y);
-    event.values.push_back(joint.z);
-  }
+  FrameToEvent(frame, &event);
   return event;
+}
+
+void FrameToEvent(const SkeletonFrame& frame, stream::Event* out) {
+  out->timestamp = frame.timestamp;
+  out->values.clear();
+  out->values.reserve(1 + 3 * kNumJoints);
+  out->values.push_back(static_cast<double>(frame.player));
+  for (const Vec3& joint : frame.joints) {
+    out->values.push_back(joint.x);
+    out->values.push_back(joint.y);
+    out->values.push_back(joint.z);
+  }
 }
 
 Result<SkeletonFrame> FrameFromEvent(const stream::Event& event) {

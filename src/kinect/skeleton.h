@@ -67,6 +67,9 @@ const stream::Schema& KinectSchema();
 
 /// Converts a frame to an event of KinectSchema().
 stream::Event FrameToEvent(const SkeletonFrame& frame);
+/// Same, overwriting `out` in place: a reused event keeps its values
+/// capacity, so a producer that recycles one event allocates nothing.
+void FrameToEvent(const SkeletonFrame& frame, stream::Event* out);
 
 /// Parses an event of KinectSchema() back into a frame.
 Result<SkeletonFrame> FrameFromEvent(const stream::Event& event);

@@ -31,21 +31,18 @@ Status StreamEngine::RegisterView(const std::string& view_name,
   Node node;
   node.schema = std::move(view_schema);
   node.is_view = true;
-  nodes_.emplace(view_name, std::move(node));
+  Node* view_node = &nodes_.emplace(view_name, std::move(node)).first->second;
 
-  // The transform's output is dispatched into the view node. The dispatcher
-  // sink looks the node up per event so that map growth cannot invalidate
-  // anything (std::map nodes are stable anyway).
-  auto dispatcher = std::make_unique<CallbackSink>([this,
-                                                    view_name](const Event& e) {
-    auto it = nodes_.find(view_name);
-    if (it != nodes_.end()) {
-      // Dispatch errors inside a view are surfaced via the source Push call
-      // chain; CallbackSink has a void callback, so record and check here.
-      Status status = Dispatch(it->second, e);
-      EPL_CHECK(status.ok()) << "view dispatch failed: " << status;
-    }
-  });
+  // The transform's output is dispatched into the view node. std::map
+  // nodes are stable, and UnregisterStream destroys this dispatcher before
+  // it erases the node, so the pointer outlives every use.
+  auto dispatcher =
+      std::make_unique<CallbackSink>([this, view_node](const Event& e) {
+        // Dispatch errors inside a view are surfaced via the source Push
+        // call chain; CallbackSink has a void callback, so check here.
+        Status status = Dispatch(*view_node, e);
+        EPL_CHECK(status.ok()) << "view dispatch failed: " << status;
+      });
   transform->AddDownstream(dispatcher.get());
   EPL_RETURN_IF_ERROR(transform->Open());
 
@@ -143,14 +140,14 @@ Status StreamEngine::Push(const std::string& stream_name, const Event& event) {
 
 Status StreamEngine::Dispatch(Node& node, const Event& event) {
   ++node.event_count;
-  // Iterate over a snapshot (local: view dispatch nests): a Process
-  // callback may Deploy new operators, which would reallocate the
-  // subscriber vector. Operators deployed mid-dispatch see the next event.
-  // Undeploy must not be called from within a callback; defer it to
-  // between events instead.
-  std::vector<Operator*> snapshot = node.subscribers;
-  for (Operator* op : snapshot) {
-    EPL_RETURN_IF_ERROR(op->Process(event));
+  // Index up to the subscriber count seen on entry: a Process callback may
+  // Deploy new operators, which appends to (and may reallocate) the
+  // subscriber vector, so re-read it by index each step. Operators
+  // deployed mid-dispatch start with the next event. Undeploy must not be
+  // called from within a callback; defer it to between events instead.
+  const size_t count = node.subscribers.size();
+  for (size_t i = 0; i < count; ++i) {
+    EPL_RETURN_IF_ERROR(node.subscribers[i]->Process(event));
   }
   return OkStatus();
 }

@@ -53,16 +53,16 @@ Status TransformOperator::Process(const stream::Event& event) {
   SkeletonFrame transformed =
       TransformFrameExplicit(frame, config_, smoothed_yaw_, smoothed_forearm_);
 
-  stream::Event out = FrameToEvent(transformed);
+  FrameToEvent(transformed, &out_);
   RollPitchYaw right = ForearmAngles(transformed, /*right_side=*/true);
   RollPitchYaw left = ForearmAngles(transformed, /*right_side=*/false);
-  out.values.push_back(right.roll);
-  out.values.push_back(right.pitch);
-  out.values.push_back(right.yaw);
-  out.values.push_back(left.roll);
-  out.values.push_back(left.pitch);
-  out.values.push_back(left.yaw);
-  return Forward(out);
+  out_.values.push_back(right.roll);
+  out_.values.push_back(right.pitch);
+  out_.values.push_back(right.yaw);
+  out_.values.push_back(left.roll);
+  out_.values.push_back(left.pitch);
+  out_.values.push_back(left.yaw);
+  return Forward(out_);
 }
 
 Status RegisterKinectTView(stream::StreamEngine* engine,

@@ -40,6 +40,7 @@ class TransformOperator : public stream::Operator {
   bool has_estimates_ = false;
   double smoothed_yaw_ = 0.0;
   double smoothed_forearm_ = 0.0;
+  stream::Event out_;  // output event, capacity reused across frames
 };
 
 /// Name used for the transformed view.

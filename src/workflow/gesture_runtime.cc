@@ -27,7 +27,7 @@ class SessionMergeTap : public stream::Operator {
   Status Process(const stream::Event& event) override {
     scratch_ = event;
     scratch_.values.push_back(static_cast<double>(session_));
-    return engine_->Push(kSessionStreamName, scratch_);
+    return engine_->Push(stream_name_, scratch_);
   }
 
   std::string name() const override {
@@ -37,6 +37,7 @@ class SessionMergeTap : public stream::Operator {
  private:
   stream::StreamEngine* engine_;
   SessionId session_;
+  const std::string stream_name_ = kSessionStreamName;  // built once
   stream::Event scratch_;  // capacity reused across frames
 };
 
@@ -752,19 +753,20 @@ Status GestureRuntime::PushFrame(SessionId session,
     EPL_ASSIGN_OR_RETURN(const Session* found, FindSession(session));
     stream = &found->raw_stream;
   }
+  // The runtime's one frame record: its event is refilled in place, so a
+  // steady stream of frames allocates nothing here.
+  kinect::FrameToEvent(frame, &frame_record_.event);
   if (!durable()) {
-    return engine_->Push(*stream, kinect::FrameToEvent(frame));
+    return engine_->Push(*stream, frame_record_.event);
   }
   // Write-ahead: the raw frame event is durable before the engine sees it,
   // so anything logged WILL be reflected after recovery, and a frame whose
   // PushFrame never returned OK is the producer's to retry.
-  durability::WalRecord record;
-  record.session = session;
-  record.event = kinect::FrameToEvent(frame);
+  frame_record_.session = session;
   EPL_RETURN_IF_ERROR(EnsureWal());
-  EPL_RETURN_IF_ERROR(LogRecord(record));
+  EPL_RETURN_IF_ERROR(LogRecord(frame_record_));
   ++ingested_[session];
-  return engine_->Push(*stream, record.event);
+  return engine_->Push(*stream, frame_record_.event);
 }
 
 Status GestureRuntime::PushFrames(SessionId session,

@@ -448,6 +448,9 @@ class GestureRuntime {
 
   int dispatch_depth_ = 0;
   std::vector<std::function<Status()>> pending_;
+  /// PushFrame's kEvent record (its event doubles as the non-durable
+  /// path's frame event), reused so ingest allocates nothing per frame.
+  durability::WalRecord frame_record_;
 
   // --- Durability state (unused unless options.durability.dir is set) ---
   durability::FileSystem* fs_ = nullptr;

@@ -1151,6 +1151,50 @@ TEST(InterestRoutingTest, ResizePreservesRoutingAndAffinity) {
   }
 }
 
+TEST(InterestRoutingTest, WindowPoolStaysBoundedUnderBackpressure) {
+  // FIFOs two windows deep keep a burst blocked on backpressure most of
+  // the time, while full windows and routed sub-batches cycle through the
+  // window pool. The pool must never keep more spare windows than the
+  // FIFOs, executors and producer can hold -- also after the fleet
+  // shrinks -- and recycling must leave the detections exact.
+  const std::vector<Event> events = SessionStream(3000, kRoutedSessions);
+  const std::vector<DetectionRecord> expected = SessionBaseline(events);
+  ASSERT_FALSE(expected.empty());
+
+  ShardedEngineOptions options;
+  options.num_shards = 3;
+  options.batch_size = 4;
+  options.queue_capacity = 2;
+  options.routing_field = kRoutedSessionField;
+  options.placement = ShardPlacement::kSessionAffinity;
+  ShardedEngine sharded(options);
+  std::vector<DetectionRecord> actual;
+  for (MultiMatchOperator::QuerySpec& spec : SessionFleet(&actual)) {
+    sharded.AddQuery(std::move(spec));
+  }
+  EXPECT_EQ(sharded.max_spare_windows(), 3u * (2 + 1) + 2);
+  EPL_ASSERT_OK(sharded.Start());
+  const size_t half = events.size() / 2;
+  for (size_t i = 0; i < half; ++i) {
+    ASSERT_TRUE(sharded.Push(events[i]));
+    ASSERT_LE(sharded.spare_windows(), sharded.max_spare_windows());
+  }
+  EPL_ASSERT_OK(sharded.Flush());
+  EXPECT_GT(sharded.spare_windows(), 0u) << "no window came back to the pool";
+  EPL_ASSERT_OK(sharded.Resize(1));
+  EXPECT_EQ(sharded.max_spare_windows(), 1u * (2 + 1) + 2);
+  EXPECT_LE(sharded.spare_windows(), sharded.max_spare_windows());
+  for (size_t i = half; i < events.size(); ++i) {
+    ASSERT_TRUE(sharded.Push(events[i]));
+    ASSERT_LE(sharded.spare_windows(), sharded.max_spare_windows());
+  }
+  EPL_ASSERT_OK(sharded.Stop());
+  EXPECT_GT(sharded.engine_stats().fanout_subbatches, 0u);
+  EXPECT_TRUE(actual == expected)
+      << actual.size() << " vs " << expected.size()
+      << " detections through recycled windows";
+}
+
 // ---------------------------------------------------------------------------
 // Incremental placement index: placement decisions pinned step by step
 // against recorded values, and the index's shard weights checked against a

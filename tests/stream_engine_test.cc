@@ -1,4 +1,5 @@
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -225,6 +226,46 @@ TEST(EngineTest, UnregisterViewStopsEventFlow) {
   EPL_ASSERT_OK(engine.Push("s", Event(2, {3.0, 4.0})));
   ASSERT_EQ(sink_ptr->events().size(), 1u);
   EXPECT_EQ(sink_ptr->events()[0].timestamp, 2);
+}
+
+TEST(EngineTest, OperatorDeployedMidDispatchSeesTheNextEvent) {
+  // A subscriber that deploys operators from inside Process grows (and
+  // reallocates) the subscriber list under the running dispatch. The new
+  // operators start with the next event; the ones subscribed before the
+  // push still see the current one.
+  StreamEngine engine;
+  EPL_ASSERT_OK(engine.RegisterStream("s", TwoFieldSchema()));
+  std::vector<CollectSink*> late;
+  const auto deploy_late = [&](const Event&) {
+    if (!late.empty()) {
+      return;
+    }
+    for (int i = 0; i < 8; ++i) {
+      auto sink = std::make_unique<CollectSink>();
+      late.push_back(sink.get());
+      EPL_CHECK(engine.Deploy("s", std::move(sink)).ok());
+    }
+  };
+  EPL_ASSERT_OK(
+      engine.Deploy("s", std::make_unique<CallbackSink>(deploy_late))
+          .status());
+  auto tail = std::make_unique<CollectSink>();
+  CollectSink* tail_ptr = tail.get();
+  EPL_ASSERT_OK(engine.Deploy("s", std::move(tail)).status());
+
+  EPL_ASSERT_OK(engine.Push("s", Event(1, {1.0, 2.0})));
+  EXPECT_EQ(tail_ptr->events().size(), 1u);
+  ASSERT_EQ(late.size(), 8u);
+  for (const CollectSink* sink : late) {
+    EXPECT_TRUE(sink->events().empty());
+  }
+
+  EPL_ASSERT_OK(engine.Push("s", Event(2, {3.0, 4.0})));
+  EXPECT_EQ(tail_ptr->events().size(), 2u);
+  for (const CollectSink* sink : late) {
+    ASSERT_EQ(sink->events().size(), 1u);
+    EXPECT_EQ(sink->events()[0].timestamp, 2);
+  }
 }
 
 }  // namespace
