@@ -163,8 +163,9 @@ class CompositeRunner {
   /// callbacks, and appends the resulting detections as derived events
   /// visible to higher levels. Matcher state persists across epochs, so
   /// composite sequences span source events. Callbacks must not mutate
-  /// this runner directly (the owning engine defers mutations, exactly
-  /// as for base queries).
+  /// this runner or its owning operator (an EPL_CHECK failure there, as
+  /// for base queries); GestureRuntime applies mutations a callback
+  /// requests at the next PushFrame/Flush boundary on every backend.
   void RunEpoch();
 
  private:

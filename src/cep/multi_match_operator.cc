@@ -56,48 +56,33 @@ Result<int> MultiMatchOperator::RestoreQuery(QuerySpec spec,
 }
 
 int MultiMatchOperator::AdoptQuery(DetachedQuery detached) {
+  EPL_CHECK(!processing_) << "adding a query from inside a detection callback";
   EPL_CHECK(detached.query.pattern != nullptr && detached.matcher != nullptr);
   detached.query.id = next_query_id_++;
   const int id = detached.query.id;
-  if (processing_) {
-    PendingOp op;
-    op.is_add = true;
-    op.query_id = id;
-    op.query = std::move(detached);
-    pending_ops_.push_back(std::move(op));
-  } else {
-    // The accumulated window predates this call; the new query must not
-    // see it.
-    FlushBatchedEvents();
-    Install(std::move(detached));
-  }
+  // The accumulated window predates this call; the new query must not see
+  // it.
+  FlushBatchedEvents();
+  Install(std::move(detached));
   return id;
 }
 
 Status MultiMatchOperator::RemoveQuery(int query_id) {
-  bool known = FindQuery(query_id) >= 0 ||
-               (composite_ != nullptr && composite_->Has(query_id));
-  if (!known) {
-    // The target may be an add deferred earlier in the same callback.
-    for (const PendingOp& op : pending_ops_) {
-      if (op.is_add && op.query_id == query_id) {
-        known = true;
-        break;
-      }
-    }
-  }
-  if (!known) {
+  EPL_CHECK(!processing_) << "RemoveQuery from inside a detection callback";
+  const int index = FindQuery(query_id);
+  const bool composite =
+      index < 0 && composite_ != nullptr && composite_->Has(query_id);
+  if (index < 0 && !composite) {
     return NotFoundError("unknown query id " + std::to_string(query_id));
   }
-  if (processing_) {
-    PendingOp op;
-    op.query_id = query_id;
-    pending_ops_.push_back(std::move(op));
-  } else {
-    // The accumulated window predates this call; the query still sees it.
-    FlushBatchedEvents();
-    ApplyRemove(query_id);
+  // The accumulated window predates this call; the query still sees it.
+  // Its callbacks cannot mutate the query set, so `index` stays valid.
+  FlushBatchedEvents();
+  if (composite) {
+    return composite_->Remove(query_id);
   }
+  matcher_.RemovePattern(index);
+  queries_.erase(queries_.begin() + index);
   return OkStatus();
 }
 
@@ -153,33 +138,6 @@ void MultiMatchOperator::Install(DetachedQuery query) {
   queries_.push_back(std::move(query.query));
 }
 
-void MultiMatchOperator::ApplyRemove(int query_id) {
-  if (composite_ != nullptr && composite_->Has(query_id)) {
-    (void)composite_->Remove(query_id);
-    return;
-  }
-  int index = FindQuery(query_id);
-  if (index < 0) {
-    return;  // already removed by an earlier deferred op
-  }
-  matcher_.RemovePattern(index);
-  queries_.erase(queries_.begin() + index);
-}
-
-void MultiMatchOperator::ApplyPendingOps() {
-  for (PendingOp& op : pending_ops_) {
-    if (op.is_add) {
-      // If a batch sweep is in flight, the new query catches up on the
-      // window's remaining events (RunBatch feeds them one by one).
-      catchup_ids_.push_back(op.query_id);
-      Install(std::move(op.query));
-    } else {
-      ApplyRemove(op.query_id);
-    }
-  }
-  pending_ops_.clear();
-}
-
 void MultiMatchOperator::DispatchToQuery(const InstalledQuery& query,
                                          const PatternMatch& match,
                                          const stream::Event& event) {
@@ -201,15 +159,6 @@ void MultiMatchOperator::DispatchToQuery(const InstalledQuery& query,
   }
 }
 
-void MultiMatchOperator::Dispatch(int query_id, const PatternMatch& match,
-                                  const stream::Event& event) {
-  const int index = FindQuery(query_id);
-  if (index < 0) {
-    return;  // removed mid-batch: its remaining matches are dropped
-  }
-  DispatchToQuery(queries_[index], match, event);
-}
-
 void MultiMatchOperator::RunBatch(const stream::Event* events, size_t count) {
   if (count == 0) {
     return;
@@ -217,22 +166,16 @@ void MultiMatchOperator::RunBatch(const stream::Event* events, size_t count) {
   processing_ = true;
   scratch_matches_.clear();
   matcher_.ProcessBatch(events, count, &scratch_matches_);
-  catchup_ids_.clear();
-  // Until the first mid-batch mutation, pattern indices are live and
-  // dispatch is a direct lookup; afterwards matches resolve through their
-  // stable id (dropped if the query was removed).
-  bool indices_stale = false;
+  // Callbacks cannot change the query set mid-sweep, so whether composite
+  // epochs run is fixed for the whole window.
+  const bool epochs = composite_ != nullptr && composite_->active();
   size_t next = 0;
   for (size_t b = 0; b < count; ++b) {
     if (batch_event_hook_) {
       batch_event_hook_(b);
     }
     // One composite epoch per source event: base detections collected
-    // during dispatch below, then RunEpoch drives the level fixed point
-    // before this event's deferred mutations apply. Re-checked per event
-    // so a composite added mid-batch sees epochs from the next event on,
-    // exactly as in per-event processing.
-    const bool epochs = composite_ != nullptr && composite_->active();
+    // during dispatch below, then RunEpoch drives the level fixed point.
     if (epochs) {
       composite_->BeginEpoch();
     }
@@ -241,48 +184,13 @@ void MultiMatchOperator::RunBatch(const stream::Event* events, size_t count) {
            static_cast<size_t>(scratch_matches_[next].batch_index) == b;
          ++next) {
       const MultiPatternMatcher::MultiMatch& match = scratch_matches_[next];
-      if (indices_stale) {
-        Dispatch(batch_ids_[match.pattern_index], match.match, events[b]);
-      } else {
-        DispatchToQuery(queries_[match.pattern_index], match.match,
-                        events[b]);
-      }
-    }
-    // Queries added mid-batch replay the window's tail event by event.
-    for (size_t c = 0; c < catchup_ids_.size(); ++c) {
-      const int index = FindQuery(catchup_ids_[c]);
-      if (index < 0) {
-        continue;  // removed again before this event
-      }
-      catchup_scratch_.clear();
-      matcher_.CatchUpPattern(index, events[b], &catchup_scratch_);
-      for (const MultiPatternMatcher::MultiMatch& match : catchup_scratch_) {
-        Dispatch(catchup_ids_[c], match.match, events[b]);
-      }
+      DispatchToQuery(queries_[match.pattern_index], match.match, events[b]);
     }
     // Composite levels run after ALL base detections of this event --
     // same timestamp epoch, deterministic (event-seq, level, query-id)
-    // order. Composite callbacks may request mutations; processing_ is
-    // still set, so they defer like any other callback.
+    // order.
     if (epochs) {
       composite_->RunEpoch();
-    }
-    // Mutations requested by this event's callbacks take effect before
-    // the next event, exactly as in per-event processing.
-    if (!pending_ops_.empty()) {
-      if (!indices_stale) {
-        // First mutation of the sweep: snapshot the stable ids of the
-        // sweep's index space (queries_ is still unmutated, so this is
-        // the mapping the matches were tagged against) and dispatch by
-        // id from here on. Mutation-free sweeps -- the common case --
-        // never pay for the snapshot.
-        batch_ids_.clear();
-        for (const InstalledQuery& query : queries_) {
-          batch_ids_.push_back(query.id);
-        }
-        indices_stale = true;
-      }
-      ApplyPendingOps();
     }
   }
   processing_ = false;
@@ -329,8 +237,8 @@ Status MultiMatchOperator::Process(const stream::Event& event) {
 Status MultiMatchOperator::ProcessBatch(const stream::Event* events,
                                         size_t count) {
   // Re-entering from a detection callback would clobber the in-flight
-  // sweep's scratch state; fail loudly like the other non-deferrable
-  // entry points.
+  // sweep's scratch state; fail loudly like the other mutating entry
+  // points.
   EPL_CHECK(!processing_) << "ProcessBatch from inside a detection callback";
   FlushBatchedEvents();
   RunBatch(events, count);

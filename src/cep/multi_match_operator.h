@@ -10,9 +10,14 @@
 // Queries can be added and removed while the stream is live (the paper's
 // "exchange gestures during runtime" demo): AddQuery/RemoveQuery between
 // events take effect immediately (the shared bank is rebuilt lazily by the
-// next event, see MultiPatternMatcher); calls made from inside a detection
-// callback are deferred until the current event finishes on the old query
-// set, then applied in call order.
+// next event, see MultiPatternMatcher). Calling them -- or any other
+// mutating entry point -- from inside a detection callback is an
+// EPL_CHECK failure: the sweep has already matched the window's remaining
+// events against the current query set. Callers that mutate from a
+// callback defer the change themselves: GestureRuntime applies it at the
+// next PushFrame/Flush boundary on every backend -- with batch_size > 1,
+// after the window whose delivery issued it, which is where its WAL
+// records it.
 //
 // Batched execution: with batch_size > 1 the operator accumulates incoming
 // events and runs them through MultiPatternMatcher::ProcessBatch in one
@@ -22,22 +27,16 @@
 // RemoveQuery / Extract / Adopt / ResetMatchers / Close -- flushes the
 // accumulated window first, so query membership boundaries are untouched
 // by batching: a query added (removed) between two Process calls sees
-// exactly the events pushed after (before) the call. Mutations requested
-// from inside a detection callback keep their per-event semantics even
-// mid-batch: they apply before the next event of the window, removed
-// queries' remaining matches are dropped, and added queries catch up on
-// the window's remaining events (MultiPatternMatcher::CatchUpPattern) --
-// bit-identical to unbatched processing. ProcessBatch(span) is the
-// zero-accumulation entry point used by ShardedEngine workers, which
-// already receive events in fan-out batches.
+// exactly the events pushed after (before) the call. ProcessBatch(span)
+// is the zero-accumulation entry point used by ShardedEngine workers,
+// which already receive events in fan-out batches.
 //
 // Threading contract: this operator is single-threaded like the
 // StreamEngine that owns it -- AddQuery/RemoveQuery must be serialized
-// with event processing (call them on the dispatch thread, e.g. from a
-// detection callback or between pushes; another thread must not mutate a
-// live operator directly). For exchanges from arbitrary threads use
-// cep::ShardedEngine, whose control operations are internally
-// synchronized.
+// with event processing (call them on the dispatch thread between
+// pushes; another thread must not mutate a live operator directly). For
+// exchanges from arbitrary threads use cep::ShardedEngine, whose control
+// operations are internally synchronized.
 
 #ifndef EPL_CEP_MULTI_MATCH_OPERATOR_H_
 #define EPL_CEP_MULTI_MATCH_OPERATOR_H_
@@ -97,13 +96,13 @@ class MultiMatchOperator : public stream::Operator {
   };
 
   /// RestoreQuery from empty run state: adds a query and returns its
-  /// stable id (monotonic, never reused). Callable at any time, including
-  /// from a detection callback (applied after the current event).
+  /// stable id (monotonic, never reused). Must not be called from inside a
+  /// detection callback (EPL_CHECK).
   int AddQuery(QuerySpec spec);
 
   /// Removes the query with stable id `query_id`, discarding its partial
-  /// matches. Callable at any time, including from a detection callback
-  /// (applied after the current event, which still sees the query).
+  /// matches. Must not be called from inside a detection callback
+  /// (EPL_CHECK).
   Status RemoveQuery(int query_id);
 
   /// A query together with the matcher holding its run state: what
@@ -128,9 +127,8 @@ class MultiMatchOperator : public stream::Operator {
 
   /// Installs `detached` -- a query detached from another
   /// MultiMatchOperator, or built by MakeQuery -- with its run state;
-  /// returns the query's new stable id here. Callable at any time,
-  /// including from a detection callback (applied after the current
-  /// event).
+  /// returns the query's new stable id here. Must not be called from
+  /// inside a detection callback (EPL_CHECK).
   int AdoptQuery(DetachedQuery detached);
 
   /// Externalizes the live run state and statistics of the query with
@@ -144,7 +142,7 @@ class MultiMatchOperator : public stream::Operator {
   /// exported run state on checkpoint recovery; empty for AddQuery):
   /// MakeQuery, then AdoptQuery. Returns the query's stable id here;
   /// fails without adding the query when `runs` does not fit the spec's
-  /// pattern. Callable from a detection callback like AddQuery.
+  /// pattern. Must not be called from inside a detection callback.
   Result<int> RestoreQuery(QuerySpec spec, const NfaRunState& runs);
 
   /// Feeds one event (buffered into the window when batch_size > 1).
@@ -217,9 +215,7 @@ class MultiMatchOperator : public stream::Operator {
   /// window first, so events pushed before the call are fully processed).
   /// Must not be called from inside a detection callback: a batched sweep
   /// has already matched the window's remaining events against the
-  /// pre-reset runs, so a mid-dispatch reset could not keep the
-  /// batched == per-event guarantee (use a deferred RemoveQuery/AddQuery
-  /// pair instead).
+  /// pre-reset runs.
   void ResetMatchers() {
     EPL_CHECK(!processing_) << "ResetMatchers from inside a detection "
                                "callback";
@@ -231,54 +227,29 @@ class MultiMatchOperator : public stream::Operator {
   }
 
  private:
-  /// One deferred mutation queued from inside a detection callback.
-  struct PendingOp {
-    bool is_add = false;
-    int query_id = 0;     // remove target, or the id assigned to the add
-    DetachedQuery query;  // add payload
-  };
-
-  /// The one install routine every add, restore and adoption ends in
-  /// (directly, or deferred through ApplyPendingOps): hands a composite
-  /// to the runner, registers a base query with the matcher.
+  /// The one install routine every add, restore and adoption ends in:
+  /// hands a composite to the runner, registers a base query with the
+  /// matcher.
   void Install(DetachedQuery query);
-  void ApplyRemove(int query_id);
   /// The lazily created composite runner (first level >= 1 AddQuery).
   CompositeRunner& EnsureComposite();
-  /// Applies pending ops; queries added are also appended to
-  /// `catchup_ids_` so an in-flight batch replays its remaining events
-  /// for them.
-  void ApplyPendingOps();
   /// Runs `events` through the matcher as one sweep and dispatches each
-  /// event's detections in order, applying callback-requested mutations
-  /// between events.
+  /// event's detections in order.
   void RunBatch(const stream::Event* events, size_t count);
   /// Builds and delivers the detection of one completed match.
   void DispatchToQuery(const InstalledQuery& query, const PatternMatch& match,
                        const stream::Event& event);
-  /// Dispatch resolving the query by stable id -- the slow path once a
-  /// mid-batch mutation shifted indices (a query removed mid-batch
-  /// silently drops its remaining matches, exactly as if it had stopped
-  /// processing).
-  void Dispatch(int query_id, const PatternMatch& match,
-                const stream::Event& event);
 
   MultiPatternMatcher matcher_;
   std::vector<InstalledQuery> queries_;  // index-aligned with matcher_
   // Composite (level >= 1) queries; null until the first one is added.
   // queries_ holds base queries only, so the flat path never pays for
-  // the feedback machinery beyond one null/active check per event.
+  // the feedback machinery beyond one null/active check per sweep.
   std::unique_ptr<CompositeRunner> composite_;
   std::vector<MultiPatternMatcher::MultiMatch> scratch_matches_;
-  std::vector<MultiPatternMatcher::MultiMatch> catchup_scratch_;
-  std::vector<PendingOp> pending_ops_;
   int next_query_id_ = 0;
   bool processing_ = false;
 
-  // Batched-accumulation state: the buffered window, the stable ids of
-  // the sweep's pattern-index space (snapshotted at the first mid-sweep
-  // mutation), and the queries added mid-sweep that catch up event by
-  // event.
   size_t batch_size_ = 1;
   // window_[0, window_count_) holds the buffered events; slots past the
   // count are stale Events kept only for their values capacity (both
@@ -286,8 +257,6 @@ class MultiMatchOperator : public stream::Operator {
   std::vector<stream::Event> window_;
   size_t window_count_ = 0;
   std::vector<stream::Event> flushing_;  // the window being processed
-  std::vector<int> batch_ids_;
-  std::vector<int> catchup_ids_;
   BatchEventHook batch_event_hook_;
 };
 

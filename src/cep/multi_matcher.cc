@@ -539,26 +539,6 @@ void MultiPatternMatcher::ProcessBatch(const stream::Event* events,
   }
 }
 
-void MultiPatternMatcher::CatchUpPattern(int index, const stream::Event& event,
-                                         std::vector<MultiMatch>* out) {
-  EPL_CHECK(index >= 0 && static_cast<size_t>(index) < entries_.size());
-  Entry& entry = entries_[static_cast<size_t>(index)];
-  // Arena residency would mean the pattern already consumed the batch the
-  // caller is replaying for it.
-  EPL_CHECK(!entry.in_arena) << "catch-up on an arena-resident pattern";
-  // The gate conjunct is enforced here too; the bank may be mid-swap
-  // during a catch-up, so the gate's own program answers directly.
-  if (entry.gate != nullptr &&
-      !entry.gate->predicate(0).EvalBool(event)) {
-    return;
-  }
-  scratch_matches_.clear();
-  entry.matcher->Process(event, &scratch_matches_);
-  for (PatternMatch& match : scratch_matches_) {
-    out->push_back(MultiMatch{index, std::move(match), 0});
-  }
-}
-
 void MultiPatternMatcher::Reset() {
   for (Entry& entry : entries_) {
     entry.matcher->Reset();

@@ -137,16 +137,6 @@ class MultiPatternMatcher {
   void ProcessBatch(const stream::Event* events, size_t count,
                     std::vector<MultiMatch>* out);
 
-  /// Feeds `event` to ONLY the pattern at `index`, which must have been
-  /// added (or adopted) since the last Process/ProcessBatch call and
-  /// therefore is not arena-resident yet. This is how a query added from
-  /// inside a detection callback catches up on the remaining events of a
-  /// batch its neighbours already consumed (see MultiMatchOperator);
-  /// predicate truth is evaluated by the pattern's own matcher, bit-exact
-  /// with the shared bank by construction.
-  void CatchUpPattern(int index, const stream::Event& event,
-                      std::vector<MultiMatch>* out);
-
   /// Discards all partial runs of every pattern.
   void Reset();
 

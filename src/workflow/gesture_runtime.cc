@@ -1,5 +1,8 @@
 #include "workflow/gesture_runtime.h"
 
+#include <tuple>
+#include <type_traits>
+
 #include "cep/composite.h"
 #include "gesturedb/serialization.h"
 #include "kinect/sensor.h"
@@ -120,6 +123,36 @@ Status GestureRuntime::Pump() {
   return OkStatus();
 }
 
+template <typename... Params, typename... Args>
+Status GestureRuntime::ApplyOrDefer(
+    Status (GestureRuntime::*op)(SessionId, Params...), SessionId session,
+    Args&&... args) {
+  EPL_RETURN_IF_ERROR(EnsureWal());
+  if (!in_dispatch()) {
+    EPL_RETURN_IF_ERROR(Pump());
+  }
+  // Checked at request time, so a callback's close-then-deploy fails here
+  // instead of inverting at the boundary.
+  if (session != kLocalSession) {
+    EPL_RETURN_IF_ERROR(FindSession(session).status());
+  }
+  if (!in_dispatch()) {
+    return (this->*op)(session, std::forward<Args>(args)...);
+  }
+  // Only a queued call copies its arguments.
+  pending_.push_back(
+      [this, op, session,
+       copies = std::make_tuple(
+           std::decay_t<Params>(std::forward<Args>(args))...)]() mutable {
+        return std::apply(
+            [&](auto&... copy) {
+              return (this->*op)(session, std::move(copy)...);
+            },
+            copies);
+      });
+  return OkStatus();
+}
+
 Result<GestureRuntime::Session*> GestureRuntime::FindSession(
     SessionId session) {
   auto it = sessions_.find(session);
@@ -227,75 +260,70 @@ Result<SessionId> GestureRuntime::DoOpenSession(const std::string& user,
 }
 
 Status GestureRuntime::CloseSession(SessionId session) {
-  if (!in_dispatch()) {
-    EPL_RETURN_IF_ERROR(Pump());
+  if (session == kLocalSession) {
+    return NotFoundError("unknown session " + std::to_string(session));
   }
-  EPL_ASSIGN_OR_RETURN(Session * found, FindSession(session));
-  // Close the session SYNCHRONOUSLY -- from this call on, deploys against
-  // it fail with NotFound even when the teardown below is deferred, so a
-  // callback's close-then-deploy sequence cannot invert.
-  found->open = false;
-  const stream::DeploymentId tap = found->tap;
-  found->tap = 0;
+  EPL_RETURN_IF_ERROR(ApplyOrDefer(&GestureRuntime::DoCloseSession, session));
+  // Requested from a callback, the close is queued, but the session stops
+  // accepting requests now: later deploys in the same callback fail with
+  // NotFound. (Applied right away, the session is already gone.)
+  auto it = sessions_.find(session);
+  if (it != sessions_.end()) {
+    it->second.open = false;
+  }
+  return OkStatus();
+}
+
+Status GestureRuntime::DoCloseSession(SessionId session) {
+  auto it = sessions_.find(session);
+  if (it == sessions_.end()) {
+    return NotFoundError("unknown session " + std::to_string(session));
+  }
   durability::WalRecord record;
   record.type = durability::WalRecord::Type::kCloseSession;
   record.session = session;
   EPL_RETURN_IF_ERROR(LogRecord(record));
-  auto teardown = [this, session, tap]() -> Status {
-    {
-      // The teardown's undeploys are implied by the kCloseSession record;
-      // logging them individually would double-apply them on replay.
-      suppress_wal_ = true;
-      Status undeploys = OkStatus();
-      for (const std::string& name : DeployedGestures(session)) {
-        undeploys = DoUndeploy(session, name);
-        if (!undeploys.ok()) {
-          break;
-        }
-      }
-      suppress_wal_ = false;
-      EPL_RETURN_IF_ERROR(undeploys);
-    }
-    if (tap != 0) {
-      EPL_RETURN_IF_ERROR(engine_->Undeploy(tap));
-    }
-    // Garbage-collect the session's namespaced streams so close -> reopen
-    // leaves nothing behind in the engine. A stream that still has foreign
-    // subscribers (e.g. a controller's recorder tap the caller owns) is
-    // left registered -- the caller keeps responsibility for it.
-    auto it = sessions_.find(session);
-    if (it == sessions_.end()) {
-      return OkStatus();
-    }
-    const std::string raw = it->second.raw_stream;
-    const std::string view = it->second.view_stream;
-    sessions_.erase(it);
-    ingested_.erase(session);
-    bool view_removed = true;
-    if (view != raw && engine_->HasStream(view)) {
-      Status removed = engine_->UnregisterStream(view);
-      if (removed.code() == StatusCode::kFailedPrecondition) {
-        view_removed = false;
-      } else {
-        EPL_RETURN_IF_ERROR(removed);
+  {
+    // The teardown's undeploys are implied by the kCloseSession record;
+    // logging them individually would double-apply them on replay.
+    suppress_wal_ = true;
+    Status undeploys = OkStatus();
+    for (const std::string& name : DeployedGestures(session)) {
+      undeploys = DoUndeploy(session, name);
+      if (!undeploys.ok()) {
+        break;
       }
     }
-    if (view_removed && engine_->HasStream(raw)) {
-      Status removed = engine_->UnregisterStream(raw);
-      if (removed.code() != StatusCode::kFailedPrecondition) {
-        EPL_RETURN_IF_ERROR(removed);
-      }
-    }
-    return OkStatus();
-  };
-  if (in_dispatch()) {
-    // Engine undeploys (and sharded control operations) cannot run
-    // mid-dispatch; the session's queries retire at the next boundary --
-    // the same boundary a mid-callback RemoveQuery would take effect at.
-    pending_.push_back(std::move(teardown));
-    return OkStatus();
+    suppress_wal_ = false;
+    EPL_RETURN_IF_ERROR(undeploys);
   }
-  return teardown();
+  if (it->second.tap != 0) {
+    EPL_RETURN_IF_ERROR(engine_->Undeploy(it->second.tap));
+  }
+  // Garbage-collect the session's namespaced streams so close -> reopen
+  // leaves nothing behind in the engine. A stream that still has foreign
+  // subscribers (e.g. a controller's recorder tap the caller owns) is
+  // left registered -- the caller keeps responsibility for it.
+  const std::string raw = it->second.raw_stream;
+  const std::string view = it->second.view_stream;
+  sessions_.erase(it);
+  ingested_.erase(session);
+  bool view_removed = true;
+  if (view != raw && engine_->HasStream(view)) {
+    Status removed = engine_->UnregisterStream(view);
+    if (removed.code() == StatusCode::kFailedPrecondition) {
+      view_removed = false;
+    } else {
+      EPL_RETURN_IF_ERROR(removed);
+    }
+  }
+  if (view_removed && engine_->HasStream(raw)) {
+    Status removed = engine_->UnregisterStream(raw);
+    if (removed.code() != StatusCode::kFailedPrecondition) {
+      EPL_RETURN_IF_ERROR(removed);
+    }
+  }
+  return OkStatus();
 }
 
 Result<std::string> GestureRuntime::SessionViewStream(SessionId session) const {
@@ -379,24 +407,13 @@ Result<query::ParsedQuery> GestureRuntime::BuildQuery(
 
 Status GestureRuntime::Retire(const Gesture& gesture) {
   switch (options_.backend) {
-    case RuntimeBackend::kLegacyPerQuery: {
-      const stream::DeploymentId id = gesture.legacy_id;
-      if (in_dispatch()) {
-        // Undeploy must not run inside a dispatch; the retiring operator
-        // sees no further events before the next boundary anyway (and its
-        // detections for the current event still fire, exactly like a
-        // fused RemoveQuery requested mid-callback).
-        pending_.push_back([this, id] { return engine_->Undeploy(id); });
-        return OkStatus();
-      }
-      return engine_->Undeploy(id);
-    }
+    case RuntimeBackend::kLegacyPerQuery:
+      return engine_->Undeploy(gesture.legacy_id);
     case RuntimeBackend::kFused: {
       auto channel = channels_.find(gesture.stream);
       if (channel == channels_.end()) {
         return InternalError("gesture channel vanished: " + gesture.stream);
       }
-      // Mid-callback removals are deferred by the operator itself.
       return channel->second.fused.op->RemoveQuery(gesture.query_id);
     }
     case RuntimeBackend::kSharded: {
@@ -418,8 +435,7 @@ Status GestureRuntime::Install(const GestureKey& key, Gesture gesture,
   if (existing != gestures_.end()) {
     EPL_RETURN_IF_ERROR(Retire(existing->second));
   }
-  // A deploy is a restore from empty run state. Mid-callback, the fused
-  // operator defers the add to the end of the current event itself.
+  // A deploy is a restore from empty run state.
   Result<int> id =
       options_.backend == RuntimeBackend::kFused
           ? channel->fused.op->RestoreQuery(std::move(spec), runs)
@@ -436,9 +452,15 @@ Status GestureRuntime::DoDeploy(SessionId session,
   if (definition.name.empty()) {
     return InvalidArgumentError("gesture needs a name");
   }
-  Session* found = nullptr;
+  const Session* found = nullptr;
   if (session != kLocalSession) {
-    EPL_ASSIGN_OR_RETURN(found, FindSession(session));
+    // Not FindSession: a deploy queued ahead of its session's close was
+    // validated when requested and still applies.
+    auto it = sessions_.find(session);
+    if (it == sessions_.end()) {
+      return NotFoundError("unknown session " + std::to_string(session));
+    }
+    found = &it->second;
   }
   EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
                        BuildQuery(found, definition));
@@ -462,10 +484,9 @@ Status GestureRuntime::DoDeploy(SessionId session,
   }
 
   // Atomic swap semantics: the retiring query is removed before the
-  // replacement is added, both at the same event boundary (requested from
-  // a callback, the backend applies them in order after the current
-  // event), so the old query sees every event up to and including the
-  // current one and the new query exactly the events after it.
+  // replacement is added, both at the same event boundary, so the old
+  // query sees every event up to that boundary and the new query exactly
+  // the events after it.
   if (options_.backend == RuntimeBackend::kLegacyPerQuery) {
     EPL_ASSIGN_OR_RETURN(
         stream::DeploymentId id,
@@ -511,23 +532,8 @@ Status GestureRuntime::DoDeploy(SessionId session,
 Status GestureRuntime::Deploy(SessionId session,
                               const GestureDefinition& definition,
                               cep::DetectionCallback callback) {
-  EPL_RETURN_IF_ERROR(EnsureWal());
-  if (in_dispatch()) {
-    if (options_.backend == RuntimeBackend::kSharded) {
-      // The sharded engine's control operations quiesce the workers and
-      // must not run from a delivery callback; apply at the next frame
-      // boundary (no events flow in between, so the swap point is the
-      // same one the fused backend realizes immediately).
-      pending_.push_back([this, session, definition,
-                          callback = std::move(callback)]() mutable {
-        return DoDeploy(session, definition, std::move(callback));
-      });
-      return OkStatus();
-    }
-    return DoDeploy(session, definition, std::move(callback));
-  }
-  EPL_RETURN_IF_ERROR(Pump());
-  return DoDeploy(session, definition, std::move(callback));
+  return ApplyOrDefer(&GestureRuntime::DoDeploy, session, definition,
+                      std::move(callback));
 }
 
 Status GestureRuntime::EnsureDetectionStream() {
@@ -565,8 +571,8 @@ Status GestureRuntime::DoDeployComposite(SessionId session,
         "composite gestures require the fused or sharded backend");
   }
   EPL_RETURN_IF_ERROR(ValidateComposite(definition));
-  if (session != kLocalSession) {
-    EPL_RETURN_IF_ERROR(FindSession(session).status());
+  if (session != kLocalSession && sessions_.count(session) == 0) {
+    return NotFoundError("unknown session " + std::to_string(session));
   }
   // A live composite consuming this name would gain an edge to a STRICTLY
   // NEWER query -- the one shape the old-to-new deploy order cannot level
@@ -636,21 +642,8 @@ Status GestureRuntime::DoDeployComposite(SessionId session,
 Status GestureRuntime::DeployComposite(SessionId session,
                                        const CompositeDefinition& definition,
                                        cep::DetectionCallback callback) {
-  EPL_RETURN_IF_ERROR(EnsureWal());
-  if (in_dispatch()) {
-    if (options_.backend == RuntimeBackend::kSharded) {
-      // Same deferral as Deploy: sharded control operations quiesce the
-      // workers and cannot run from a delivery callback.
-      pending_.push_back([this, session, definition,
-                          callback = std::move(callback)]() mutable {
-        return DoDeployComposite(session, definition, std::move(callback));
-      });
-      return OkStatus();
-    }
-    return DoDeployComposite(session, definition, std::move(callback));
-  }
-  EPL_RETURN_IF_ERROR(Pump());
-  return DoDeployComposite(session, definition, std::move(callback));
+  return ApplyOrDefer(&GestureRuntime::DoDeployComposite, session, definition,
+                      std::move(callback));
 }
 
 Status GestureRuntime::DoUndeploy(SessionId session, const std::string& name) {
@@ -675,16 +668,7 @@ Status GestureRuntime::DoUndeploy(SessionId session, const std::string& name) {
 }
 
 Status GestureRuntime::Undeploy(SessionId session, const std::string& name) {
-  if (in_dispatch()) {
-    if (options_.backend == RuntimeBackend::kSharded) {
-      pending_.push_back(
-          [this, session, name] { return DoUndeploy(session, name); });
-      return OkStatus();
-    }
-    return DoUndeploy(session, name);
-  }
-  EPL_RETURN_IF_ERROR(Pump());
-  return DoUndeploy(session, name);
+  return ApplyOrDefer(&GestureRuntime::DoUndeploy, session, name);
 }
 
 bool GestureRuntime::IsDeployed(SessionId session,

@@ -10,9 +10,8 @@
 // deployed, undeployed, and re-deployed BY NAME via runtime
 // AddQuery/RemoveQuery hot-swap. Re-learning a live gesture is an atomic
 // swap at an exact event boundary: the retiring query sees every event up
-// to and including the current one, the replacement sees exactly the
-// events after it -- no deferred-undeploy dance, no window where both or
-// neither are live.
+// to the boundary, the replacement sees exactly the events after it -- no
+// window where both or neither are live.
 //
 // Multi-session mode is how "heavy traffic from millions of users" becomes
 // an actual code path: every user gets a namespaced stream pair
@@ -42,12 +41,18 @@
 // differential and benchmark baseline).
 //
 // Threading / re-entrancy contract: the runtime is single-threaded like
-// the StreamEngine it manages. Deploy/Undeploy may be called from inside a
-// detection callback (the controller's finish gesture does exactly that);
-// operations the underlying backend cannot apply mid-dispatch are deferred
-// and applied at the next PushFrame/Flush boundary -- which keeps the swap
-// semantics above, since no events flow in between. The calls that cannot
-// run mid-dispatch at all -- OpenSession, LoadStore, PushFrame, Flush,
+// the StreamEngine it manages. Deploy, DeployComposite, Undeploy and
+// CloseSession may be called from inside a detection callback (the
+// controller's finish gesture does exactly that). There they are queued
+// and applied, in request order, at the next PushFrame/Flush boundary on
+// every backend; with batch_size > 1 that is after the window whose
+// delivery issued them, which is where the WAL records them. No events
+// flow in between, so the swap semantics above hold, and recovery
+// replays the mutation at the same point. The request is checked against
+// its session at once (a session closed earlier in the same callback is
+// NotFound); any other error surfaces from the PushFrame/Flush that
+// applies it, and IsDeployed reflects the change from then on. The calls
+// that cannot be queued -- OpenSession, LoadStore, PushFrame, Flush,
 // ResizeShards, Checkpoint -- return FailedPrecondition from inside a
 // detection callback and leave the runtime untouched. Each session's frames
 // must be timestamp-monotonic; ordering ACROSS sessions is by arrival.
@@ -200,8 +205,8 @@ class GestureRuntime {
   /// unregisters its namespaced streams ("<user>/kinect" and the
   /// "<user>/kinect_t" view), so a close -> reopen cycle leaves no trace
   /// in the engine. Callable from inside a detection callback: the session
-  /// is closed for further deploys immediately, its queries and streams
-  /// retire at the next event boundary.
+  /// refuses further requests immediately (NotFound), and the close itself
+  /// is queued like a deploy (see the re-entrancy contract above).
   Status CloseSession(SessionId session);
 
   /// The stream carrying the session's transformed (or raw) events --
@@ -219,10 +224,9 @@ class GestureRuntime {
   /// Local deploys run on definition.source_stream; session deploys are
   /// rescoped onto the shared session stream with the session's identity
   /// predicate as pose guard and group gate. Detections of this gesture go
-  /// to `callback`. Callable from inside a detection callback: backends
-  /// that cannot mutate mid-dispatch apply the change at the next
-  /// PushFrame/Flush boundary (identical swap semantics, since no events
-  /// flow in between; errors then surface from that call).
+  /// to `callback`. Callable from inside a detection callback: the deploy
+  /// is then applied at the next PushFrame/Flush boundary on every backend
+  /// (see the re-entrancy contract above).
   Status Deploy(SessionId session, const core::GestureDefinition& definition,
                 cep::DetectionCallback callback);
   Status Deploy(const core::GestureDefinition& definition,
@@ -244,8 +248,8 @@ class GestureRuntime {
   /// composite AT t (same feedback epoch, not t+1), and the combined
   /// detection order is deterministic: (event-seq, level, query-id),
   /// bit-identical across the fused and sharded backends. Requires the
-  /// fused or sharded backend. Callable from inside a detection callback
-  /// with the same deferral semantics as Deploy.
+  /// fused or sharded backend. Callable from inside a detection callback,
+  /// applied at the next PushFrame/Flush boundary like Deploy.
   Status DeployComposite(SessionId session,
                          const CompositeDefinition& definition,
                          cep::DetectionCallback callback);
@@ -257,6 +261,8 @@ class GestureRuntime {
   /// Removes the named gesture, discarding its partial matches. A gesture
   /// (base or composite) consumed by a live composite cannot be
   /// undeployed (FailedPrecondition) -- undeploy the consumer first.
+  /// Callable from inside a detection callback, applied at the next
+  /// PushFrame/Flush boundary like Deploy.
   Status Undeploy(SessionId session, const std::string& name);
   Status Undeploy(const std::string& name) {
     return Undeploy(kLocalSession, name);
@@ -358,6 +364,7 @@ class GestureRuntime {
     /// every state.
     std::shared_ptr<const cep::CompiledPattern> gate;
     stream::DeploymentId tap = 0;
+    /// False once a close is requested; the entry goes when it applies.
     bool open = true;
   };
 
@@ -401,10 +408,17 @@ class GestureRuntime {
   Status RestoreQuery(const durability::QueryState& state,
                       const DetectionCallbackFactory& factory);
   /// Wraps a detection callback so the runtime knows when it is inside a
-  /// dispatch (mutations from there may need deferring).
+  /// dispatch (mutations from there are deferred).
   cep::DetectionCallback Guard(cep::DetectionCallback callback);
   /// Runs the deferred mutations in request order.
   Status Pump();
+  /// The one deferral path of Deploy, DeployComposite, Undeploy and
+  /// CloseSession: checks that `session` is open, then calls `op` with
+  /// `args` (after any earlier deferred mutations) or, inside a dispatch,
+  /// queues the call, with copies of `args`, for the next Pump.
+  template <typename... Params, typename... Args>
+  Status ApplyOrDefer(Status (GestureRuntime::*op)(SessionId, Params...),
+                      SessionId session, Args&&... args);
   Result<Session*> FindSession(SessionId session);
   Result<const Session*> FindSession(SessionId session) const;
   /// Registers the shared session stream on first use.
@@ -421,7 +435,8 @@ class GestureRuntime {
   /// reason both Undeploy of an input and DeployComposite under a
   /// consumed name are rejected.
   Status CheckNotConsumed(SessionId session, const std::string& name) const;
-  /// Dispatch-unsafe deploy core (callers defer when needed).
+  /// Dispatch-unsafe cores, run through ApplyOrDefer (or by WAL replay).
+  Status DoCloseSession(SessionId session);
   Status DoDeploy(SessionId session, const core::GestureDefinition& definition,
                   cep::DetectionCallback callback);
   Status DoDeployComposite(SessionId session,

@@ -2,9 +2,8 @@
 // chunking equivalence (per-event Process is a window of one, so every
 // chunk size must agree with it), the counters of windows of one,
 // partial runs spanning batch edges, MultiMatchOperator window
-// accumulation (control operations flush first; callback-driven
-// add/remove keeps per-event semantics mid-batch via pattern catch-up;
-// feeding events from a callback dies), and ShardedEngine workers
+// accumulation (control operations flush first; feeding events or
+// adding/removing queries from a callback dies), and ShardedEngine workers
 // executing whole fan-out batches as one matcher sweep without perturbing
 // the deterministic merge order.
 
@@ -453,96 +452,37 @@ TEST(BatchedExecutionDeathTest, FeedingFromInsideACallbackDies) {
   }
 }
 
-/// One run of the mid-callback self-exchange scenario: query "first"
-/// removes itself and installs "second" from inside its first detection
-/// callback, mid-stream. Returns every detection in delivery order.
-std::vector<DetectionRecord> RunMidCallbackExchange(size_t batch_size) {
-  auto op = std::make_unique<MultiMatchOperator>(MatcherOptions(), batch_size);
-  std::vector<DetectionRecord> records;
-  bool exchanged = false;
-  int first_id = -1;
-  MultiMatchOperator::QuerySpec spec =
-      ChainSpec("first", {{1.0, 0.5}}, nullptr);
-  MultiMatchOperator* raw = op.get();
-  spec.callback = [&records, &exchanged, &first_id, raw](
-                      const Detection& detection) {
-    records.push_back(DetectionRecord{detection.name, detection.time,
-                                      detection.pose_times});
-    if (!exchanged) {
-      exchanged = true;
-      std::vector<DetectionRecord>* out = &records;
-      MultiMatchOperator::QuerySpec replacement =
-          ChainSpec("second", {{1.0, 0.5}}, Recorder(out));
-      raw->AddQuery(std::move(replacement));
-      EPL_EXPECT_OK(raw->RemoveQuery(first_id));
+// Mutating the query set from inside a detection callback is a contract
+// violation at every batch size: the sweep has already matched the
+// window's remaining events against the current queries. Callers defer
+// such mutations themselves (GestureRuntime applies them at the next
+// PushFrame/Flush boundary).
+TEST(BatchedExecutionDeathTest, MutatingQueriesFromInsideACallbackDies) {
+  for (size_t batch_size : {size_t{1}, size_t{4}}) {
+    for (bool add : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "batch_size " << batch_size
+                   << (add ? " AddQuery" : " RemoveQuery"));
+      EXPECT_DEATH(
+          {
+            MultiMatchOperator op(MatcherOptions(), batch_size);
+            MultiMatchOperator* raw = &op;
+            op.AddQuery(ChainSpec(
+                "every", {{1.0, 0.5}}, [raw, add](const Detection&) {
+                  if (add) {
+                    raw->AddQuery(ChainSpec("late", {{1.0, 0.5}}, nullptr));
+                  } else {
+                    (void)raw->RemoveQuery(0);
+                  }
+                }));
+            for (int i = 0; i < 4; ++i) {
+              (void)op.Process(XEvent(10.0 * i, 1.0));
+            }
+            (void)op.Close();
+          },
+          add ? "adding a query from inside a detection callback"
+              : "RemoveQuery from inside a detection callback");
     }
-  };
-  first_id = op->AddQuery(std::move(spec));
-  for (int i = 0; i < 10; ++i) {
-    EPL_EXPECT_OK(op->Process(XEvent(10.0 * i, 1.0)));
-  }
-  EPL_EXPECT_OK(op->Close());
-  return records;
-}
-
-TEST(BatchedExecutionTest, MidCallbackExchangeIsBitExactUnderBatching) {
-  // Unbatched semantics: "first" fires once (event 0), the exchange
-  // applies before event 1, and "second" -- added mid-stream -- sees
-  // events 1..9. A batched operator must reproduce this exactly even when
-  // the exchange lands in the middle of a window: the removed query's
-  // remaining matches are dropped and the added query catches up on the
-  // window's tail.
-  const std::vector<DetectionRecord> reference = RunMidCallbackExchange(1);
-  ASSERT_EQ(reference.size(), 10u);
-  EXPECT_EQ(reference[0].name, "first");
-  for (size_t i = 1; i < reference.size(); ++i) {
-    EXPECT_EQ(reference[i].name, "second");
-    EXPECT_EQ(reference[i].time, DurationFromMillis(10.0 * i));
-  }
-  for (size_t batch_size : {size_t{2}, size_t{4}, size_t{7}, size_t{100}}) {
-    const std::vector<DetectionRecord> batched =
-        RunMidCallbackExchange(batch_size);
-    ASSERT_TRUE(batched == reference) << "batch_size " << batch_size << ": "
-                                      << batched.size() << " vs "
-                                      << reference.size() << " records";
-  }
-}
-
-TEST(BatchedExecutionTest, MidCallbackRemoveDropsTailMatchesOfTheWindow) {
-  // Two queries fire on every event; "killer"'s first detection removes
-  // "victim". The victim still sees the in-flight event (its match for
-  // that event is delivered) but none after, no matter where the batch
-  // edges fall.
-  auto run = [](size_t batch_size) {
-    MultiMatchOperator op(MatcherOptions(), batch_size);
-    std::vector<DetectionRecord> records;
-    int victim_id = -1;
-    bool removed = false;
-    MultiMatchOperator::QuerySpec killer =
-        ChainSpec("killer", {{1.0, 0.5}}, nullptr);
-    killer.callback = [&records, &removed, &victim_id,
-                       &op](const Detection& detection) {
-      records.push_back(DetectionRecord{detection.name, detection.time,
-                                        detection.pose_times});
-      if (!removed) {
-        removed = true;
-        EPL_EXPECT_OK(op.RemoveQuery(victim_id));
-      }
-    };
-    op.AddQuery(std::move(killer));
-    victim_id = op.AddQuery(ChainSpec("victim", {{1.0, 0.5}},
-                                      Recorder(&records)));
-    for (int i = 0; i < 6; ++i) {
-      EPL_EXPECT_OK(op.Process(XEvent(10.0 * i, 1.0)));
-    }
-    EPL_EXPECT_OK(op.Close());
-    return records;
-  };
-  const std::vector<DetectionRecord> reference = run(1);
-  ASSERT_EQ(reference.size(), 7u);  // 6x killer + victim's event-0 match
-  EXPECT_EQ(reference[1].name, "victim");
-  for (size_t batch_size : {size_t{3}, size_t{4}, size_t{100}}) {
-    ASSERT_TRUE(run(batch_size) == reference) << "batch_size " << batch_size;
   }
 }
 

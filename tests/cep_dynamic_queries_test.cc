@@ -13,9 +13,10 @@
 //     mid-stream) never perturb its partial runs.
 //  3. A query added mid-stream behaves exactly like a fresh deployment fed
 //     the stream suffix.
-//  4. Exchanges requested from inside a detection callback are deferred to
-//     the end of the in-flight event (which still sees the old query set /
-//     old predicate bank generation).
+//
+// Exchanges requested from inside a detection callback are GestureRuntime's
+// to defer (tests/workflow_durability_test.cc); the operator itself dies
+// on them (tests/cep_batched_execution_test.cc).
 
 #include <memory>
 #include <string>
@@ -413,46 +414,6 @@ TEST_P(DynamicQueryModes, AddedQueryEqualsFreshDeployOnSuffix) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, DynamicQueryModes, ::testing::Values(0, 1));
-
-TEST(DynamicQueryTest, MidCallbackExchangeIsDeferred) {
-  std::vector<core::GestureDefinition> definitions = TrainedDefinitions(2);
-  std::vector<Event> events = Workload(9);
-
-  MultiMatchOperator op;
-  int first_detections = 0;
-  int second_detections = 0;
-  int first_id = -1;
-  bool exchanged = false;
-  // On its first detection, the first gesture removes itself and installs
-  // the second -- from inside the callback. The swap must not disturb the
-  // event in flight.
-  MultiMatchOperator::QuerySpec spec =
-      MakeSpec(Compile(definitions[0]), nullptr);
-  spec.callback = [&](const Detection&) {
-    ++first_detections;
-    if (!exchanged) {
-      exchanged = true;
-      size_t queries_before = op.num_queries();
-      MultiMatchOperator::QuerySpec replacement =
-          MakeSpec(Compile(definitions[1]), nullptr);
-      replacement.callback = [&second_detections](const Detection&) {
-        ++second_detections;
-      };
-      op.AddQuery(std::move(replacement));
-      EPL_EXPECT_OK(op.RemoveQuery(first_id));
-      // Deferred: the operator still reports the old query set.
-      EXPECT_EQ(op.num_queries(), queries_before);
-    }
-  };
-  first_id = op.AddQuery(std::move(spec));
-  for (const Event& event : events) {
-    EPL_ASSERT_OK(op.Process(event));
-  }
-  EXPECT_EQ(first_detections, 1);
-  EXPECT_GT(second_detections, 0);
-  EXPECT_EQ(op.num_queries(), 1u);
-  EXPECT_EQ(op.RemoveQuery(first_id).code(), StatusCode::kNotFound);
-}
 
 TEST(DynamicQueryTest, AddFusedQueryJoinsLiveDeployment) {
   std::vector<core::GestureDefinition> definitions = TrainedDefinitions(3);

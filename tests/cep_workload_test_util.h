@@ -5,6 +5,7 @@
 #ifndef EPL_TESTS_CEP_WORKLOAD_TEST_UTIL_H_
 #define EPL_TESTS_CEP_WORKLOAD_TEST_UTIL_H_
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -112,6 +113,10 @@ struct DetectionRecord {
   bool operator==(const DetectionRecord& other) const {
     return name == other.name && time == other.time &&
            pose_times == other.pose_times;
+  }
+  /// gtest prints a mismatching record as "name@time".
+  friend void PrintTo(const DetectionRecord& record, std::ostream* os) {
+    *os << record.name << "@" << record.time;
   }
 };
 

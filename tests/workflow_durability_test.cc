@@ -2,13 +2,14 @@
 // (durability_crash_test.cc) does not pin down structurally: multi-session
 // checkpoint/recover state restoration, WAL replay of session open/close
 // and deploy/undeploy mutations, recovery from an empty directory, the
-// legacy-backend guard, the re-entry contract of detection callbacks --
-// plus the session GC regression: a close -> reopen cycle leaves no trace
-// in the engine.
+// legacy-backend guard, the re-entry and deferral contract of detection
+// callbacks, recovery of callback-issued mutations -- plus the session GC
+// regression: a close -> reopen cycle leaves no trace in the engine.
 
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -241,6 +242,92 @@ TEST(WorkflowDurabilityTest, CheckpointRequiresDurability) {
 }
 
 // ---------------------------------------------------------------------------
+// Regression: a mutation issued by a detection callback is applied at the
+// next PushFrame/Flush boundary -- after the window whose delivery issued
+// it, where the WAL records it -- so recovery from the WAL alone
+// reproduces the live detections at every window alignment. (Applied
+// mid-window live, a copy deployed from the callback fires once more live
+// than after recovery for some lead-ins.)
+
+class CallbackMutationRecoveryTest
+    : public ::testing::TestWithParam<std::tuple<RuntimeBackend, bool>> {};
+
+TEST_P(CallbackMutationRecoveryTest, RecoveredDetectionsEqualLive) {
+  const auto [backend, undeploy] = GetParam();
+  const core::GestureDefinition swipe = TrainedDefinitions(1)[0];
+  core::GestureDefinition copy = swipe;
+  copy.name += "_copy";
+  for (int lead = 0; lead <= 60; lead += 4) {
+    SCOPED_TRACE(::testing::Message() << "lead-in " << lead << " frames");
+    kinect::SessionBuilder builder(UserProfile(), 7);
+    builder.Still(lead / 30.0);
+    for (int i = 0; i < 6; ++i) {
+      builder.Perform(kinect::GestureShapes::SwipeRight());
+    }
+    const std::vector<SkeletonFrame> frames = builder.TakeFrames();
+
+    epl::testing::ScopedTempDir dir;
+    GestureRuntimeOptions options = DurableOptions(dir.path());
+    options.backend = backend;
+    options.batch_size = 64;
+    options.num_shards = 2;
+    std::vector<DetectionRecord> live;
+    {
+      stream::StreamEngine engine;
+      GestureRuntime runtime(&engine, options);
+      EPL_ASSERT_OK_AND_ASSIGN(SessionId alice, runtime.OpenSession("alice"));
+      bool mutated = false;
+      EPL_ASSERT_OK(runtime.Deploy(
+          alice, swipe, [&](const cep::Detection& detection) {
+            Recorder(&live)(detection);
+            if (mutated) {
+              return;
+            }
+            mutated = true;
+            EPL_EXPECT_OK(undeploy
+                              ? runtime.Undeploy(alice, copy.name)
+                              : runtime.Deploy(alice, copy, Recorder(&live)));
+          }));
+      if (undeploy) {
+        EPL_ASSERT_OK(runtime.Deploy(alice, copy, Recorder(&live)));
+      }
+      EPL_ASSERT_OK(runtime.PushFrames(alice, frames));
+      EPL_ASSERT_OK(runtime.Flush());
+      ASSERT_TRUE(mutated) << "the swipe was never detected";
+    }
+    ASSERT_TRUE(std::any_of(live.begin(), live.end(),
+                            [&](const DetectionRecord& record) {
+                              return record.name == copy.name;
+                            }))
+        << "the copy never fired live";
+
+    stream::StreamEngine engine;
+    std::vector<DetectionRecord> recovered;
+    EPL_ASSERT_OK_AND_ASSIGN(
+        std::unique_ptr<GestureRuntime> runtime,
+        GestureRuntime::Recover(&engine, options,
+                                [&](SessionId, const std::string&) {
+                                  return Recorder(&recovered);
+                                }));
+    EPL_ASSERT_OK(runtime->Flush());
+    EXPECT_EQ(recovered, live);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, CallbackMutationRecoveryTest,
+    ::testing::Combine(::testing::Values(RuntimeBackend::kFused,
+                                         RuntimeBackend::kSharded),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<RuntimeBackend, bool>>&
+           info) {
+      return std::string(std::get<0>(info.param) == RuntimeBackend::kFused
+                             ? "Fused"
+                             : "Sharded") +
+             (std::get<1>(info.param) ? "Undeploy" : "Deploy");
+    });
+
+// ---------------------------------------------------------------------------
 // Re-entry contract: from inside a detection callback, the calls that
 // cannot run mid-dispatch return FailedPrecondition -- they neither hang
 // nor corrupt the runtime, which keeps detecting afterwards.
@@ -301,6 +388,88 @@ TEST_P(GestureRuntimeReentryTest, ControlCallsFromCallbackFail) {
   EPL_ASSERT_OK(runtime.Flush());
   EXPECT_GT(detections, after_first);
   EXPECT_EQ(runtime.num_deployed(), 1u);
+}
+
+// The deferral contract, identical on every backend: Deploy,
+// DeployComposite and Undeploy from a callback return OK, change nothing
+// visible until the next PushFrame/Flush boundary, and then apply in
+// request order -- the composite after the input it consumes, the
+// undeploy of `temp` after its deploy (either inversion would fail the
+// Flush with NotFound).
+TEST_P(GestureRuntimeReentryTest, MutationsFromCallbackApplyAtNextBoundary) {
+  GestureRuntimeOptions options;
+  options.backend = GetParam();
+  options.num_shards = 2;
+  const std::vector<core::GestureDefinition> defs = TrainedDefinitions(2);
+  const core::GestureDefinition& swipe = defs[0];
+  const core::GestureDefinition& raise = defs[1];
+  core::GestureDefinition copy = swipe;
+  copy.name += "_copy";
+  core::GestureDefinition temp = swipe;
+  temp.name += "_temp";
+  CompositeDefinition combo;
+  combo.name = "combo";
+  combo.steps.push_back(CompositeStep{kAnySession, copy.name, 1});
+  kinect::SessionBuilder builder(UserProfile(), 7);
+  builder.Perform(kinect::GestureShapes::SwipeRight(), 0.2).Idle(0.5);
+  const size_t second_swipe = builder.frames().size();
+  builder.Perform(kinect::GestureShapes::SwipeRight(), 0.2);
+  const std::vector<SkeletonFrame> frames = builder.TakeFrames();
+
+  stream::StreamEngine engine;
+  GestureRuntime runtime(&engine, options);
+  EPL_ASSERT_OK_AND_ASSIGN(SessionId alice, runtime.OpenSession("alice"));
+  std::vector<DetectionRecord> records;
+  bool mutated = false;
+  EPL_ASSERT_OK(runtime.Deploy(
+      alice, swipe, [&](const cep::Detection& detection) {
+        Recorder(&records)(detection);
+        if (mutated) {
+          return;
+        }
+        mutated = true;
+        EPL_EXPECT_OK(runtime.Deploy(alice, copy, Recorder(&records)));
+        EPL_EXPECT_OK(
+            runtime.DeployComposite(alice, combo, Recorder(&records)));
+        EPL_EXPECT_OK(runtime.Undeploy(alice, raise.name));
+        EPL_EXPECT_OK(runtime.Deploy(alice, temp, nullptr));
+        EPL_EXPECT_OK(runtime.Undeploy(alice, temp.name));
+        EXPECT_FALSE(runtime.IsDeployed(alice, copy.name));
+        EXPECT_FALSE(runtime.IsDeployed(alice, combo.name));
+        EXPECT_TRUE(runtime.IsDeployed(alice, raise.name));
+      }));
+  EPL_ASSERT_OK(runtime.Deploy(alice, raise, nullptr));
+
+  for (size_t i = 0; i < second_swipe && !mutated; ++i) {
+    EPL_ASSERT_OK(runtime.PushFrame(alice, frames[i]));
+  }
+  ASSERT_TRUE(mutated) << "the first swipe was not detected";
+  // The PushFrame that delivered the detection has returned; nothing has
+  // been applied yet.
+  EXPECT_FALSE(runtime.IsDeployed(alice, copy.name));
+  EXPECT_TRUE(runtime.IsDeployed(alice, raise.name));
+
+  EPL_ASSERT_OK(runtime.Flush());
+  EXPECT_TRUE(runtime.IsDeployed(alice, copy.name));
+  EXPECT_TRUE(runtime.IsDeployed(alice, combo.name));
+  EXPECT_FALSE(runtime.IsDeployed(alice, raise.name));
+  EXPECT_FALSE(runtime.IsDeployed(alice, temp.name));
+  EXPECT_EQ(runtime.num_deployed(), 3u);
+
+  // The applied set is live: the second swipe fires the gesture, its copy
+  // and the composite over the copy.
+  records.clear();
+  for (size_t i = second_swipe; i < frames.size(); ++i) {
+    EPL_ASSERT_OK(runtime.PushFrame(alice, frames[i]));
+  }
+  EPL_ASSERT_OK(runtime.Flush());
+  for (const std::string& name : {swipe.name, copy.name, combo.name}) {
+    EXPECT_TRUE(std::any_of(records.begin(), records.end(),
+                            [&](const DetectionRecord& record) {
+                              return record.name == name;
+                            }))
+        << name << " did not fire after the boundary";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

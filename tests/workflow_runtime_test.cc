@@ -269,42 +269,55 @@ TEST(GestureRuntimeSessionTest, SessionsShareOneRuntimeWithIsolation) {
 }
 
 // Closing a session from inside one of its own detection callbacks takes
-// effect synchronously for deploy purposes (a close-then-deploy sequence
-// cannot invert), while the teardown lands at the next event boundary.
+// effect synchronously for later requests (a close-then-deploy sequence
+// cannot invert), while the close itself -- like a deploy requested just
+// before it -- applies in request order at the next event boundary, on
+// every backend.
 TEST(GestureRuntimeSessionTest, CloseSessionFromCallbackRejectsDeploys) {
   const core::GestureDefinition swipe = Train(GestureShapes::SwipeRight(), 10);
   const core::GestureDefinition raise = Train(GestureShapes::RaiseHand(), 20);
+  core::GestureDefinition before_close = raise;
+  before_close.name = "before_close";
   UserProfile user;
   kinect::SessionBuilder builder(user, 501);
   builder.Idle(0.4).Perform(GestureShapes::SwipeRight(), 0.3).Idle(0.5);
 
-  stream::StreamEngine engine;
-  GestureRuntime runtime(&engine);
-  EPL_ASSERT_OK_AND_ASSIGN(SessionId id, runtime.OpenSession("u"));
-  int detections = 0;
-  EPL_ASSERT_OK(runtime.Deploy(
-      id, swipe, [&](const cep::Detection&) {
-        ++detections;
-        if (detections > 1) {
-          return;
-        }
-        EPL_CHECK(runtime.CloseSession(id).ok());
-        Status rejected = runtime.Deploy(id, raise, nullptr);
-        EXPECT_EQ(rejected.code(), StatusCode::kNotFound);
-      }));
-  // Push until the mid-callback close makes the session reject frames.
-  Status push_status = OkStatus();
-  for (const SkeletonFrame& frame : builder.frames()) {
-    push_status = runtime.PushFrame(id, frame);
-    if (!push_status.ok()) {
-      break;
+  for (RuntimeBackend backend :
+       {RuntimeBackend::kFused, RuntimeBackend::kSharded}) {
+    SCOPED_TRACE(backend == RuntimeBackend::kFused ? "fused" : "sharded");
+    stream::StreamEngine engine;
+    GestureRuntimeOptions options;
+    options.backend = backend;
+    options.num_shards = 2;
+    GestureRuntime runtime(&engine, options);
+    EPL_ASSERT_OK_AND_ASSIGN(SessionId id, runtime.OpenSession("u"));
+    int detections = 0;
+    EPL_ASSERT_OK(runtime.Deploy(
+        id, swipe, [&](const cep::Detection&) {
+          ++detections;
+          if (detections > 1) {
+            return;
+          }
+          EPL_EXPECT_OK(runtime.Deploy(id, before_close, nullptr));
+          EPL_CHECK(runtime.CloseSession(id).ok());
+          Status rejected = runtime.Deploy(id, raise, nullptr);
+          EXPECT_EQ(rejected.code(), StatusCode::kNotFound);
+        }));
+    // Push until the mid-callback close makes the session reject frames.
+    Status push_status = OkStatus();
+    for (const SkeletonFrame& frame : builder.frames()) {
+      push_status = runtime.PushFrame(id, frame);
+      if (!push_status.ok()) {
+        break;
+      }
     }
+    EXPECT_GE(detections, 1);
+    EXPECT_EQ(push_status.code(), StatusCode::kNotFound);
+    // The queued deploy and close both ran at the next frame boundary.
+    EXPECT_EQ(runtime.num_deployed(), 0u);
+    EXPECT_FALSE(runtime.IsDeployed(id, "swipe_right"));
+    EXPECT_FALSE(runtime.IsDeployed(id, before_close.name));
   }
-  EXPECT_GE(detections, 1);
-  EXPECT_EQ(push_status.code(), StatusCode::kNotFound);
-  // The deferred teardown ran at the next frame boundary.
-  EXPECT_EQ(runtime.num_deployed(), 0u);
-  EXPECT_FALSE(runtime.IsDeployed(id, "swipe_right"));
 }
 
 TEST(GestureRuntimeSessionTest, ShardedSessionsDetectLikeFused) {
