@@ -13,12 +13,14 @@ MultiMatchOperator::MultiMatchOperator(MatcherOptions options,
 }
 
 int MultiMatchOperator::FindQuery(int query_id) const {
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    if (queries_[i].id == query_id) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
+  // Ids are handed out in increasing order and erasure keeps the order, so
+  // queries_ is sorted by id.
+  const auto it = std::lower_bound(
+      queries_.begin(), queries_.end(), query_id,
+      [](const InstalledQuery& query, int id) { return query.id < id; });
+  return it != queries_.end() && it->id == query_id
+             ? static_cast<int>(it - queries_.begin())
+             : -1;
 }
 
 int MultiMatchOperator::AddQuery(QuerySpec spec) {
@@ -208,14 +210,14 @@ void MultiMatchOperator::FlushBatchedEvents() {
   if (window_count_ == 0 || processing_) {
     return;
   }
-  // Swap the filled slots out so a detection callback can refill window_
-  // while the sweep runs. Neither vector is cleared: slots keep their
-  // values capacity and are overwritten in place on the next fill, so the
-  // steady state buffers a window with zero allocations.
-  flushing_.swap(window_);
+  // The window is swept in place: no detection callback can refill it
+  // while the sweep runs (Process dies inside a callback). It is not
+  // cleared either: slots keep their values capacity and are overwritten
+  // in place on the next fill, so the steady state buffers a window with
+  // zero allocations.
   const size_t count = window_count_;
   window_count_ = 0;
-  RunBatch(flushing_.data(), count);
+  RunBatch(window_.data(), count);
 }
 
 Status MultiMatchOperator::Process(const stream::Event& event) {

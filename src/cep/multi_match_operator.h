@@ -241,7 +241,8 @@ class MultiMatchOperator : public stream::Operator {
                        const stream::Event& event);
 
   MultiPatternMatcher matcher_;
-  std::vector<InstalledQuery> queries_;  // index-aligned with matcher_
+  // Index-aligned with matcher_, and sorted by id (see FindQuery).
+  std::vector<InstalledQuery> queries_;
   // Composite (level >= 1) queries; null until the first one is added.
   // queries_ holds base queries only, so the flat path never pays for
   // the feedback machinery beyond one null/active check per sweep.
@@ -252,11 +253,10 @@ class MultiMatchOperator : public stream::Operator {
 
   size_t batch_size_ = 1;
   // window_[0, window_count_) holds the buffered events; slots past the
-  // count are stale Events kept only for their values capacity (both
-  // vectors recycle slots so steady-state buffering never allocates).
+  // count are stale Events kept only for their values capacity (slots are
+  // recycled so steady-state buffering never allocates).
   std::vector<stream::Event> window_;
   size_t window_count_ = 0;
-  std::vector<stream::Event> flushing_;  // the window being processed
   BatchEventHook batch_event_hook_;
 };
 

@@ -37,21 +37,6 @@ uint64_t QueryCostWeight(const CompiledPattern& pattern) {
   return std::max<uint64_t>(1, weight);
 }
 
-uint64_t MeasuredQueryCostWeight(const MatcherStats& stats,
-                                 uint64_t static_weight) {
-  if (stats.events == 0) {
-    return std::max<uint64_t>(1, static_weight);
-  }
-  // Per-event predicate reads, whether served by the shared bank
-  // (predicate_cache_hits: seed + advance reads of the flattened loop) or
-  // interpreted directly (predicate_evaluations). The factor 2 puts the
-  // result on the static states+predicates scale; ceil keeps any observed
-  // activity above the floor.
-  const uint64_t reads =
-      stats.predicate_evaluations + stats.predicate_cache_hits;
-  return std::max<uint64_t>(1, (2 * reads + stats.events - 1) / stats.events);
-}
-
 int PickRebalanceVictim(
     const std::vector<uint64_t>& shard_weights,
     const std::vector<std::pair<int, uint64_t>>& candidates,
@@ -168,9 +153,7 @@ Status ShardedEngine::Start() {
 }
 
 bool ShardedEngine::Push(const stream::Event& event) {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "Push from inside a detection callback";
+  CheckNotDelivering("Push");
   std::lock_guard<std::mutex> lock(control_mu_);
   if (!running_) {
     return false;
@@ -183,9 +166,7 @@ bool ShardedEngine::Push(const stream::Event& event) {
 }
 
 Status ShardedEngine::Flush() {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "Flush from inside a detection callback";
+  CheckNotDelivering("Flush");
   std::lock_guard<std::mutex> lock(control_mu_);
   if (!running_) {
     return FailedPreconditionError("sharded engine not running");
@@ -202,9 +183,7 @@ Status ShardedEngine::Flush() {
 }
 
 Status ShardedEngine::Stop() {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "Stop from inside a detection callback";
+  CheckNotDelivering("Stop");
   std::lock_guard<std::mutex> lock(control_mu_);
   if (!running_) {
     return FailedPreconditionError("sharded engine not running");
@@ -236,9 +215,7 @@ int ShardedEngine::AddQuery(QuerySpec spec) {
 }
 
 Status ShardedEngine::RemoveQuery(int query_id) {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "RemoveQuery from inside a detection callback";
+  CheckNotDelivering("RemoveQuery");
   std::lock_guard<std::mutex> lock(control_mu_);
   auto it = queries_.find(query_id);
   if (it == queries_.end()) {
@@ -261,7 +238,6 @@ Status ShardedEngine::RemoveQuery(int query_id) {
   }
   Shard* shard = shards_[static_cast<size_t>(it->second.shard)].get();
   status = shard->op.RemoveQuery(it->second.local_id);
-  UnlinkInfoLocked(&it->second);
   IndexQueryLocked(it->second, it->second.shard, false);
   queries_.erase(it);
   Rebalance();
@@ -272,9 +248,7 @@ Status ShardedEngine::RemoveQuery(int query_id) {
 }
 
 void ShardedEngine::ResetMatchers() {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "ResetMatchers from inside a detection callback";
+  CheckNotDelivering("ResetMatchers");
   std::lock_guard<std::mutex> lock(control_mu_);
   const bool live = running_;
   if (live) {
@@ -284,9 +258,6 @@ void ShardedEngine::ResetMatchers() {
   for (std::unique_ptr<Shard>& shard : shards_) {
     shard->op.ResetMatchers();
   }
-  // A reset keeps the matchers' statistics today; re-measuring once after
-  // it keeps placement independent of that detail.
-  weights_seq_ = kWeightsStale;
   if (composite_ != nullptr) {
     composite_->Reset();
   }
@@ -296,9 +267,7 @@ void ShardedEngine::ResetMatchers() {
 }
 
 Status ShardedEngine::Resize(int num_shards) {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "Resize from inside a detection callback";
+  CheckNotDelivering("Resize");
   std::lock_guard<std::mutex> lock(control_mu_);
   if (stopped_) {
     return FailedPreconditionError("sharded engine is stopped");
@@ -447,9 +416,7 @@ Status ShardedEngine::Resize(int num_shards) {
 
 Result<std::vector<std::pair<int, NfaRunState>>>
 ShardedEngine::ExportRunStates() {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "ExportRunStates from inside a detection callback";
+  CheckNotDelivering("ExportRunStates");
   std::lock_guard<std::mutex> lock(control_mu_);
   const bool live = running_;
   if (live) {
@@ -484,9 +451,7 @@ ShardedEngine::ExportRunStates() {
 
 Result<int> ShardedEngine::RestoreQuery(QuerySpec spec,
                                         const NfaRunState& runs) {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "AddQuery/RestoreQuery from inside a detection callback";
+  CheckNotDelivering("AddQuery/RestoreQuery");
   MultiMatchOperator::DetachedQuery query =
       MultiMatchOperator::MakeQuery(std::move(spec), options_.matcher);
   EPL_RETURN_IF_ERROR(query.matcher->ImportRunState(runs));
@@ -507,13 +472,11 @@ int ShardedEngine::InstallLocked(MultiMatchOperator::DetachedQuery query) {
   const int id = next_query_id_++;
   InstalledQuery& record = query.query;
   QueryInfo info;
-  info.id = id;
   info.level = record.level;
   info.tag = record.tag;
   info.session_tag = record.session_tag;
   info.session_scoped = record.level == 0 && record.session_scoped;
-  info.static_weight = QueryCostWeight(*record.pattern);
-  info.weight = info.static_weight;
+  info.weight = QueryCostWeight(*record.pattern);
   if (record.level > 0) {
     // Composite queries run in the engine-owned runner, fed from the
     // watermark merge -- no shard, no recorder, and the user callback
@@ -527,23 +490,15 @@ int ShardedEngine::InstallLocked(MultiMatchOperator::DetachedQuery query) {
   info.shard = PlaceQueryLocked(info);
   Shard* shard = shards_[static_cast<size_t>(info.shard)].get();
   record.callback = MakeRecorder(shard, id);
-  // A restored matcher carries its checkpointed statistics: weigh it by
-  // them now, exactly as a full refresh would (a fresh query keeps its
-  // static weight).
-  const uint64_t weight =
-      MeasuredQueryCostWeight(query.matcher->stats(), info.static_weight);
   info.local_id = shard->op.AdoptQuery(std::move(query));
-  info.weight = weight;
   IndexQueryLocked(info, info.shard, true);
-  shard->infos.push_back(&queries_.emplace(id, std::move(info)).first->second);
+  queries_.emplace(id, std::move(info));
   Rebalance();
   return id;
 }
 
 std::vector<ShardedEngine::QueryStatsSnapshot> ShardedEngine::QueryStats() {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "QueryStats from inside a detection callback";
+  CheckNotDelivering("QueryStats");
   std::lock_guard<std::mutex> lock(control_mu_);
   const bool live = running_;
   if (live) {
@@ -552,41 +507,25 @@ std::vector<ShardedEngine::QueryStatsSnapshot> ShardedEngine::QueryStats() {
   }
   std::vector<QueryStatsSnapshot> snapshots;
   snapshots.reserve(queries_.size());
-  // The snapshot is the natural moment to fold observed cost back into
-  // placement weights: workers are quiesced, so the numbers are mutually
-  // consistent, and one stats read per query serves both.
-  RefreshBaseQueriesLocked(
-      [&](const QueryInfo& info, size_t shard, const MatcherStats& stats) {
-        QueryStatsSnapshot snapshot;
-        snapshot.query_id = info.id;
-        snapshot.shard = info.shard;
-        snapshot.weight = info.weight;
-        snapshot.stats = stats;
-        snapshot.bank = shards_[shard]->op.bank_stats();
-        snapshots.push_back(snapshot);
-      });
-  if (composite_ != nullptr) {
-    for (const auto& [query_id, info] : queries_) {
-      if (info.shard >= 0) {
-        continue;
-      }
+  for (const auto& [query_id, info] : queries_) {
+    QueryStatsSnapshot snapshot;
+    snapshot.query_id = query_id;
+    snapshot.shard = info.shard;
+    snapshot.weight = info.weight;
+    if (info.shard < 0) {
       // Composite queries: matcher stats from the engine-owned runner
       // (bank stats stay default -- composites share no shard bank).
       Result<MatcherStats> stats = composite_->QueryStats(query_id);
       EPL_CHECK(stats.ok()) << stats.status();
-      QueryStatsSnapshot snapshot;
-      snapshot.query_id = query_id;
-      snapshot.shard = info.shard;
       snapshot.stats = *stats;
-      snapshot.weight = info.weight;
-      snapshots.push_back(snapshot);
+    } else {
+      const MultiMatchOperator& op =
+          shards_[static_cast<size_t>(info.shard)]->op;
+      snapshot.stats = op.matcher_stats(op.FindQuery(info.local_id));
+      snapshot.bank = op.bank_stats();
     }
+    snapshots.push_back(snapshot);
   }
-  std::sort(snapshots.begin(), snapshots.end(),
-            [](const QueryStatsSnapshot& a, const QueryStatsSnapshot& b) {
-              return a.query_id < b.query_id;
-            });
-  weights_seq_ = next_seq_;
   if (live) {
     ResumeWorkers();
   }
@@ -594,33 +533,25 @@ std::vector<ShardedEngine::QueryStatsSnapshot> ShardedEngine::QueryStats() {
 }
 
 uint64_t ShardedEngine::processed() const {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "processed from inside a detection callback";
+  CheckNotDelivering("processed");
   std::lock_guard<std::mutex> lock(control_mu_);
   return MinProcessed();
 }
 
 size_t ShardedEngine::num_queries() const {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "num_queries from inside a detection callback";
+  CheckNotDelivering("num_queries");
   std::lock_guard<std::mutex> lock(control_mu_);
   return queries_.size();
 }
 
 bool ShardedEngine::running() const {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "running from inside a detection callback";
+  CheckNotDelivering("running");
   std::lock_guard<std::mutex> lock(control_mu_);
   return running_;
 }
 
 uint64_t ShardedEngine::rebalanced_queries() const {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "rebalanced_queries from inside a detection callback";
+  CheckNotDelivering("rebalanced_queries");
   std::lock_guard<std::mutex> lock(control_mu_);
   return rebalanced_queries_;
 }
@@ -634,17 +565,13 @@ int ShardedEngine::pin_failures() const {
 }
 
 uint64_t ShardedEngine::resize_count() const {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "resize_count from inside a detection callback";
+  CheckNotDelivering("resize_count");
   std::lock_guard<std::mutex> lock(control_mu_);
   return resize_count_;
 }
 
 ShardedEngine::EngineStats ShardedEngine::engine_stats() const {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "engine_stats from inside a detection callback";
+  CheckNotDelivering("engine_stats");
   std::lock_guard<std::mutex> lock(control_mu_);
   EngineStats stats = stats_;
   stats.worker_wakeups = wakeups_signaled_.load(std::memory_order_relaxed);
@@ -652,9 +579,7 @@ ShardedEngine::EngineStats ShardedEngine::engine_stats() const {
 }
 
 void ShardedEngine::TestOnlyFlipInterestBit(double key, int shard) {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "TestOnlyFlipInterestBit from inside a detection callback";
+  CheckNotDelivering("TestOnlyFlipInterestBit");
   std::lock_guard<std::mutex> lock(control_mu_);
   std::vector<int>& shards = interest_[RoutingKey(key)];
   auto it = std::find(shards.begin(), shards.end(), shard);
@@ -695,26 +620,20 @@ size_t ShardedEngine::max_spare_windows() const {
 }
 
 int ShardedEngine::shard_of(int query_id) const {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "shard_of from inside a detection callback";
+  CheckNotDelivering("shard_of");
   std::lock_guard<std::mutex> lock(control_mu_);
   auto it = queries_.find(query_id);
   return it == queries_.end() ? -1 : it->second.shard;
 }
 
 std::vector<uint64_t> ShardedEngine::shard_weights() const {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "shard_weights from inside a detection callback";
+  CheckNotDelivering("shard_weights");
   std::lock_guard<std::mutex> lock(control_mu_);
   return ShardWeightsLocked();
 }
 
 std::vector<size_t> ShardedEngine::shard_query_counts() const {
-  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
-            std::this_thread::get_id())
-      << "shard_query_counts from inside a detection callback";
+  CheckNotDelivering("shard_query_counts");
   std::lock_guard<std::mutex> lock(control_mu_);
   std::vector<size_t> counts;
   counts.reserve(shards_.size());
@@ -1162,34 +1081,10 @@ uint64_t ShardedEngine::MinProcessed() const {
   return watermark;
 }
 
-template <typename Visit>
-void ShardedEngine::RefreshBaseQueriesLocked(Visit visit) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const MultiMatchOperator& op = shards_[s]->op;
-    const std::vector<QueryInfo*>& infos = shards_[s]->infos;
-    for (size_t q = 0; q < infos.size(); ++q) {
-      QueryInfo& info = *infos[q];
-      const int index = static_cast<int>(q);
-      EPL_CHECK(op.query_id(index) == info.local_id)
-          << "shard " << s << " query index out of step";
-      const MatcherStats& stats = op.matcher_stats(index);
-      SetWeightLocked(info, MeasuredQueryCostWeight(stats, info.static_weight));
-      visit(info, s, stats);
-    }
-  }
-}
-
-void ShardedEngine::RefreshWeightsLocked() {
-  // A measured weight is a function of the query's statistics, which only
-  // move when events are processed: with none since the last refresh
-  // every weight is provably current (queries added since carry their
-  // exact weight from birth, moves carry their stats along).
-  if (weights_seq_ == next_seq_) {
-    return;
-  }
-  RefreshBaseQueriesLocked(
-      [](const QueryInfo&, size_t, const MatcherStats&) {});
-  weights_seq_ = next_seq_;
+void ShardedEngine::CheckNotDelivering(const char* call) const {
+  EPL_CHECK(delivering_thread_.load(std::memory_order_relaxed) !=
+            std::this_thread::get_id())
+      << call << " from inside a detection callback";
 }
 
 void ShardedEngine::IndexQueryLocked(const QueryInfo& info, int shard,
@@ -1248,21 +1143,6 @@ void ShardedEngine::IndexQueryLocked(const QueryInfo& info, int shard,
       shards.push_back(static_cast<int>(i));
     }
   }
-}
-
-void ShardedEngine::SetWeightLocked(QueryInfo& info, uint64_t weight) {
-  if (weight == info.weight) {
-    return;
-  }
-  const size_t s = static_cast<size_t>(info.shard);
-  index_.shard_weight[s] = index_.shard_weight[s] - info.weight + weight;
-  index_.total_weight = index_.total_weight - info.weight + weight;
-  if (info.session_scoped) {
-    uint64_t& session =
-        index_.sessions.at(RoutingKey(info.session_tag)).weight[s];
-    session = session - info.weight + weight;
-  }
-  info.weight = weight;
 }
 
 void ShardedEngine::ResizeIndexLocked() {
@@ -1338,11 +1218,9 @@ void ShardedEngine::MoveQueryLocked(int query_id, int destination_index) {
           info.local_id);
   EPL_CHECK(detached.ok()) << detached.status();
   // The recorder points at the old shard's buffers; rebind it.
-  UnlinkInfoLocked(&info);
   Shard* destination = shards_[static_cast<size_t>(destination_index)].get();
   detached->query.callback = MakeRecorder(destination, query_id);
   info.local_id = destination->op.AdoptQuery(std::move(detached).value());
-  destination->infos.push_back(&info);
   // Index the arrival before the departure, so a one-query session's
   // entry is not dropped and re-created on the way.
   IndexQueryLocked(info, destination_index, true);
@@ -1350,17 +1228,7 @@ void ShardedEngine::MoveQueryLocked(int query_id, int destination_index) {
   info.shard = destination_index;
 }
 
-void ShardedEngine::UnlinkInfoLocked(QueryInfo* info) {
-  std::vector<QueryInfo*>& infos =
-      shards_[static_cast<size_t>(info->shard)]->infos;
-  infos.erase(std::find(infos.begin(), infos.end(), info));
-}
-
 void ShardedEngine::Rebalance() {
-  // Rebalancing always runs quiesced (callers pause the workers when
-  // live), so the matcher statistics are mutually consistent: re-derive
-  // every weight from measured per-event cost before picking victims.
-  RefreshWeightsLocked();
   const bool affinity =
       options_.placement == ShardPlacement::kSessionAffinity;
   // Loop-invariant: moves change shard assignment, not the query set.

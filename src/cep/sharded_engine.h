@@ -102,15 +102,17 @@ namespace epl::cep {
 /// Placement policy for base queries (see ShardedEngine::AddQuery and
 /// Rebalance).
 enum class ShardPlacement {
-  /// Balance measured query cost across shards (the pre-routing default):
-  /// queries of one session spread wherever the weights fall.
+  /// Balance query cost across shards, each query weighted by
+  /// QueryCostWeight, fixed at deploy (the pre-routing default): queries
+  /// of one session spread wherever the weights fall.
   kBalanced,
   /// Pack each session's queries onto the fewest shards that fit under
-  /// the measured-cost skew budget, so interest-routed fan-out has
-  /// something to exploit: a session event then touches ~1 shard instead
-  /// of all of them. Placement falls back to the least-loaded shard (and
-  /// rebalancing may split a session) only when packing would exceed the
-  /// budget; work stealing absorbs the residual skew.
+  /// the skew budget (each query weighted by QueryCostWeight, fixed at
+  /// deploy), so interest-routed fan-out has something to exploit: a
+  /// session event then touches ~1 shard instead of all of them.
+  /// Placement falls back to the least-loaded shard (and rebalancing may
+  /// split a session) only when packing would exceed the budget; work
+  /// stealing absorbs the residual skew.
   kSessionAffinity,
 };
 
@@ -161,21 +163,10 @@ struct ShardedEngineOptions {
 /// Cost heuristic of one deployed query for shard placement: total NFA
 /// states plus distinct bank predicates (the two per-event cost drivers of
 /// the flattened runtime). Never returns 0, so an engine that cannot
-/// derive costs degenerates to balancing query counts.
+/// derive costs degenerates to balancing query counts. A query's weight is
+/// fixed at deploy, so placement is a pure function of the add / remove /
+/// restore / resize history -- never of the traffic.
 uint64_t QueryCostWeight(const CompiledPattern& pattern);
-
-/// Measured placement weight of a live query: observed predicate reads per
-/// event (from its MatcherStats counters), scaled onto the same unit as
-/// the static QueryCostWeight -- a fully active n-state pattern reads ~n
-/// predicates per event and has static weight ~2n, hence the factor 2.
-/// Falls back to `static_weight` while no events have been observed, so
-/// placement of cold queries still follows the structural heuristic. Never
-/// returns 0. ShardedEngine refreshes every query's weight from this
-/// before rebalancing (and in QueryStats), so a query that is measurably
-/// hot -- runs alive, predicates firing -- outweighs a statically heavy
-/// one that the stream never wakes up.
-uint64_t MeasuredQueryCostWeight(const MatcherStats& stats,
-                                 uint64_t static_weight);
 
 /// Pure placement policy behind ShardedEngine::Rebalance, exposed for
 /// direct unit testing. `shard_weights` is the total cost per shard;
@@ -293,11 +284,13 @@ class ShardedEngine {
   /// pattern.
   Result<int> RestoreQuery(QuerySpec spec, const NfaRunState& runs);
 
-  /// Per-query matcher statistics snapshot, ordered by query id. Callable
-  /// from any thread; when live, the shards are quiesced at an event
-  /// boundary first so the numbers are mutually consistent. Counters
-  /// survive rebalancing: a query's stats travel with its matcher across
-  /// shards and are never reset by an exchange.
+  /// Per-query matcher statistics snapshot, ordered by query id, with each
+  /// query's placement weight (weighted by QueryCostWeight, fixed at
+  /// deploy). A pure read: it changes no placement. Callable from any
+  /// thread; when live, the shards are quiesced at an event boundary first
+  /// so the numbers are mutually consistent. Counters survive rebalancing:
+  /// a query's stats travel with its matcher across shards and are never
+  /// reset by an exchange.
   std::vector<QueryStatsSnapshot> QueryStats();
 
   int num_shards() const;
@@ -410,8 +403,6 @@ class ShardedEngine {
     bool sync = false;
   };
 
-  struct QueryInfo;
-
   struct Shard {
     explicit Shard(const MatcherOptions& matcher_options)
         : op(matcher_options) {}
@@ -453,13 +444,6 @@ class ShardedEngine {
     const std::vector<uint64_t>* batch_seqs = nullptr;
     std::vector<PendingMatch> local;
 
-    // The QueryInfo of every query on this shard, aligned with the
-    // operator's local order: infos[q] describes op.query_id(q). Kept in
-    // step by InstallLocked, RemoveQuery and MoveQueryLocked (control_mu_),
-    // so a weight refresh reads each query's stats by index instead of
-    // looking its local id up.
-    std::vector<QueryInfo*> infos;
-
     std::mutex mu;  // guards pending and status
     std::deque<PendingMatch> pending;
     Status status;
@@ -471,20 +455,14 @@ class ShardedEngine {
   };
 
   struct QueryInfo {
-    int id = -1;  // stable engine-wide id (the queries_ key)
     /// Hosting shard, or -1 for composite queries (which live in the
     /// engine-owned CompositeRunner, not on any shard -- every placement
     /// and rebalancing path skips shard < 0).
     int shard = -1;
     int local_id = -1;  // id inside the shard's MultiMatchOperator
-    /// Active placement weight: MeasuredQueryCostWeight of the latest
-    /// stats snapshot, refreshed by a quiesced rebalance or QueryStats()
-    /// whenever events were processed since the previous refresh (with no
-    /// new events the stats, and so the weight, cannot have changed).
-    /// Changed only through SetWeightLocked, which keeps the placement
-    /// index in step.
+    /// Placement weight: the query is weighted by QueryCostWeight, fixed at
+    /// deploy.
     uint64_t weight = 1;
-    uint64_t static_weight = 1;  // QueryCostWeight of the pattern
     DetectionCallback callback;
     int level = 0;
     /// Derived-event identity feeding composite epochs (base queries).
@@ -507,9 +485,9 @@ class ShardedEngine {
   };
 
   /// Aggregates of the base (shard >= 0) queries in queries_, kept in step
-  /// by IndexQueryLocked / SetWeightLocked / ResizeIndexLocked, so every
-  /// placement decision reads O(shards) or O(sessions) state instead of
-  /// walking all queries. Composite queries never enter it.
+  /// by IndexQueryLocked / ResizeIndexLocked, so every placement decision
+  /// reads O(shards) or O(sessions) state instead of walking all queries.
+  /// Composite queries never enter it.
   struct PlacementIndex {
     std::vector<uint64_t> shard_weight;
     /// Non-session-scoped queries per shard (each makes its shard a
@@ -576,26 +554,18 @@ class ShardedEngine {
   /// Delivers every merged match below the fleet watermark.
   void DrainAndDeliver();
   uint64_t MinProcessed() const;
-  /// Re-derives the placement weight of every base query from its live
-  /// matcher statistics, walking each shard's `infos` in local order, and
-  /// calls `visit(info, shard_index, stats)` for each (control_mu_ held,
-  /// workers quiesced when live).
-  template <typename Visit>
-  void RefreshBaseQueriesLocked(Visit visit);
+  /// Dies when the calling thread is running detection callbacks:
+  /// `call` would re-enter the engine ("<call> from inside a detection
+  /// callback").
+  void CheckNotDelivering(const char* call) const;
   /// The one install routine of AddQuery and RestoreQuery (control_mu_
   /// held, workers quiesced when live): places `query`, whose matcher
   /// already holds its run state, and returns its stable id.
   int InstallLocked(MultiMatchOperator::DetachedQuery query);
-  /// Re-derives every query's placement weight from its live matcher
-  /// statistics when events were processed since the previous refresh;
-  /// otherwise a no-op (control_mu_ held, workers quiesced when live).
-  void RefreshWeightsLocked();
   /// Adds (`add`) or removes base query `info`'s weight and count on
   /// `shard` in the placement index, updating the interest index when the
   /// set of shards hosting its session (or any wildcard) changes.
   void IndexQueryLocked(const QueryInfo& info, int shard, bool add);
-  /// Sets a base query's placement weight, keeping the index in step.
-  void SetWeightLocked(QueryInfo& info, uint64_t weight);
   /// Resizes the index's per-shard tables to shards_.size(); shards being
   /// dropped must already be empty.
   void ResizeIndexLocked();
@@ -617,9 +587,6 @@ class ShardedEngine {
   /// `destination_index`, rebinding its recorder (control_mu_ held,
   /// workers quiesced when live).
   void MoveQueryLocked(int query_id, int destination_index);
-  /// Removes `info` from its shard's `infos`, at the index the operator
-  /// just erased it from.
-  void UnlinkInfoLocked(QueryInfo* info);
   /// Packs each session split across shards back onto its majority shard
   /// when the move keeps the fleet inside the skew budget
   /// (kSessionAffinity only; increments affinity_moves).
@@ -650,9 +617,6 @@ class ShardedEngine {
 
   std::map<int, QueryInfo> queries_;
   PlacementIndex index_;
-  // next_seq_ at the last weight refresh; kWeightsStale forces the next.
-  static constexpr uint64_t kWeightsStale = UINT64_MAX;
-  uint64_t weights_seq_ = 0;
   // Interest index (control_mu_), derived from index_ by IndexQueryLocked:
   // routing key (bitwise session_tag) -> sorted shard ids hosting a
   // session-scoped query for it, plus the shards hosting at least one

@@ -154,8 +154,9 @@ struct GestureRuntimeOptions {
   bool route_session_events = true;
   /// Sharded backend: base-query placement. kSessionAffinity (default)
   /// packs each session's queries onto the fewest shards that fit the
-  /// measured-cost skew budget, which is what makes routed fan-out touch
-  /// ~1 shard per event; kBalanced spreads purely by weight.
+  /// skew budget, which is what makes routed fan-out touch ~1 shard per
+  /// event; kBalanced spreads purely by weight. Either way each query is
+  /// weighted by QueryCostWeight, fixed at deploy.
   cep::ShardPlacement shard_placement = cep::ShardPlacement::kSessionAffinity;
   /// Give every session its own kinect_t transformation view and merge the
   /// transformed events. Off: raw kinect events merge directly (workloads

@@ -194,6 +194,13 @@ TEST(ShardedEngineTest, RebalanceNeverResetsQueryStats) {
   ASSERT_EQ(before.size(), 4u);
   for (const auto& snapshot : before) {
     EXPECT_EQ(snapshot.stats.events, half) << "query " << snapshot.query_id;
+    // The snapshot also carries the shard bank's evaluation counters: the
+    // batch_size=4 windows must have split every (field, event) row into
+    // broadcast-vs-recomputed.
+    EXPECT_GT(snapshot.bank.batch_broadcast_rows +
+                  snapshot.bank.batch_recomputed_rows,
+              0u)
+        << "query " << snapshot.query_id;
   }
 
   // Empty shard 1: the rebalancer moves a survivor, whose counters must
@@ -397,33 +404,6 @@ TEST(ShardedEngineTest, CrossThreadExchangeWhileStreaming) {
   EXPECT_GT(survivor_records.size(), 0u);
 }
 
-TEST(MeasuredWeightTest, FallsBackToStaticWeightWithoutEvents) {
-  MatcherStats cold;
-  EXPECT_EQ(MeasuredQueryCostWeight(cold, 16), 16u);
-  // Never returns 0, even on a degenerate static weight.
-  EXPECT_EQ(MeasuredQueryCostWeight(cold, 0), 1u);
-}
-
-TEST(MeasuredWeightTest, ScalesWithObservedPerEventReads) {
-  // A hot query (many predicate reads per event) outweighs a statically
-  // heavy query the stream never wakes up (one seed read per event).
-  MatcherStats hot;
-  hot.events = 100;
-  hot.predicate_cache_hits = 380;  // ~3.8 reads/event
-  MatcherStats cold;
-  cold.events = 100;
-  cold.predicate_cache_hits = 100;  // seed read only
-  const uint64_t hot_weight = MeasuredQueryCostWeight(hot, 6);
-  const uint64_t cold_weight = MeasuredQueryCostWeight(cold, 16);
-  EXPECT_EQ(hot_weight, 8u);   // ceil(2 * 380 / 100)
-  EXPECT_EQ(cold_weight, 2u);  // measured activity overrides static 16
-  EXPECT_GT(hot_weight, cold_weight);
-  // Direct interpretations count the same as bank-served reads.
-  MatcherStats mixed = cold;
-  mixed.predicate_evaluations = 280;
-  EXPECT_EQ(MeasuredQueryCostWeight(mixed, 16), 8u);
-}
-
 /// An n-state chain over field "x": every predicate is an interval around
 /// `center` of half-width `width`, with distinct centers so the static
 /// weight is states + states distinct predicates.
@@ -447,64 +427,6 @@ MultiMatchOperator::QuerySpec ChainSpecX(const std::string& name, int states,
   spec.pattern = std::move(compiled).value();
   spec.callback = std::move(callback);
   return spec;
-}
-
-TEST(ShardedEngineTest, MeasuredHotQueriesOutweighStaticallyHeavyColdOnes) {
-  ShardedEngineOptions options;
-  options.num_shards = 2;
-  options.batch_size = 8;
-  ShardedEngine sharded(options);
-  // "heavy" never fires beyond its seed read (centers far from the
-  // stream); the "hot" chains advance on every event.
-  const int heavy_id = sharded.AddQuery(ChainSpecX("heavy", 8, 500.0, 1.0,
-                                                   nullptr));
-  const int hot_a_id =
-      sharded.AddQuery(ChainSpecX("hot_a", 3, 1.0, 50.0, nullptr));
-  const int hot_b_id =
-      sharded.AddQuery(ChainSpecX("hot_b", 3, 1.0, 40.0, nullptr));
-  // Static placement: heavy (weight 16) alone, the two hots (6 each)
-  // together.
-  ASSERT_NE(sharded.shard_of(heavy_id), sharded.shard_of(hot_a_id));
-  ASSERT_EQ(sharded.shard_of(hot_a_id), sharded.shard_of(hot_b_id));
-
-  EPL_ASSERT_OK(sharded.Start());
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(sharded.Push(Event(DurationFromMillis(10.0 * i), {1.0})));
-  }
-  EPL_ASSERT_OK(sharded.Flush());
-
-  // The quiesced snapshot re-derives weights from measured cost: observed
-  // activity outranks the structural heuristic.
-  std::vector<ShardedEngine::QueryStatsSnapshot> snapshots =
-      sharded.QueryStats();
-  ASSERT_EQ(snapshots.size(), 3u);
-  uint64_t heavy_weight = 0;
-  uint64_t hot_weight = 0;
-  for (const auto& snapshot : snapshots) {
-    if (snapshot.query_id == heavy_id) {
-      heavy_weight = snapshot.weight;
-    } else if (snapshot.query_id == hot_a_id) {
-      hot_weight = snapshot.weight;
-    }
-    EXPECT_EQ(snapshot.stats.events, 30u) << "query " << snapshot.query_id;
-    // The snapshot also carries the shard bank's evaluation counters:
-    // 30 events through batch_size=8 windows must have split every
-    // (field, event) row into broadcast-vs-recomputed.
-    EXPECT_GT(snapshot.bank.batch_broadcast_rows +
-                  snapshot.bank.batch_recomputed_rows,
-              0u)
-        << "query " << snapshot.query_id;
-  }
-  EXPECT_LT(heavy_weight, 16u);  // measured demotes the cold heavy query
-  EXPECT_GT(hot_weight, heavy_weight);
-
-  // Placement now follows measured cost: a new query lands NEXT TO the
-  // statically heaviest pattern, because that shard is measurably idle
-  // (impossible under static weights: 16 + 6 vs 12).
-  const int late_id =
-      sharded.AddQuery(ChainSpecX("late", 3, 1.0, 30.0, nullptr));
-  EXPECT_EQ(sharded.shard_of(late_id), sharded.shard_of(heavy_id));
-  EPL_ASSERT_OK(sharded.Stop());
 }
 
 TEST(ShardedEngineTest, LifecycleErrors) {
@@ -1223,14 +1145,17 @@ MultiMatchOperator::QuerySpec PlacementSpec(const PlacementQuery& query) {
 }
 
 /// Drives a started, composite-free engine through seeded control
-/// operations: AddQuery (mostly session-scoped, 2-6 states, so static and
-/// measured weights differ per query), RemoveQuery, RestoreQuery of a live
-/// query's exported run state, Resize to 1-4 shards, bursts of Push,
-/// QueryStats and ResetMatchers.
+/// operations: AddQuery (mostly session-scoped, 2-6 states, so weights
+/// differ per query), RemoveQuery, RestoreQuery of a live query's exported
+/// run state, Resize to 1-4 shards, bursts of Push, QueryStats and
+/// ResetMatchers. With `push_events` false a push step draws the same
+/// random numbers but pushes nothing, so two scripts of one seed differ in
+/// their traffic only.
 class PlacementScript {
  public:
-  PlacementScript(ShardedEngine* engine, uint64_t seed)
-      : engine_(engine), state_(seed) {}
+  PlacementScript(ShardedEngine* engine, uint64_t seed,
+                  bool push_events = true)
+      : engine_(engine), state_(seed), push_events_(push_events) {}
 
   /// Runs one operation; returns its name.
   std::string Step() {
@@ -1271,6 +1196,9 @@ class PlacementScript {
       for (int i = 0; i < 40; ++i, ++pushed_) {
         const double x = 4.0 * static_cast<double>(Next() >> 40) /
                          static_cast<double>(1 << 24);
+        if (!push_events_) {
+          continue;
+        }
         EPL_CHECK(engine_->Push(
             Event(DurationFromMillis(5.0 * static_cast<double>(pushed_)),
                   {x, static_cast<double>(pushed_ % kPlacementSessions)})));
@@ -1302,6 +1230,7 @@ class PlacementScript {
 
   ShardedEngine* engine_;
   uint64_t state_;
+  bool push_events_;
   uint64_t pushed_ = 0;
   std::map<int, PlacementQuery> live_;
 };
@@ -1324,8 +1253,6 @@ std::vector<std::string> PlacementTrace(ShardPlacement placement) {
   std::vector<std::string> trace;
   for (int step = 0; step < 64; ++step) {
     std::string line = script.Step() + " s=";
-    // shard_of, not QueryStats(): the latter refreshes every weight,
-    // which would hide a wrongly skipped refresh in the next operation.
     for (int id : script.live_ids()) {
       line += std::to_string(engine.shard_of(id));
     }
@@ -1341,73 +1268,75 @@ std::vector<std::string> PlacementTrace(ShardPlacement placement) {
   return trace;
 }
 
-/// PlacementTrace at the commit before the placement index, when every
-/// decision walked all queries.
+/// PlacementTrace of fixed-weight placement, recorded from the last build
+/// that still re-weighed queries from matcher statistics, with its
+/// measured weight patched to return the static QueryCostWeight (the same
+/// decisions, reached through the older refresh path).
 const char* const kBalancedGolden[] = {
     "add s=0 w=8,0,0, r=0 a=0",
     "restore s=01 w=8,8,0, r=0 a=0",
     "add s=012 w=8,8,6, r=0 a=0",
     "add s=0102 w=14,8,12, r=1 a=0",
     "push s=0102 w=14,8,12, r=1 a=0",
-    "remove s=012 w=2,2,2, r=2 a=0",
-    "push s=012 w=2,2,2, r=2 a=0",
-    "stats s=012 w=2,2,2, r=2 a=0",
-    "add s=1120 w=10,4,2, r=3 a=0",
-    "add s=11202 w=10,4,6, r=3 a=0",
-    "add s=122021 w=10,10,8, r=4 a=0",
-    "remove s=22021 w=10,8,8, r=4 a=0",
-    "resize s=10011 w=12,14, r=4 a=0",
-    "add s=100110 w=16,14, r=4 a=0",
-    "remove s=10010 w=10,10, r=5 a=0",
-    "push s=10010 w=10,10, r=5 a=0",
-    "reset s=10010 w=10,10, r=5 a=0",
-    "push s=10010 w=10,10, r=5 a=0",
-    "reset s=10010 w=10,10, r=5 a=0",
-    "remove s=1001 w=4,4, r=6 a=0",
-    "push s=1001 w=4,4, r=6 a=0",
-    "push s=1001 w=4,4, r=6 a=0",
-    "add s=11110 w=10,8, r=8 a=0",
-    "push s=11110 w=10,8, r=8 a=0",
-    "add s=111100 w=12,8, r=9 a=0",
-    "add s=1111001 w=12,14, r=9 a=0",
-    "add s=11110010 w=18,14, r=9 a=0",
-    "add s=111100101 w=18,18, r=9 a=0",
-    "push s=111100101 w=18,18, r=9 a=0",
-    "push s=111100101 w=18,18, r=9 a=0",
-    "push s=111100101 w=18,18, r=9 a=0",
-    "add s=1111001110 w=16,15, r=10 a=0",
-    "reset s=1111001110 w=16,15, r=10 a=0",
-    "add s=11110011001 w=18,19, r=11 a=0",
-    "add s=111100111010 w=22,21, r=12 a=0",
-    "push s=111100111010 w=22,21, r=12 a=0",
-    "add s=1111001110100 w=14,17, r=13 a=0",
-    "add s=11110011101000 w=20,17, r=13 a=0",
-    "restore s=111100111010001 w=20,19, r=13 a=0",
-    "add s=1111001110100001 w=22,23, r=14 a=0",
-    "push s=1111001110100001 w=22,23, r=14 a=0",
-    "stats s=1111001110100001 w=14,19, r=14 a=0",
-    "resize s=1111002110200022 w=12,12,9, r=18 a=0",
-    "reset s=1111002110200022 w=12,12,9, r=18 a=0",
-    "add s=11110021102000222 w=12,12,13, r=18 a=0",
-    "add s=111100211021212220 w=16,16,15, r=21 a=0",
-    "add s=1111002111212122002 w=18,18,19, r=23 a=0",
-    "push s=1111002111212122002 w=18,18,19, r=23 a=0",
-    "push s=1111002111212122002 w=18,18,19, r=23 a=0",
-    "remove s=111100211202022002 w=12,12,13, r=25 a=0",
-    "resize s=111100211202022002 w=12,12,13, r=25 a=0",
-    "reset s=111100211202022002 w=12,12,13, r=25 a=0",
-    "push s=111100211202022002 w=12,12,13, r=25 a=0",
-    "push s=111100211202022002 w=12,12,13, r=25 a=0",
-    "add s=1111002112021222120 w=16,16,15, r=28 a=0",
-    "add s=11110001120212221102 w=19,18,20, r=30 a=0",
-    "remove s=1111000112021200102 w=15,16,16, r=33 a=0",
-    "resize s=1111000110010000001 w=23,24, r=35 a=0",
-    "remove s=111000110010000001 w=23,22, r=35 a=0",
-    "push s=111000110010000001 w=23,22, r=35 a=0",
-    "push s=111000110010000001 w=23,22, r=35 a=0",
-    "stats s=111000110010000001 w=23,14, r=35 a=0",
-    "add s=1110001100100000011 w=23,26, r=35 a=0",
-    "add s=11100011001000000110 w=29,26, r=35 a=0",
+    "remove s=012 w=8,8,6, r=2 a=0",
+    "push s=012 w=8,8,6, r=2 a=0",
+    "stats s=012 w=8,8,6, r=2 a=0",
+    "add s=0122 w=8,8,16, r=2 a=0",
+    "add s=01220 w=12,8,16, r=2 a=0",
+    "add s=012201 w=12,16,16, r=2 a=0",
+    "remove s=12200 w=12,8,16, r=3 a=0",
+    "resize s=11000 w=22,14, r=3 a=0",
+    "add s=110001 w=22,18, r=3 a=0",
+    "remove s=11001 w=12,18, r=3 a=0",
+    "push s=11001 w=12,18, r=3 a=0",
+    "reset s=11001 w=12,18, r=3 a=0",
+    "push s=11001 w=12,18, r=3 a=0",
+    "reset s=11001 w=12,18, r=3 a=0",
+    "remove s=1001 w=10,12, r=4 a=0",
+    "push s=1001 w=10,12, r=4 a=0",
+    "push s=1001 w=10,12, r=4 a=0",
+    "add s=10110 w=16,16, r=5 a=0",
+    "push s=10110 w=16,16, r=5 a=0",
+    "add s=111100 w=20,22, r=6 a=0",
+    "add s=1111000 w=26,22, r=6 a=0",
+    "add s=11110001 w=26,28, r=6 a=0",
+    "add s=111100010 w=30,28, r=6 a=0",
+    "push s=111100010 w=30,28, r=6 a=0",
+    "push s=111100010 w=30,28, r=6 a=0",
+    "push s=111100010 w=30,28, r=6 a=0",
+    "add s=1111000001 w=36,34, r=7 a=0",
+    "reset s=1111000001 w=36,34, r=7 a=0",
+    "add s=11110000011 w=36,40, r=7 a=0",
+    "add s=111100000110 w=42,40, r=7 a=0",
+    "push s=111100000110 w=42,40, r=7 a=0",
+    "add s=1111000001101 w=42,46, r=7 a=0",
+    "add s=11110000011010 w=48,46, r=7 a=0",
+    "restore s=111100000110101 w=48,52, r=7 a=0",
+    "add s=1111000001101010 w=54,52, r=7 a=0",
+    "push s=1111000001101010 w=54,52, r=7 a=0",
+    "stats s=1111000001101010 w=54,52, r=7 a=0",
+    "resize s=1112220002101010 w=34,36,36, r=11 a=0",
+    "reset s=1112220002101010 w=34,36,36, r=11 a=0",
+    "add s=11122200021010100 w=38,36,36, r=11 a=0",
+    "add s=111222000210102001 w=38,40,42, r=12 a=0",
+    "add s=1112220002101020010 w=46,40,42, r=12 a=0",
+    "push s=1112220002101020010 w=46,40,42, r=12 a=0",
+    "push s=1112220002101020010 w=46,40,42, r=12 a=0",
+    "remove s=111222002101020010 w=40,40,42, r=12 a=0",
+    "resize s=111222002101020010 w=40,40,42, r=12 a=0",
+    "reset s=111222002101020010 w=40,40,42, r=12 a=0",
+    "push s=111222002101020010 w=40,40,42, r=12 a=0",
+    "push s=111222002101020010 w=40,40,42, r=12 a=0",
+    "add s=1112220021010201100 w=46,44,42, r=13 a=0",
+    "add s=11122200210102011002 w=46,44,52, r=13 a=0",
+    "remove s=1112220021010201100 w=46,44,42, r=14 a=0",
+    "resize s=1111010001010101100 w=68,64, r=14 a=0",
+    "remove s=111010001010101100 w=68,60, r=14 a=0",
+    "push s=111010001010101100 w=68,60, r=14 a=0",
+    "push s=111010001010101100 w=68,60, r=14 a=0",
+    "stats s=111010001010101100 w=68,60, r=14 a=0",
+    "add s=1110100010101011001 w=68,72, r=14 a=0",
+    "add s=11101000101010110010 w=74,72, r=14 a=0",
 };
 
 const char* const kAffinityGolden[] = {
@@ -1416,65 +1345,65 @@ const char* const kAffinityGolden[] = {
     "add s=000 w=22,0,0, r=0 a=2",
     "add s=0000 w=34,0,0, r=0 a=3",
     "push s=0000 w=34,0,0, r=0 a=3",
-    "remove s=000 w=6,0,0, r=0 a=3",
-    "push s=000 w=6,0,0, r=0 a=3",
-    "stats s=000 w=6,0,0, r=0 a=3",
-    "add s=0001 w=6,10,0, r=0 a=3",
-    "add s=00012 w=6,10,4, r=0 a=3",
-    "add s=000122 w=6,10,12, r=0 a=3",
-    "remove s=00122 w=4,10,12, r=0 a=3",
-    "resize s=00100 w=16,10, r=0 a=3",
-    "add s=001001 w=16,14, r=0 a=3",
-    "remove s=00101 w=12,8, r=1 a=3",
-    "push s=00101 w=12,8, r=1 a=3",
-    "reset s=00101 w=12,8, r=1 a=3",
-    "push s=00101 w=12,8, r=1 a=3",
-    "reset s=00101 w=12,8, r=1 a=3",
-    "remove s=0011 w=4,4, r=1 a=3",
-    "push s=0011 w=4,4, r=1 a=3",
-    "push s=0011 w=4,4, r=1 a=3",
-    "add s=01110 w=12,6, r=2 a=3",
-    "push s=01110 w=12,6, r=2 a=3",
-    "add s=010001 w=8,12, r=4 a=3",
-    "add s=0100010 w=14,12, r=4 a=3",
-    "add s=01000100 w=20,12, r=4 a=3",
-    "add s=010001001 w=20,16, r=4 a=3",
-    "push s=010001001 w=20,16, r=4 a=3",
-    "push s=010001001 w=20,16, r=4 a=3",
-    "push s=010001001 w=20,16, r=4 a=3",
-    "add s=0000000011 w=17,14, r=4 a=5",
-    "reset s=0000000011 w=17,14, r=4 a=5",
-    "add s=00000000111 w=17,20, r=4 a=5",
-    "add s=000100010110 w=21,22, r=4 a=8",
-    "push s=000100010110 w=21,22, r=4 a=8",
-    "add s=0001000101101 w=17,14, r=5 a=8",
-    "add s=00010001011011 w=17,20, r=5 a=8",
-    "restore s=000100010110111 w=17,22, r=5 a=9",
-    "add s=0001000101101110 w=23,22, r=5 a=9",
-    "push s=0001000101101110 w=23,22, r=5 a=9",
-    "stats s=0001000101101110 w=19,14, r=5 a=9",
-    "resize s=2201222101100110 w=10,12,11, r=11 a=9",
-    "reset s=2201222101100110 w=10,12,11, r=11 a=9",
-    "add s=22012221011001100 w=14,12,11, r=11 a=9",
-    "add s=220122110110011002 w=14,15,18, r=12 a=9",
-    "add s=2201221101100110020 w=22,15,18, r=12 a=9",
-    "push s=2201221101100110020 w=22,15,18, r=12 a=9",
-    "push s=2201221101100110020 w=22,15,18, r=12 a=9",
-    "remove s=220122201100110020 w=14,10,13, r=12 a=10",
-    "resize s=220122201100110020 w=14,10,13, r=12 a=10",
-    "reset s=220122201100110020 w=14,10,13, r=12 a=10",
-    "push s=220122201100110020 w=14,10,13, r=12 a=10",
-    "push s=220122201100110020 w=14,10,13, r=12 a=10",
-    "add s=2201222011001100201 w=14,20,13, r=12 a=10",
-    "add s=22012220110011001012 w=14,22,21, r=13 a=11",
-    "remove s=2201221011001100102 w=14,15,18, r=14 a=11",
-    "resize s=1101111011001100100 w=24,23, r=14 a=12",
-    "remove s=110111011001100100 w=24,21, r=14 a=12",
-    "push s=110111011001100100 w=24,21, r=14 a=12",
-    "push s=110111011001100100 w=24,21, r=14 a=12",
-    "stats s=110111011001100100 w=16,21, r=14 a=12",
-    "add s=1101110110011001000 w=28,21, r=14 a=12",
-    "add s=11011101100110010001 w=28,27, r=14 a=12",
+    "remove s=000 w=22,0,0, r=0 a=3",
+    "push s=000 w=22,0,0, r=0 a=3",
+    "stats s=000 w=22,0,0, r=0 a=3",
+    "add s=0201 w=14,10,8, r=1 a=3",
+    "add s=02012 w=14,10,12, r=1 a=3",
+    "add s=020120 w=22,10,12, r=1 a=3",
+    "remove s=20120 w=14,10,12, r=1 a=3",
+    "resize s=00110 w=22,14, r=1 a=3",
+    "add s=001101 w=22,18, r=1 a=3",
+    "remove s=00111 w=14,16, r=2 a=3",
+    "push s=00111 w=14,16, r=2 a=3",
+    "reset s=00111 w=14,16, r=2 a=3",
+    "push s=00111 w=14,16, r=2 a=3",
+    "reset s=00111 w=14,16, r=2 a=3",
+    "remove s=0011 w=14,8, r=2 a=3",
+    "push s=0011 w=14,8, r=2 a=3",
+    "push s=0011 w=14,8, r=2 a=3",
+    "add s=00111 w=14,18, r=2 a=3",
+    "push s=00111 w=14,18, r=2 a=3",
+    "add s=001110 w=24,18, r=2 a=3",
+    "add s=0011100 w=30,18, r=2 a=3",
+    "add s=00111001 w=30,24, r=2 a=3",
+    "add s=001110011 w=30,28, r=2 a=3",
+    "push s=001110011 w=30,28, r=2 a=3",
+    "push s=001110011 w=30,28, r=2 a=3",
+    "push s=001110011 w=30,28, r=2 a=3",
+    "add s=0011000111 w=40,30, r=2 a=4",
+    "reset s=0011000111 w=40,30, r=2 a=4",
+    "add s=00110001111 w=40,36, r=2 a=4",
+    "add s=001100011111 w=40,42, r=2 a=4",
+    "push s=001100011111 w=40,42, r=2 a=4",
+    "add s=0011000111110 w=46,42, r=2 a=4",
+    "add s=00110001111101 w=46,48, r=2 a=4",
+    "restore s=001100011111011 w=46,54, r=2 a=4",
+    "add s=0011000111110110 w=52,54, r=2 a=4",
+    "push s=0011000111110110 w=52,54, r=2 a=4",
+    "stats s=0011000111110110 w=52,54, r=2 a=4",
+    "resize s=0012000211212221 w=40,32,34, r=9 a=4",
+    "reset s=0012000211212221 w=40,32,34, r=9 a=4",
+    "add s=00120002112122211 w=40,36,34, r=9 a=4",
+    "add s=001200021121222112 w=40,36,44, r=9 a=4",
+    "add s=0012000211212221121 w=40,44,44, r=9 a=4",
+    "push s=0012000211212221121 w=40,44,44, r=9 a=4",
+    "push s=0012000211212221121 w=40,44,44, r=9 a=4",
+    "remove s=001200011212221121 w=40,44,38, r=9 a=4",
+    "resize s=001200011212221121 w=40,44,38, r=9 a=4",
+    "reset s=001200011212221121 w=40,44,38, r=9 a=4",
+    "push s=001200011212221121 w=40,44,38, r=9 a=4",
+    "push s=001200011212221121 w=40,44,38, r=9 a=4",
+    "add s=0012000112122211210 w=50,44,38, r=9 a=4",
+    "add s=00120001121222112102 w=50,44,48, r=9 a=4",
+    "remove s=0012000112122211212 w=40,44,48, r=9 a=4",
+    "resize s=0010000110110011011 w=72,60, r=9 a=5",
+    "remove s=001000110110011011 w=68,60, r=9 a=5",
+    "push s=001000110110011011 w=68,60, r=9 a=5",
+    "push s=001000110110011011 w=68,60, r=9 a=5",
+    "stats s=001000110110011011 w=68,60, r=9 a=5",
+    "add s=0010001101100110111 w=68,72, r=9 a=5",
+    "add s=00100011011001101101 w=80,66, r=9 a=6",
 };
 
 template <size_t N>
@@ -1519,6 +1448,37 @@ TEST(PlacementIndexProperty, ShardWeightsEqualPerQuerySums) {
             << "seed " << seed << " step " << step << " (" << op << ")";
       }
       EPL_ASSERT_OK(engine.Stop());
+    }
+  }
+}
+
+// Placement is a pure function of the control history: an engine that
+// sees the script's traffic places every query exactly like one that sees
+// none of it.
+TEST(PlacementIndexProperty, PlacementIgnoresTraffic) {
+  for (ShardPlacement placement :
+       {ShardPlacement::kBalanced, ShardPlacement::kSessionAffinity}) {
+    for (uint64_t seed = 1; seed <= 4; ++seed) {
+      ShardedEngine with_traffic(PlacementOptions(placement));
+      ShardedEngine without_traffic(PlacementOptions(placement));
+      EPL_ASSERT_OK(with_traffic.Start());
+      EPL_ASSERT_OK(without_traffic.Start());
+      PlacementScript pushing(&with_traffic, seed);
+      PlacementScript idle(&without_traffic, seed, /*push_events=*/false);
+      for (int step = 0; step < 40; ++step) {
+        const std::string op = pushing.Step();
+        ASSERT_EQ(idle.Step(), op);
+        ASSERT_EQ(idle.live_ids(), pushing.live_ids());
+        for (int id : pushing.live_ids()) {
+          ASSERT_EQ(without_traffic.shard_of(id), with_traffic.shard_of(id))
+              << "seed " << seed << " step " << step << " (" << op
+              << ") query " << id;
+        }
+        ASSERT_EQ(without_traffic.shard_weights(), with_traffic.shard_weights())
+            << "seed " << seed << " step " << step << " (" << op << ")";
+      }
+      EPL_ASSERT_OK(with_traffic.Stop());
+      EPL_ASSERT_OK(without_traffic.Stop());
     }
   }
 }
