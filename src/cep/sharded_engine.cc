@@ -171,14 +171,7 @@ Status ShardedEngine::Flush() {
   if (!running_) {
     return FailedPreconditionError("sharded engine not running");
   }
-  FlushBatch();
-  const uint64_t target = next_seq_;
-  {
-    std::unique_lock<std::mutex> pool_lock(pool_mu_);
-    control_cv_.wait(pool_lock,
-                     [this, target] { return MinProcessed() >= target; });
-  }
-  DrainAndDeliver();
+  QuiesceLocked();
   return FirstShardError();
 }
 
@@ -188,12 +181,9 @@ Status ShardedEngine::Stop() {
   if (!running_) {
     return FailedPreconditionError("sharded engine not running");
   }
-  FlushBatch();
-  const uint64_t target = next_seq_;
+  QuiesceLocked();
   {
-    std::unique_lock<std::mutex> pool_lock(pool_mu_);
-    control_cv_.wait(pool_lock,
-                     [this, target] { return MinProcessed() >= target; });
+    std::lock_guard<std::mutex> pool_lock(pool_mu_);
     shutdown_ = true;
     WakeAllWorkersLocked();
   }
@@ -204,7 +194,6 @@ Status ShardedEngine::Stop() {
   }
   running_ = false;
   stopped_ = true;
-  DrainAndDeliver();
   return FirstShardError();
 }
 
@@ -221,48 +210,30 @@ Status ShardedEngine::RemoveQuery(int query_id) {
   if (it == queries_.end()) {
     return NotFoundError("unknown query id " + std::to_string(query_id));
   }
-  const bool live = running_;
-  if (live) {
-    PauseWorkers();
-    // Deliver every match the query completed before this boundary.
-    DrainAndDeliver();
-  }
-  Status status;
+  // Deliver every match the query completed before this boundary.
+  QuiesceLocked();
   if (it->second.shard < 0) {
-    status = composite_->Remove(query_id);
+    const Status status = composite_->Remove(query_id);
     queries_.erase(it);
-    if (live) {
-      ResumeWorkers();
-    }
     return status;
   }
   Shard* shard = shards_[static_cast<size_t>(it->second.shard)].get();
-  status = shard->op.RemoveQuery(it->second.local_id);
+  const Status status = shard->op.RemoveQuery(it->second.local_id);
   IndexQueryLocked(it->second, it->second.shard, false);
   queries_.erase(it);
   Rebalance();
-  if (live) {
-    ResumeWorkers();
-  }
   return status;
 }
 
 void ShardedEngine::ResetMatchers() {
   CheckNotDelivering("ResetMatchers");
   std::lock_guard<std::mutex> lock(control_mu_);
-  const bool live = running_;
-  if (live) {
-    PauseWorkers();
-    DrainAndDeliver();
-  }
+  QuiesceLocked();
   for (std::unique_ptr<Shard>& shard : shards_) {
     shard->op.ResetMatchers();
   }
   if (composite_ != nullptr) {
     composite_->Reset();
-  }
-  if (live) {
-    ResumeWorkers();
   }
 }
 
@@ -277,10 +248,7 @@ Status ShardedEngine::Resize(int num_shards) {
     return OkStatus();
   }
   const bool live = running_;
-  if (live) {
-    PauseWorkers();
-    DrainAndDeliver();
-  }
+  QuiesceLocked();
   if (target > shards_.size()) {
     // Grow: fresh shards are born at the quiesce boundary. Pre-advancing
     // them to next_seq_ keeps the fleet watermark exact -- they have by
@@ -289,10 +257,7 @@ Status ShardedEngine::Resize(int num_shards) {
     const size_t old_count = shards_.size();
     std::vector<std::unique_ptr<Shard>> born;
     while (old_count + born.size() < target) {
-      std::unique_ptr<Shard> shard = MakeShard(next_seq_);
-      // Born parked: ResumeWorkers releases the whole fleet uniformly.
-      shard->parked = live;
-      born.push_back(std::move(shard));
+      born.push_back(MakeShard(next_seq_));
     }
     {
       std::lock_guard<std::mutex> pool_lock(pool_mu_);
@@ -401,16 +366,12 @@ Status ShardedEngine::Resize(int num_shards) {
     if (!migrate_status.ok()) {
       if (live) {
         Rebalance();
-        ResumeWorkers();
       }
       return migrate_status;
     }
   }
   ++resize_count_;
   Rebalance();
-  if (live) {
-    ResumeWorkers();
-  }
   return OkStatus();
 }
 
@@ -418,16 +379,11 @@ Result<std::vector<std::pair<int, NfaRunState>>>
 ShardedEngine::ExportRunStates() {
   CheckNotDelivering("ExportRunStates");
   std::lock_guard<std::mutex> lock(control_mu_);
-  const bool live = running_;
-  if (live) {
-    PauseWorkers();
-    // Deliver every completed match first, so the cut is exactly "all
-    // pushed events processed, all their detections delivered".
-    DrainAndDeliver();
-  }
+  // The cut is exactly "all pushed events processed, all their detections
+  // delivered".
+  QuiesceLocked();
   std::vector<std::pair<int, NfaRunState>> states;
   states.reserve(queries_.size());
-  Status status;
   for (const auto& [query_id, info] : queries_) {
     Result<NfaRunState> state =
         info.shard < 0
@@ -435,16 +391,9 @@ ShardedEngine::ExportRunStates() {
             : shards_[static_cast<size_t>(info.shard)]->op.ExportQueryRunState(
                   info.local_id);
     if (!state.ok()) {
-      status = state.status().WithContext("query " + std::to_string(query_id));
-      break;
+      return state.status().WithContext("query " + std::to_string(query_id));
     }
     states.emplace_back(query_id, std::move(*state));
-  }
-  if (live) {
-    ResumeWorkers();
-  }
-  if (!status.ok()) {
-    return status;
   }
   return states;
 }
@@ -456,16 +405,8 @@ Result<int> ShardedEngine::RestoreQuery(QuerySpec spec,
       MultiMatchOperator::MakeQuery(std::move(spec), options_.matcher);
   EPL_RETURN_IF_ERROR(query.matcher->ImportRunState(runs));
   std::lock_guard<std::mutex> lock(control_mu_);
-  const bool live = running_;
-  if (live) {
-    PauseWorkers();
-    DrainAndDeliver();
-  }
-  const int id = InstallLocked(std::move(query));
-  if (live) {
-    ResumeWorkers();
-  }
-  return id;
+  QuiesceLocked();
+  return InstallLocked(std::move(query));
 }
 
 int ShardedEngine::InstallLocked(MultiMatchOperator::DetachedQuery query) {
@@ -500,11 +441,8 @@ int ShardedEngine::InstallLocked(MultiMatchOperator::DetachedQuery query) {
 std::vector<ShardedEngine::QueryStatsSnapshot> ShardedEngine::QueryStats() {
   CheckNotDelivering("QueryStats");
   std::lock_guard<std::mutex> lock(control_mu_);
-  const bool live = running_;
-  if (live) {
-    // Quiesce so no worker is mid-event while stats are read.
-    PauseWorkers();
-  }
+  // No worker is mid-event while stats are read.
+  QuiesceLocked();
   std::vector<QueryStatsSnapshot> snapshots;
   snapshots.reserve(queries_.size());
   for (const auto& [query_id, info] : queries_) {
@@ -525,9 +463,6 @@ std::vector<ShardedEngine::QueryStatsSnapshot> ShardedEngine::QueryStats() {
       snapshot.bank = op.bank_stats();
     }
     snapshots.push_back(snapshot);
-  }
-  if (live) {
-    ResumeWorkers();
   }
   return snapshots;
 }
@@ -667,19 +602,12 @@ void ShardedEngine::WorkerLoop(Shard* primary, int worker_index) {
     QueueEntry entry = std::move(victim->queue.front());
     victim->queue.pop_front();
     if (entry.batch == nullptr) {
-      if (entry.sync) {
-        // Sync token: the shard parks at the control barrier. Consuming
-        // it required the shard idle (not busy), so every prior batch of
-        // the shard is fully processed -- the quiesce invariant.
-        victim->parked = true;
-      } else {
-        // Advance token: the interest filter skipped this whole window
-        // for the shard; lift the watermark without touching the
-        // matcher. Safe under pool_mu_: the shard was claimable, so no
-        // executor is concurrently publishing a smaller value.
-        victim->processed_events.store(entry.advance_to,
-                                       std::memory_order_release);
-      }
+      // Advance token: the interest filter skipped this whole window for
+      // the shard; lift the watermark without touching the matcher. Safe
+      // under pool_mu_: the shard was claimable, so no executor is
+      // concurrently publishing a smaller value.
+      victim->processed_events.store(entry.advance_to,
+                                     std::memory_order_release);
       control_cv_.notify_all();
       continue;
     }
@@ -728,7 +656,7 @@ void ShardedEngine::WakeIdleWorkersLocked() {
 
 ShardedEngine::Shard* ShardedEngine::PickRunnableLocked(Shard* primary) {
   const auto claimable = [](const Shard& shard) {
-    return !shard.busy && !shard.parked && !shard.retired;
+    return !shard.busy && !shard.retired;
   };
   if (claimable(*primary) && !primary->queue.empty()) {
     return primary;  // own shard first: its bank and arena are cache-hot
@@ -785,46 +713,27 @@ void ShardedEngine::ExecuteBatch(Shard* shard, const Batch& batch) {
       std::memory_order_relaxed);
 }
 
-void ShardedEngine::PauseWorkers() {
+void ShardedEngine::QuiesceLocked() {
+  if (!running_) {
+    return;
+  }
   FlushBatch();
-  std::unique_lock<std::mutex> lock(pool_mu_);
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->queue.empty() && !shard->busy) {
-      // Idle: the last executor published its watermark before clearing
-      // busy under pool_mu_, so every batch sent to the shard is fully
-      // processed already. It parks in place, with no sync token and no
-      // wakeup round trip.
-      shard->parked = true;
-      continue;
-    }
-    // A sync token traverses the FIFO behind the shard's pending work.
-    // This control wakeup is not counted in worker_wakeups.
-    shard->queue.push_back(QueueEntry{nullptr, 0, true});
-    ++shard->wake_epoch;
-    shard->cv.notify_one();
-  }
-  control_cv_.wait(lock, [this] {
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      if (!shard->parked || shard->busy) {
-        return false;
+  {
+    // control_mu_ keeps the producer out, so once every FIFO is empty and
+    // no shard is busy, no worker can claim anything until this caller
+    // lets go of control_mu_: every pushed event is fully processed and
+    // the shards' matchers are the caller's to read and mutate.
+    std::unique_lock<std::mutex> lock(pool_mu_);
+    control_cv_.wait(lock, [this] {
+      for (const std::unique_ptr<Shard>& shard : shards_) {
+        if (!shard->queue.empty() || shard->busy) {
+          return false;
+        }
       }
-    }
-    return true;
-  });
-}
-
-void ShardedEngine::ResumeWorkers() {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->parked = false;
-    // A pause leaves every FIFO empty, so a resumed worker has nothing to
-    // do until the next enqueue wakes it; only queued work needs a
-    // (control) wakeup now.
-    if (!shard->queue.empty()) {
-      ++shard->wake_epoch;
-      shard->cv.notify_one();
-    }
+      return true;
+    });
   }
+  DrainAndDeliver();
 }
 
 void ShardedEngine::FlushBatch() {
@@ -868,7 +777,7 @@ size_t ShardedEngine::MaxSpareWindowsLocked() const {
 
 void ShardedEngine::EnqueueAdvanceLocked(Shard* shard, uint64_t end_seq) {
   ++stats_.advance_tokens;
-  if (shard->queue.empty() && !shard->busy && !shard->parked) {
+  if (shard->queue.empty() && !shard->busy) {
     // The shard is idle with nothing in flight: advance the watermark
     // directly, with no queue traffic and -- crucially -- no wakeup.
     // Safe: the last executor published its store before clearing busy
@@ -876,8 +785,7 @@ void ShardedEngine::EnqueueAdvanceLocked(Shard* shard, uint64_t end_seq) {
     shard->processed_events.store(end_seq, std::memory_order_release);
     return;
   }
-  if (!shard->queue.empty() && shard->queue.back().batch == nullptr &&
-      !shard->queue.back().sync) {
+  if (!shard->queue.empty() && shard->queue.back().batch == nullptr) {
     // Coalesce into the trailing advance token: per-shard FIFO order
     // makes end_seq monotone, so the later target subsumes the earlier.
     shard->queue.back().advance_to = end_seq;
@@ -887,7 +795,7 @@ void ShardedEngine::EnqueueAdvanceLocked(Shard* shard, uint64_t end_seq) {
   // needed: a worker is either processing the queue already or has a
   // pending wake signal from the entry before this one, and the
   // post-execution republish covers the stolen-batch case.
-  shard->queue.push_back(QueueEntry{nullptr, end_seq, false});
+  shard->queue.push_back(QueueEntry{nullptr, end_seq});
 }
 
 void ShardedEngine::DistributeBatch() {
@@ -999,7 +907,7 @@ void ShardedEngine::DistributeBatch() {
         stealable_backlog = true;
       }
       ++batch->refs;
-      shard->queue.push_back(QueueEntry{batch, 0, false});
+      shard->queue.push_back(QueueEntry{batch, 0});
       WakeShardLocked(shard);
     }
     if (options_.work_stealing && stealable_backlog) {

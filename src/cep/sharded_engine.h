@@ -57,9 +57,10 @@
 //
 // The query set is dynamic: AddQuery/RemoveQuery work while the stream is
 // live. Control operations quiesce the shards at an exact event boundary
-// (an idle shard parks in place, a busy one behind a sync token through
-// its FIFO), deliver all pending matches,
-// mutate, rebalance, and resume -- so every query observes a precise
+// -- holding the control mutex, which keeps the producer out, they wait
+// until every shard FIFO is drained and no shard is executing -- deliver
+// all pending matches, then mutate and rebalance; the workers simply find
+// new work at the next push. Every query thus observes a precise
 // prefix/suffix of the stream and surviving queries keep their partial
 // runs (rebalancing moves the live NfaMatcher between shards). The same
 // mechanism powers Resize(): the worker fleet itself can grow or shrink
@@ -184,11 +185,11 @@ int PickRebalanceVictim(const std::vector<uint64_t>& shard_weights,
 
 /// Pure steal policy behind the worker scheduler, exposed for direct unit
 /// testing. `backlogs` is each shard's pending-batch count; `claimable[i]`
-/// says shard i may be claimed right now (not busy, not parked at a
-/// control barrier, not retired). Returns the claimable shard (excluding
-/// `self`, the thief's own shard) with the deepest backlog -- the shard
-/// most behind the producer is the one gating the fleet watermark --
-/// lowest index on ties, or -1 when no other shard has stealable work.
+/// says shard i may be claimed right now (not busy, not retired). Returns
+/// the claimable shard (excluding `self`, the thief's own shard) with the
+/// deepest backlog -- the shard most behind the producer is the one
+/// gating the fleet watermark -- lowest index on ties, or -1 when no other
+/// shard has stealable work.
 int PickStealVictim(const std::vector<size_t>& backlogs,
                     const std::vector<uint8_t>& claimable, int self);
 
@@ -218,9 +219,9 @@ class ShardedEngine {
   /// delivers all pending matches. Error if not running.
   Status Flush();
 
-  /// Drains the FIFOs, joins the workers, delivers all remaining matches,
-  /// and returns the first shard error (if any). The engine cannot be
-  /// restarted.
+  /// Quiesces like Flush (every FIFO drained, every match delivered), then
+  /// joins the workers and returns the first shard error (if any). The
+  /// engine cannot be restarted.
   Status Stop();
 
   /// RestoreQuery from empty run state: adds a query (placed by the
@@ -288,9 +289,10 @@ class ShardedEngine {
   /// query's placement weight (weighted by QueryCostWeight, fixed at
   /// deploy). A pure read: it changes no placement. Callable from any
   /// thread; when live, the shards are quiesced at an event boundary first
-  /// so the numbers are mutually consistent. Counters survive rebalancing:
-  /// a query's stats travel with its matcher across shards and are never
-  /// reset by an exchange.
+  /// (delivering every pending match, like Flush) so the numbers are
+  /// mutually consistent. Counters survive rebalancing: a query's stats
+  /// travel with its matcher across shards and are never reset by an
+  /// exchange.
   std::vector<QueryStatsSnapshot> QueryStats();
 
   int num_shards() const;
@@ -343,8 +345,8 @@ class ShardedEngine {
     /// Queries moved to consolidate a session onto its home shard
     /// (ShardPlacement::kSessionAffinity only).
     uint64_t affinity_moves = 0;
-    /// Work-availability wake signals sent to shard workers (excludes
-    /// control wakeups: pause/resume/retire/shutdown). With routing, a
+    /// Work-availability wake signals sent to shard workers (excludes the
+    /// retire and shutdown wakeups; a quiesce sends none). With routing, a
     /// window only wakes its destination shards.
     uint64_t worker_wakeups = 0;
   };
@@ -392,15 +394,13 @@ class ShardedEngine {
   };
 
   /// One shard-FIFO entry. `batch` carries events; with a null batch the
-  /// entry is a token: `sync` parks the shard at the control barrier
-  /// (PauseWorkers), otherwise it is an advance-to-seq token that lifts
-  /// processed_events to `advance_to` for a window the interest filter
-  /// skipped entirely. Advance tokens coalesce in place at the queue
-  /// tail, so a mostly skipped shard's FIFO stays one entry deep.
+  /// entry is an advance-to-seq token that lifts processed_events to
+  /// `advance_to` for a window the interest filter skipped entirely.
+  /// Advance tokens coalesce in place at the queue tail, so a mostly
+  /// skipped shard's FIFO stays one entry deep.
   struct QueueEntry {
     Batch* batch = nullptr;
     uint64_t advance_to = 0;
-    bool sync = false;
   };
 
   struct Shard {
@@ -414,21 +414,18 @@ class ShardedEngine {
     // shard's FIFO of fan-out batches and tokens (see QueueEntry);
     // `busy` marks a worker currently executing a batch of this shard
     // (the shard-level mutual exclusion that makes stealing safe);
-    // `parked` marks a consumed sync token awaiting ResumeWorkers;
-    // `retired` tells the shard's own worker to exit (Resize shrink).
+    // `retired` tells the shard's own worker to exit (Resize shrink). An
+    // empty queue of a shard that is not busy is the quiesced state.
     std::deque<QueueEntry> queue;
     bool busy = false;
-    bool parked = false;
     bool retired = false;
 
     // Per-shard wakeup channel: the shard's own worker waits on cv for
     // wake_epoch to move (both guarded by pool_mu_), so waking one shard
     // does not stampede the rest of the fleet -- a window that routing
-    // skips for this shard costs it no wakeup at all. Control wakeups
-    // reach only the shards that need them: a pause wakes the shards
-    // that still have work ahead of its sync token (idle ones park in
-    // place), a resume the shards with queued work, a retire the doomed
-    // shards, and shutdown every shard.
+    // skips for this shard costs it no wakeup at all. Control operations
+    // wake no one to quiesce (they wait for the FIFOs to drain); only a
+    // retire wakes the doomed shards, and shutdown every shard.
     std::condition_variable cv;
     uint64_t wake_epoch = 0;
 
@@ -515,11 +512,12 @@ class ShardedEngine {
   /// Runs one fan-out batch on `shard` (no engine locks held; the
   /// caller claimed the shard via its busy flag).
   void ExecuteBatch(Shard* shard, const Batch& batch);
-  /// Flushes the partial batch and parks every shard at the control
-  /// barrier: an idle shard in place, a busy one through a sync token.
-  /// Returns once all prior events are fully processed.
-  void PauseWorkers();
-  void ResumeWorkers();
+  /// The one control barrier of Flush, Stop and every control operation
+  /// (control_mu_ held; a no-op unless running): flushes the partial
+  /// batch, waits until every shard FIFO is empty and no shard is busy --
+  /// all pushed events fully processed -- and delivers every pending
+  /// match. The shards stay quiesced until control_mu_ is released.
+  void QuiesceLocked();
   /// Routes the pending partial batch: a full-window share to every
   /// interested shard (or a routed sub-batch when only part of the
   /// window is), an advance token to the rest.
@@ -547,7 +545,7 @@ class ShardedEngine {
   /// pool_mu_ held.
   void WakeAllWorkersLocked();
   /// Wakes workers whose shard has no queued work -- the candidates
-  /// parked with nothing of their own to do; work stealing uses it to
+  /// idle with nothing of their own to do; work stealing uses it to
   /// recruit thieves when a destination shard has claimable backlog.
   /// pool_mu_ held.
   void WakeIdleWorkersLocked();
@@ -641,12 +639,12 @@ class ShardedEngine {
   bool stopped_ = false;
 
   // Shared scheduler pool. pool_mu_ guards every Shard's scheduler state
-  // (queue/busy/parked/retired/wake_epoch), the shards_ vector shape,
+  // (queue/busy/retired/wake_epoch), the shards_ vector shape,
   // shutdown_, the window pool and every in-flight window's refs.
   // Worker wakeups are per shard (Shard::cv / Shard::wake_epoch) so a
   // routed window only disturbs the shards it targets; control_cv_ wakes
-  // the producer/control side (backpressure space, progress toward a
-  // watermark, a shard parking).
+  // the producer/control side (backpressure space, a shard draining its
+  // FIFO or finishing a batch).
   mutable std::mutex pool_mu_;
   std::condition_variable control_cv_;
   bool shutdown_ = false;

@@ -2,6 +2,7 @@
 
 #include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "cep/composite.h"
 #include "gesturedb/serialization.h"
@@ -101,26 +102,20 @@ cep::DetectionCallback GestureRuntime::Guard(cep::DetectionCallback callback) {
   };
 }
 
-Status GestureRuntime::Pump() {
+void GestureRuntime::Pump() {
   if (pending_.empty()) {
-    return OkStatus();
+    return;
   }
   std::vector<std::function<Status()>> ops;
   ops.swap(pending_);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    Status status = ops[i]();
-    if (!status.ok()) {
-      // Keep the unexecuted remainder queued (in request order, ahead of
-      // anything ops[i] itself queued), so one failing deferred mutation
-      // cannot silently drop the ones behind it.
-      pending_.insert(pending_.begin(),
-                      std::make_move_iterator(ops.begin() +
-                                              static_cast<ptrdiff_t>(i) + 1),
-                      std::make_move_iterator(ops.end()));
-      return status;
+  for (std::function<Status()>& op : ops) {
+    // A failing mutation neither stops the ones behind it nor the call
+    // that reached this boundary: its error waits for the next Flush.
+    Status status = op();
+    if (deferred_error_.ok()) {
+      deferred_error_ = std::move(status);
     }
   }
-  return OkStatus();
 }
 
 template <typename... Params, typename... Args>
@@ -129,7 +124,7 @@ Status GestureRuntime::ApplyOrDefer(
     Args&&... args) {
   EPL_RETURN_IF_ERROR(EnsureWal());
   if (!in_dispatch()) {
-    EPL_RETURN_IF_ERROR(Pump());
+    Pump();
   }
   // Checked at request time, so a callback's close-then-deploy fails here
   // instead of inverting at the boundary.
@@ -188,7 +183,7 @@ Result<SessionId> GestureRuntime::OpenSession(const std::string& user) {
         "OpenSession from inside a detection callback");
   }
   EPL_RETURN_IF_ERROR(EnsureWal());
-  EPL_RETURN_IF_ERROR(Pump());
+  Pump();
   EPL_ASSIGN_OR_RETURN(const SessionId id, DoOpenSession(user, -1));
   durability::WalRecord record;
   record.type = durability::WalRecord::Type::kOpenSession;
@@ -495,7 +490,11 @@ Status GestureRuntime::DoDeploy(SessionId session,
     if (existing != gestures_.end()) {
       EPL_RETURN_IF_ERROR(Retire(existing->second));
     }
-    gestures_[key] = Gesture{stream, -1, id, std::move(query_text)};
+    Gesture gesture;
+    gesture.stream = stream;
+    gesture.legacy_id = id;
+    gesture.query_text = std::move(query_text);
+    gestures_[key] = std::move(gesture);
     if (log_deploy) {
       EPL_RETURN_IF_ERROR(LogRecord(record));
     }
@@ -696,7 +695,7 @@ Result<int> GestureRuntime::LoadStore(SessionId session,
         "LoadStore from inside a detection callback");
   }
   EPL_RETURN_IF_ERROR(EnsureWal());
-  EPL_RETURN_IF_ERROR(Pump());
+  Pump();
   EPL_ASSIGN_OR_RETURN(std::vector<std::string> names, store.List());
   int loaded = 0;
   Status first_error = OkStatus();
@@ -728,7 +727,7 @@ Status GestureRuntime::PushFrame(SessionId session,
     return FailedPreconditionError(
         "PushFrame from inside a detection callback");
   }
-  EPL_RETURN_IF_ERROR(Pump());
+  Pump();
   const std::string* stream = nullptr;
   static const std::string kLocalStream = "kinect";
   if (session == kLocalSession) {
@@ -765,7 +764,7 @@ Status GestureRuntime::Flush() {
   if (in_dispatch()) {
     return FailedPreconditionError("Flush from inside a detection callback");
   }
-  EPL_RETURN_IF_ERROR(Pump());
+  Pump();
   for (auto& [stream, channel] : channels_) {
     (void)stream;
     if (options_.backend == RuntimeBackend::kFused) {
@@ -776,13 +775,13 @@ Status GestureRuntime::Flush() {
     }
   }
   // Flushed detections may have requested further mutations.
-  EPL_RETURN_IF_ERROR(Pump());
+  Pump();
   // Everything ingested so far must survive a process crash once Flush
   // returns: drain the WAL batch buffer into the page cache.
   if (wal_ != nullptr) {
     EPL_RETURN_IF_ERROR(wal_->FlushBuffered());
   }
-  return OkStatus();
+  return std::exchange(deferred_error_, OkStatus());
 }
 
 Status GestureRuntime::ResizeShards(int num_shards) {
@@ -793,7 +792,7 @@ Status GestureRuntime::ResizeShards(int num_shards) {
     return FailedPreconditionError(
         "ResizeShards from inside a detection callback");
   }
-  EPL_RETURN_IF_ERROR(Pump());
+  Pump();
   for (auto& [stream, channel] : channels_) {
     (void)stream;
     EPL_RETURN_IF_ERROR(channel.sharded.engine->Resize(num_shards));
@@ -947,7 +946,7 @@ Status GestureRuntime::ApplyWalRecord(const durability::WalRecord& record,
     case Type::kEvent: {
       // Mirrors PushFrame: deferred mutations from earlier replayed
       // detections apply at this event boundary, exactly as live.
-      EPL_RETURN_IF_ERROR(Pump());
+      Pump();
       ++ingested_[record.session];
       if (record.session == kLocalSession) {
         return engine_->Push("kinect", record.event);

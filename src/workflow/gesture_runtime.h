@@ -50,8 +50,11 @@
 // flow in between, so the swap semantics above hold, and recovery
 // replays the mutation at the same point. The request is checked against
 // its session at once (a session closed earlier in the same callback is
-// NotFound); any other error surfaces from the PushFrame/Flush that
-// applies it, and IsDeployed reflects the change from then on. The calls
+// NotFound), and IsDeployed reflects the change from the boundary on. Any
+// other error of a queued mutation is kept, not raised at the boundary:
+// the mutations behind it still apply, a PushFrame still pushes its frame,
+// and the first such error since the last Flush is returned, once, by the
+// next Flush (and so by Checkpoint, which then writes no snapshot). The calls
 // that cannot be queued -- OpenSession, LoadStore, PushFrame, Flush,
 // ResizeShards, Checkpoint -- return FailedPrecondition from inside a
 // detection callback and leave the runtime untouched. Each session's frames
@@ -296,8 +299,9 @@ class GestureRuntime {
   }
 
   /// Applies deferred mutations, then feeds the frame into the session's
-  /// raw stream (kLocalSession: "kinect"). FailedPrecondition from inside
-  /// a detection callback.
+  /// raw stream (kLocalSession: "kinect"). A failing deferred mutation
+  /// does not fail the push (see Flush). FailedPrecondition from inside a
+  /// detection callback.
   Status PushFrame(SessionId session, const kinect::SkeletonFrame& frame);
   Status PushFrame(const kinect::SkeletonFrame& frame) {
     return PushFrame(kLocalSession, frame);
@@ -307,7 +311,9 @@ class GestureRuntime {
 
   /// Applies deferred mutations and flushes every channel: fused batched
   /// windows are swept, sharded engines quiesce and deliver everything
-  /// pending. FailedPrecondition from inside a detection callback.
+  /// pending. Returns the first error of a deferred mutation applied since
+  /// the previous Flush, once, after flushing. FailedPrecondition from
+  /// inside a detection callback.
   Status Flush();
 
   /// Resizes every live sharded channel's worker fleet to `num_shards` at
@@ -411,8 +417,9 @@ class GestureRuntime {
   /// Wraps a detection callback so the runtime knows when it is inside a
   /// dispatch (mutations from there are deferred).
   cep::DetectionCallback Guard(cep::DetectionCallback callback);
-  /// Runs the deferred mutations in request order.
-  Status Pump();
+  /// Runs every deferred mutation in request order, keeping the first
+  /// failure in deferred_error_ for the next Flush.
+  void Pump();
   /// The one deferral path of Deploy, DeployComposite, Undeploy and
   /// CloseSession: checks that `session` is open, then calls `op` with
   /// `args` (after any earlier deferred mutations) or, inside a dispatch,
@@ -464,6 +471,8 @@ class GestureRuntime {
 
   int dispatch_depth_ = 0;
   std::vector<std::function<Status()>> pending_;
+  // First failure of a deferred mutation since the last Flush.
+  Status deferred_error_;
   /// PushFrame's kEvent record (its event doubles as the non-durable
   /// path's frame event), reused so ingest allocates nothing per frame.
   durability::WalRecord frame_record_;

@@ -6,6 +6,7 @@
 // skew, lifecycle errors.
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -1115,6 +1116,56 @@ TEST(InterestRoutingTest, WindowPoolStaysBoundedUnderBackpressure) {
   EXPECT_TRUE(actual == expected)
       << actual.size() << " vs " << expected.size()
       << " detections through recycled windows";
+}
+
+TEST(ShardedEngineTest, ControlCallsFromAnotherThreadKeepDetectionsExact) {
+  // A producer thread streams routed sessions into two-window FIFOs while
+  // this thread keeps reading stats, exporting run state, resizing and
+  // flushing, so control calls keep landing on non-empty FIFOs and busy
+  // (or stolen) shards. Each call quiesces at an exact event boundary, so
+  // the detections must still equal the fused baseline record for record.
+  const std::vector<Event> events = SessionStream(4000, kRoutedSessions);
+  const std::vector<DetectionRecord> expected = SessionBaseline(events);
+  ASSERT_FALSE(expected.empty());
+
+  ShardedEngineOptions options;
+  options.num_shards = 3;
+  options.batch_size = 4;
+  options.queue_capacity = 2;
+  options.work_stealing = true;
+  options.routing_field = kRoutedSessionField;
+  options.placement = ShardPlacement::kSessionAffinity;
+  ShardedEngine sharded(options);
+  std::vector<DetectionRecord> actual;
+  for (MultiMatchOperator::QuerySpec& spec : SessionFleet(&actual)) {
+    sharded.AddQuery(std::move(spec));
+  }
+  EPL_ASSERT_OK(sharded.Start());
+
+  std::atomic<bool> done{false};
+  bool pushed_all = true;
+  std::thread producer([&] {
+    for (const Event& event : events) {
+      pushed_all = sharded.Push(event) && pushed_all;
+    }
+    done.store(true);
+  });
+  const size_t num_queries = sharded.num_queries();
+  for (int k = 0; !done.load() || k < 4; ++k) {
+    EXPECT_EQ(sharded.QueryStats().size(), num_queries);
+    EPL_EXPECT_OK(sharded.ExportRunStates().status());
+    EPL_EXPECT_OK(sharded.Resize(1 + k % 4));
+    EPL_EXPECT_OK(sharded.Flush());
+  }
+  producer.join();
+  EPL_ASSERT_OK(sharded.Stop());
+
+  EXPECT_TRUE(pushed_all);
+  EXPECT_EQ(sharded.processed(), events.size());
+  EXPECT_LE(sharded.spare_windows(), sharded.max_spare_windows());
+  EXPECT_TRUE(actual == expected)
+      << actual.size() << " vs " << expected.size()
+      << " detections under cross-thread control calls";
 }
 
 // ---------------------------------------------------------------------------

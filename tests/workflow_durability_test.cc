@@ -472,6 +472,73 @@ TEST_P(GestureRuntimeReentryTest, MutationsFromCallbackApplyAtNextBoundary) {
   }
 }
 
+// A deferred mutation that fails at its boundary -- here an Undeploy of a
+// gesture that was never deployed, which only the boundary can tell --
+// costs the PushFrame that reached the boundary nothing: every frame is
+// pushed and logged, the mutation queued behind the failing one still
+// applies, and the next Flush reports the error, once. The WAL holds no
+// trace of the failed mutation, so recovery reproduces the live run.
+TEST_P(GestureRuntimeReentryTest, FailedDeferredMutationNeverFailsPushFrame) {
+  epl::testing::ScopedTempDir dir;
+  GestureRuntimeOptions options = DurableOptions(dir.path());
+  options.backend = GetParam();
+  options.num_shards = 2;
+  const core::GestureDefinition swipe = TrainedDefinitions(1)[0];
+  core::GestureDefinition copy = swipe;
+  copy.name += "_copy";
+  kinect::SessionBuilder builder(UserProfile(), 7);
+  for (int i = 0; i < 3; ++i) {
+    builder.Perform(kinect::GestureShapes::SwipeRight(), 0.2).Idle(0.3);
+  }
+  const std::vector<SkeletonFrame> frames = builder.TakeFrames();
+
+  std::vector<DetectionRecord> live;
+  {
+    stream::StreamEngine engine;
+    GestureRuntime runtime(&engine, options);
+    EPL_ASSERT_OK_AND_ASSIGN(SessionId alice, runtime.OpenSession("alice"));
+    bool mutated = false;
+    EPL_ASSERT_OK(runtime.Deploy(
+        alice, swipe, [&](const cep::Detection& detection) {
+          Recorder(&live)(detection);
+          if (mutated) {
+            return;
+          }
+          mutated = true;
+          EPL_EXPECT_OK(runtime.Undeploy(alice, "no_such_gesture"));
+          EPL_EXPECT_OK(runtime.Deploy(alice, copy, Recorder(&live)));
+        }));
+    for (const SkeletonFrame& frame : frames) {
+      EPL_ASSERT_OK(runtime.PushFrame(alice, frame));
+    }
+    ASSERT_TRUE(mutated) << "the swipe was never detected";
+    EXPECT_EQ(runtime.ingested_events(alice), frames.size());
+    EXPECT_TRUE(runtime.IsDeployed(alice, copy.name));
+    const Status first = runtime.Flush();
+    EXPECT_EQ(first.code(), StatusCode::kNotFound) << first;
+    EPL_EXPECT_OK(runtime.Flush());
+  }
+  ASSERT_TRUE(std::any_of(live.begin(), live.end(),
+                          [&](const DetectionRecord& record) {
+                            return record.name == copy.name;
+                          }))
+      << "the copy never fired live";
+
+  stream::StreamEngine engine;
+  std::vector<DetectionRecord> recovered;
+  RecoverStats stats;
+  EPL_ASSERT_OK_AND_ASSIGN(
+      std::unique_ptr<GestureRuntime> runtime,
+      GestureRuntime::Recover(&engine, options,
+                              [&](SessionId, const std::string&) {
+                                return Recorder(&recovered);
+                              },
+                              &stats));
+  EXPECT_EQ(stats.snapshot_seq, 0u);  // the WAL alone
+  EPL_ASSERT_OK(runtime->Flush());
+  EXPECT_EQ(recovered, live);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, GestureRuntimeReentryTest,
     ::testing::Values(RuntimeBackend::kFused, RuntimeBackend::kSharded),
