@@ -441,6 +441,66 @@ BENCHMARK(BM_SessionRoutedFanout)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
+/// Per-query GestureRuntime::Deploy cost of a 64-session x 16-gesture
+/// fleet (fused backend; no events flow, so no bank is built). Arg 1: every
+/// session deploys the same 16 definitions, so the runtime compiles 16
+/// gesture templates and binds the other 1008 deploys to them. Arg 0: each
+/// session's definitions carry their own notes, so no two sessions share a
+/// template and every deploy generates, rescopes and compiles its query --
+/// the per-query cost before templates. scripts/check_scaling.py
+/// --runtime-deploy gates shared <= 1/4 of distinct from the same run.
+void BM_RuntimeFleetDeploy(benchmark::State& state) {
+  constexpr int kSessions = 64;
+  const bool shared = state.range(0) != 0;
+  const std::vector<core::GestureDefinition> definitions =
+      bench::LearnedVariants(kGesturesPerSession);
+  std::vector<std::vector<core::GestureDefinition>> fleet(kSessions,
+                                                          definitions);
+  if (!shared) {
+    for (int s = 0; s < kSessions; ++s) {
+      for (core::GestureDefinition& definition :
+           fleet[static_cast<size_t>(s)]) {
+        definition.notes = "session " + std::to_string(s);
+      }
+    }
+  }
+  double deploy_ns = 0;
+  for (auto _ : state) {
+    stream::StreamEngine engine;
+    GestureRuntime runtime(&engine, MakeOptions(RuntimeBackend::kFused, 1, 1));
+    std::vector<SessionId> ids;
+    for (int s = 0; s < kSessions; ++s) {
+      Result<SessionId> id = runtime.OpenSession("u" + std::to_string(s));
+      EPL_CHECK(id.ok()) << id.status();
+      ids.push_back(*id);
+    }
+    const auto started = std::chrono::steady_clock::now();
+    for (int s = 0; s < kSessions; ++s) {
+      for (const core::GestureDefinition& definition :
+           fleet[static_cast<size_t>(s)]) {
+        Status status =
+            runtime.Deploy(ids[static_cast<size_t>(s)], definition, nullptr);
+        benchmark::DoNotOptimize(status.ok());
+      }
+    }
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - started;
+    state.SetIterationTime(elapsed.count());
+    deploy_ns += 1e9 * elapsed.count();
+    EPL_CHECK(runtime.num_deployed() ==
+              static_cast<size_t>(kSessions * kGesturesPerSession));
+  }
+  const double queries = kSessions * kGesturesPerSession;
+  state.counters["queries"] = queries;
+  state.counters["ns_per_query"] =
+      deploy_ns / (static_cast<double>(state.iterations()) * queries);
+}
+BENCHMARK(BM_RuntimeFleetDeploy)
+    ->Arg(0)
+    ->Arg(1)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+
 /// Flat-path guard for composite gestures: with ZERO composites deployed
 /// the per-event cost must be unchanged. The composite runner is lazily
 /// allocated, so the guard times the worst zero-composite shape -- a

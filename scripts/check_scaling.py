@@ -26,10 +26,19 @@ the per-query cost at the largest fleet must be at most DEPLOY_MAX_RATIO
 (2x) the cost at the smallest, i.e. deploying stays linear in fleet size
 (a quadratic placement path reads ~4x from 1024 to 4096 queries).
 
+With --runtime-deploy it additionally gates gesture templates: the
+BM_RuntimeFleetDeploy rows (bench_gesture_sessions) record the mean cost of
+one GestureRuntime::Deploy (ns_per_query counter) for a 64-session fleet
+whose sessions share their 16 definitions (arg 1) and for one where every
+deploy is distinct (arg 0). Both rows come from the same run; the shared
+cost must be at most RUNTIME_DEPLOY_MAX_SHARE (1/4) of the distinct cost,
+i.e. a shared gesture is compiled once and then only bound.
+
 Usage:
   check_scaling.py BENCH.json [--baseline-shards 1] [--gate-shards 4]
                    [--min-speedup 2.0] [--routed-fanout BENCH_fanout.json]
                    [--deploy-linear BENCH_deploy.json]
+                   [--runtime-deploy BENCH_runtime_deploy.json]
 """
 
 import argparse
@@ -42,6 +51,8 @@ SCALEOUT_ROW = re.compile(r"^BM_ShardedScaleOut/(\d+)/(\d+)/real_time")
 FANOUT_ROW = re.compile(r"^BM_SessionRoutedFanout/(\d+)/(\d+)/(\d+)/")
 DEPLOY_ROW = re.compile(r"^BM_ShardedFleetDeploy/(\d+)/")
 DEPLOY_MAX_RATIO = 2.0
+RUNTIME_DEPLOY_ROW = re.compile(r"^BM_RuntimeFleetDeploy/(\d+)/")
+RUNTIME_DEPLOY_MAX_SHARE = 0.25
 
 
 def load_throughputs(path):
@@ -118,13 +129,13 @@ def check_routed_fanout(path, gate_shards):
     return 0
 
 
-def load_deploy_costs(path):
-    """queries -> median ns_per_query over iteration rows."""
+def load_deploy_costs(path, row_pattern=DEPLOY_ROW):
+    """First row argument -> median ns_per_query over iteration rows."""
     with open(path) as fh:
         report = json.load(fh)
     samples = {}
     for row in report.get("benchmarks", []):
-        match = DEPLOY_ROW.match(row.get("name", ""))
+        match = row_pattern.match(row.get("name", ""))
         if not match:
             continue
         if row.get("run_type", "iteration") != "iteration":
@@ -159,6 +170,28 @@ def check_deploy_linear(path):
     return 0
 
 
+def check_runtime_deploy(path):
+    """Shared-definition deploys cost <= 1/4 of all-distinct deploys."""
+    costs = load_deploy_costs(path, RUNTIME_DEPLOY_ROW)
+    if 0 not in costs or 1 not in costs:
+        print(f"error: need BM_RuntimeFleetDeploy rows for distinct (0) and "
+              f"shared (1) definitions in {path} (have: {sorted(costs)})")
+        return 2
+    distinct, shared = costs[0], costs[1]
+    share = shared / distinct
+    print(f"\n{'fleet':>8} {'ns/query':>10}  runtime deploy")
+    print(f"{'distinct':>8} {distinct:>10,.0f}")
+    print(f"{'shared':>8} {shared:>10,.0f}")
+    if share > RUNTIME_DEPLOY_MAX_SHARE:
+        print(f"\nFAIL: a deploy of a shared definition costs {share:.2f}x a "
+              f"distinct one (gate: <= {RUNTIME_DEPLOY_MAX_SHARE:.2f}x) -- "
+              f"shared gestures are no longer compiled once")
+        return 1
+    print(f"\nOK: a deploy of a shared definition costs {share:.2f}x a "
+          f"distinct one (gate: <= {RUNTIME_DEPLOY_MAX_SHARE:.2f}x)")
+    return 0
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("report", help="Google Benchmark JSON output")
@@ -169,6 +202,9 @@ def main():
                         help="also gate BM_SessionRoutedFanout copies/event")
     parser.add_argument("--deploy-linear", metavar="BENCH_DEPLOY_JSON",
                         help="also gate BM_ShardedFleetDeploy linearity")
+    parser.add_argument("--runtime-deploy", metavar="BENCH_RUNTIME_JSON",
+                        help="also gate BM_RuntimeFleetDeploy shared vs "
+                             "distinct cost")
     args = parser.parse_args()
 
     throughputs, unpinned = load_throughputs(args.report)
@@ -207,6 +243,8 @@ def main():
                      check_routed_fanout(args.routed_fanout, args.gate_shards))
     if args.deploy_linear:
         status = max(status, check_deploy_linear(args.deploy_linear))
+    if args.runtime_deploy:
+        status = max(status, check_runtime_deploy(args.runtime_deploy))
     return status
 
 

@@ -100,17 +100,23 @@ std::string CanonicalKey(const Expr& expr) {
 
 }  // namespace
 
+CompiledPattern::CompiledPattern() {
+  // Every empty pattern shares one empty body.
+  static const std::shared_ptr<const Body> empty = std::make_shared<Body>();
+  body_ = empty;
+}
+
 Result<CompiledPattern> CompiledPattern::Compile(
     const PatternExpr& pattern, const stream::Schema& schema) {
   EPL_RETURN_IF_ERROR(pattern.Validate());
 
-  CompiledPattern compiled;
+  auto body = std::make_shared<Body>();
   int next_state = 0;
   std::vector<const PatternExpr*> poses;
-  LowerNode(pattern, &next_state, &poses, &compiled.constraints_);
+  LowerNode(pattern, &next_state, &poses, &body->constraints);
 
-  compiled.predicate_exprs_.reserve(poses.size());
-  compiled.predicate_ids_.reserve(poses.size());
+  body->predicate_exprs.reserve(poses.size());
+  body->predicate_ids.reserve(poses.size());
   for (const PatternExpr* pose : poses) {
     ExprPtr bound = pose->predicate().Clone();
     EPL_RETURN_IF_ERROR(bound->Bind(schema));
@@ -118,53 +124,53 @@ Result<CompiledPattern> CompiledPattern::Compile(
     // program (and one memoization slot in the matcher).
     std::string key = CanonicalKey(*bound);
     int slot = -1;
-    for (size_t i = 0; i < compiled.predicate_keys_.size(); ++i) {
-      if (compiled.predicate_keys_[i] == key) {
+    for (size_t i = 0; i < body->predicate_keys.size(); ++i) {
+      if (body->predicate_keys[i] == key) {
         slot = static_cast<int>(i);
         break;
       }
     }
     if (slot < 0) {
       EPL_ASSIGN_OR_RETURN(ExprProgram program, ExprProgram::Compile(*bound));
-      slot = static_cast<int>(compiled.predicates_.size());
-      compiled.predicates_.push_back(std::move(program));
-      compiled.predicate_keys_.push_back(std::move(key));
+      slot = static_cast<int>(body->predicates.size());
+      body->predicates.push_back(std::move(program));
+      body->predicate_keys.push_back(std::move(key));
     }
-    compiled.predicate_ids_.push_back(slot);
-    compiled.predicate_exprs_.push_back(std::move(bound));
+    body->predicate_ids.push_back(slot);
+    body->predicate_exprs.push_back(std::move(bound));
   }
 
-  compiled.constraints_by_state_.resize(poses.size());
-  for (const TimeConstraint& constraint : compiled.constraints_) {
+  body->constraints_by_state.resize(poses.size());
+  for (const TimeConstraint& constraint : body->constraints) {
     if (constraint.from_state >= constraint.to_state) {
       return InternalError("constraint lowering produced non-forward edge");
     }
-    compiled.constraints_by_state_[constraint.to_state].push_back(constraint);
+    body->constraints_by_state[constraint.to_state].push_back(constraint);
   }
 
-  compiled.select_ = pattern.kind() == PatternKind::kSequence
-                         ? pattern.select_policy()
-                         : SelectPolicy::kFirst;
-  compiled.consume_ = pattern.kind() == PatternKind::kSequence
-                          ? pattern.consume_policy()
-                          : ConsumePolicy::kAll;
-  compiled.source_stream_ = pattern.SourceStream();
-  return compiled;
+  body->select = pattern.kind() == PatternKind::kSequence
+                     ? pattern.select_policy()
+                     : SelectPolicy::kFirst;
+  body->consume = pattern.kind() == PatternKind::kSequence
+                      ? pattern.consume_policy()
+                      : ConsumePolicy::kAll;
+  body->source_stream = pattern.SourceStream();
+  return CompiledPattern(std::move(body));
 }
 
 std::string CompiledPattern::ToString() const {
   std::string out = StrFormat("NFA with %d states\n", num_states());
   for (int i = 0; i < num_states(); ++i) {
     out += StrFormat("  state %d: %s\n", i,
-                     predicate_exprs_[i]->ToString().c_str());
+                     predicate_expr(i).ToString().c_str());
   }
-  for (const TimeConstraint& c : constraints_) {
+  for (const TimeConstraint& c : constraints()) {
     out += StrFormat("  constraint: t[%d] - t[%d] <= %s\n", c.to_state,
                      c.from_state, FormatDuration(c.max_gap).c_str());
   }
   out += StrFormat("  policy: select %s consume %s\n",
-                   select_ == SelectPolicy::kFirst ? "first" : "all",
-                   consume_ == ConsumePolicy::kAll ? "all" : "none");
+                   select_policy() == SelectPolicy::kFirst ? "first" : "all",
+                   consume_policy() == ConsumePolicy::kAll ? "all" : "none");
   return out;
 }
 

@@ -14,7 +14,9 @@
 #ifndef EPL_CEP_NFA_H_
 #define EPL_CEP_NFA_H_
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cep/expr_program.h"
@@ -30,6 +32,13 @@ struct TimeConstraint {
   Duration max_gap = 0;
 };
 
+/// A compiled pattern is an immutable value: Compile builds one body, and
+/// every copy shares it (copying costs a reference count, not a compile).
+/// This is how one compiled gesture serves every session that deploys it:
+/// each deployed query holds its own CompiledPattern, but all of them read
+/// the same predicate programs, keys and constraints. Bodies are never
+/// written after Compile, so matchers on different threads may read one
+/// body at once.
 class CompiledPattern {
  public:
   /// Binds all pose predicates against `schema`, compiles them, and lowers
@@ -37,14 +46,21 @@ class CompiledPattern {
   static Result<CompiledPattern> Compile(const PatternExpr& pattern,
                                          const stream::Schema& schema);
 
-  CompiledPattern() = default;
+  /// An empty pattern (no states).
+  CompiledPattern();
+  // Copy only: a move would leave a pattern without a body, so moves copy
+  // (one reference count) and every CompiledPattern stays readable.
+  CompiledPattern(const CompiledPattern&) = default;
+  CompiledPattern& operator=(const CompiledPattern&) = default;
 
-  int num_states() const { return static_cast<int>(predicate_exprs_.size()); }
+  int num_states() const {
+    return static_cast<int>(body_->predicate_exprs.size());
+  }
   const ExprProgram& predicate(int state) const {
-    return predicates_[predicate_ids_[state]];
+    return body_->predicates[body_->predicate_ids[state]];
   }
   const Expr& predicate_expr(int state) const {
-    return *predicate_exprs_[state];
+    return *body_->predicate_exprs[state];
   }
 
   /// Distinct-predicate slot of `state`. States whose bound predicates
@@ -53,42 +69,54 @@ class CompiledPattern {
   /// ExprProgram; the matcher memoizes per-event predicate results by slot
   /// and the PredicateBank deduplicates across patterns by the same
   /// canonical key.
-  int predicate_id(int state) const { return predicate_ids_[state]; }
+  int predicate_id(int state) const { return body_->predicate_ids[state]; }
   int num_distinct_predicates() const {
-    return static_cast<int>(predicates_.size());
+    return static_cast<int>(body_->predicates.size());
   }
   /// Canonical dedup key of distinct predicate `id` (exact, not
   /// human-readable; see predicate_id).
   const std::string& predicate_key(int id) const {
-    return predicate_keys_[id];
+    return body_->predicate_keys[id];
   }
 
   const std::vector<TimeConstraint>& constraints() const {
-    return constraints_;
+    return body_->constraints;
   }
   /// Constraints whose `to_state` equals `state` (checked on entry).
   const std::vector<TimeConstraint>& constraints_into(int state) const {
-    return constraints_by_state_[state];
+    return body_->constraints_by_state[state];
   }
 
-  SelectPolicy select_policy() const { return select_; }
-  ConsumePolicy consume_policy() const { return consume_; }
-  const std::string& source_stream() const { return source_stream_; }
+  SelectPolicy select_policy() const { return body_->select; }
+  ConsumePolicy consume_policy() const { return body_->consume; }
+  const std::string& source_stream() const { return body_->source_stream; }
+
+  /// Identity of the shared compiled body: equal for copies of one
+  /// Compile result, distinct for separate compiles (even of one text).
+  /// Per-body caches (PredicateBank registration) key on it.
+  const void* body_id() const { return body_.get(); }
 
   std::string ToString() const;
 
  private:
-  std::vector<ExprProgram> predicates_;   // one per distinct predicate
-  std::vector<std::string> predicate_keys_;  // parallel to predicates_
-  std::vector<int> predicate_ids_;        // state -> distinct slot
-  // Bound per-state trees: diagnostics (ToString) and the source for
-  // PredicateBank interval decomposition -- must stay bound.
-  std::vector<ExprPtr> predicate_exprs_;
-  std::vector<TimeConstraint> constraints_;
-  std::vector<std::vector<TimeConstraint>> constraints_by_state_;
-  SelectPolicy select_ = SelectPolicy::kFirst;
-  ConsumePolicy consume_ = ConsumePolicy::kAll;
-  std::string source_stream_;
+  struct Body {
+    std::vector<ExprProgram> predicates;   // one per distinct predicate
+    std::vector<std::string> predicate_keys;  // parallel to predicates
+    std::vector<int> predicate_ids;        // state -> distinct slot
+    // Bound per-state trees: diagnostics (ToString) and the source for
+    // PredicateBank interval decomposition -- must stay bound.
+    std::vector<ExprPtr> predicate_exprs;
+    std::vector<TimeConstraint> constraints;
+    std::vector<std::vector<TimeConstraint>> constraints_by_state;
+    SelectPolicy select = SelectPolicy::kFirst;
+    ConsumePolicy consume = ConsumePolicy::kAll;
+    std::string source_stream;
+  };
+
+  explicit CompiledPattern(std::shared_ptr<const Body> body)
+      : body_(std::move(body)) {}
+
+  std::shared_ptr<const Body> body_;
 };
 
 }  // namespace epl::cep

@@ -93,11 +93,11 @@ class PatternExpr {
   /// Deep copy with every pose retargeted and/or strengthened: poses read
   /// `source` instead of their original stream (unchanged when `source` is
   /// empty) and, when `extra` is non-null, each pose predicate becomes the
-  /// conjunction (extra AND predicate). This is how the session runtime
-  /// scopes a gesture query onto a shared multi-user stream: the pattern
-  /// is rescoped onto the merged stream and every pose is guarded by the
-  /// session's identity predicate, so foreign sessions' events can never
-  /// advance it.
+  /// conjunction (extra AND predicate). Retargeted onto the shared
+  /// multi-user stream with every pose guarded by a session's identity
+  /// predicate, a gesture query is the explicit form of the group gate the
+  /// session runtime attaches instead (see MultiPatternMatcher::AddPattern):
+  /// foreign sessions' events can never advance it.
   PatternExprPtr Rescope(const std::string& source, const Expr* extra) const;
 
   /// Debug rendering, e.g. "(kinect(...) -> kinect(...) within 1s)".

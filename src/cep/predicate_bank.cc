@@ -349,7 +349,14 @@ bool PredicateBank::Decompose(const Expr& expr,
 std::vector<int> PredicateBank::RegisterPattern(
     const CompiledPattern& pattern) {
   EPL_CHECK(!built_) << "RegisterPattern after Build";
-  std::vector<int> slot_ids(pattern.num_distinct_predicates(), -1);
+  registered_states_ += static_cast<size_t>(pattern.num_states());
+  auto [memo, first] = body_ids_.try_emplace(pattern.body_id());
+  if (!first) {
+    return memo->second.slot_ids;
+  }
+  memo->second.pattern = pattern;
+  std::vector<int>& slot_ids = memo->second.slot_ids;
+  slot_ids.assign(static_cast<size_t>(pattern.num_distinct_predicates()), -1);
   for (int state = 0; state < pattern.num_states(); ++state) {
     int local = pattern.predicate_id(state);
     if (slot_ids[local] >= 0) {
@@ -366,7 +373,6 @@ std::vector<int> PredicateBank::RegisterPattern(
     }
     slot_ids[local] = it->second;
   }
-  registered_states_ += static_cast<size_t>(pattern.num_states());
   return slot_ids;
 }
 

@@ -100,6 +100,11 @@ class PredicateBank {
   /// bank) and returns the bank predicate id for each distinct predicate
   /// slot of the pattern, i.e. `result[pattern.predicate_id(state)]` is the
   /// bank id of `state`'s predicate. Must not be called after Build().
+  /// Copies of one compiled pattern share a body (CompiledPattern::body_id)
+  /// and register once: later copies reuse the first registration's ids,
+  /// which re-registering would reproduce exactly, so a bank rebuild over
+  /// N sessions deploying the same gesture hashes its keys once, not N
+  /// times.
   std::vector<int> RegisterPattern(const CompiledPattern& pattern);
 
   /// Decomposes predicates and builds the per-field interval indexes.
@@ -230,6 +235,14 @@ class PredicateBank {
   void SeekRegion(FieldIndex* index, size_t region) const;
 
   std::unordered_map<std::string, int> key_to_id_;
+  /// Registered body -> its slot ids (see RegisterPattern). Each entry
+  /// keeps a copy of the pattern, which holds the body alive: no other
+  /// body can take its address (its key) while the bank lives.
+  struct Registered {
+    CompiledPattern pattern;
+    std::vector<int> slot_ids;
+  };
+  std::unordered_map<const void*, Registered> body_ids_;
   std::vector<Predicate> predicates_;
   size_t registered_states_ = 0;
 

@@ -1,8 +1,81 @@
 #include "core/gesture_definition.h"
 
+#include <cstdint>
+#include <cstring>
+#include <functional>
+
 #include "common/string_util.h"
 
 namespace epl::core {
+
+namespace {
+
+uint64_t Bits(double value) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+bool SameBits(const Vec3& a, const Vec3& b) {
+  return Bits(a.x) == Bits(b.x) && Bits(a.y) == Bits(b.y) &&
+         Bits(a.z) == Bits(b.z);
+}
+
+bool SameWindow(const JointWindow& a, const JointWindow& b) {
+  return SameBits(a.center, b.center) &&
+         SameBits(a.half_width, b.half_width) && a.active == b.active;
+}
+
+void Mix(size_t* seed, uint64_t value) {
+  *seed ^= std::hash<uint64_t>()(value) + 0x9e3779b97f4a7c15ull +
+           (*seed << 6) + (*seed >> 2);
+}
+
+}  // namespace
+
+bool SameDefinition(const GestureDefinition& a, const GestureDefinition& b) {
+  if (a.name != b.name || a.source_stream != b.source_stream ||
+      a.sample_count != b.sample_count || a.notes != b.notes ||
+      a.joints != b.joints || a.poses.size() != b.poses.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.poses.size(); ++i) {
+    const PoseWindow& pa = a.poses[i];
+    const PoseWindow& pb = b.poses[i];
+    if (pa.max_gap != pb.max_gap || pa.joints.size() != pb.joints.size()) {
+      return false;
+    }
+    for (auto ia = pa.joints.begin(), ib = pb.joints.begin();
+         ia != pa.joints.end(); ++ia, ++ib) {
+      if (ia->first != ib->first || !SameWindow(ia->second, ib->second)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+size_t HashDefinition(const GestureDefinition& definition) {
+  size_t seed = std::hash<std::string>()(definition.name);
+  Mix(&seed, std::hash<std::string>()(definition.source_stream));
+  Mix(&seed, std::hash<std::string>()(definition.notes));
+  Mix(&seed, static_cast<uint64_t>(definition.sample_count));
+  for (kinect::JointId joint : definition.joints) {
+    Mix(&seed, static_cast<uint64_t>(joint));
+  }
+  for (const PoseWindow& pose : definition.poses) {
+    Mix(&seed, static_cast<uint64_t>(pose.max_gap));
+    for (const auto& [joint, window] : pose.joints) {
+      Mix(&seed, static_cast<uint64_t>(joint));
+      for (int axis = 0; axis < 3; ++axis) {
+        Mix(&seed, Bits(window.center[axis]));
+        Mix(&seed, Bits(window.half_width[axis]));
+        Mix(&seed, window.active[static_cast<size_t>(axis)]);
+      }
+    }
+  }
+  return seed;
+}
 
 Status GestureDefinition::Validate() const {
   if (name.empty()) {

@@ -38,6 +38,20 @@ struct GestureDefinition {
   std::string ToString() const;
 };
 
+/// Field-wise, bit-exact equality over every field gesturedb::Serialize
+/// writes -- name, source stream, joints, poses, sample_count and notes --
+/// plus any pose window entries Serialize skips. Doubles compare by bit
+/// pattern, so -0.0 and 0.0 differ and a NaN equals only the same NaN
+/// bits. Serialize renders numbers to six decimals, so equal serialized
+/// text does not imply SameDefinition; the converse holds. This is the key
+/// of GestureRuntime's template table: two deploys share one compiled
+/// gesture only when their definitions are the same bits, and a field added
+/// to the struct must be added here (and to HashDefinition) too.
+bool SameDefinition(const GestureDefinition& a, const GestureDefinition& b);
+
+/// Hash consistent with SameDefinition (same definitions hash equal).
+size_t HashDefinition(const GestureDefinition& definition);
+
 }  // namespace epl::core
 
 #endif  // EPL_CORE_GESTURE_DEFINITION_H_

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 
 #include "durability/crash_point.h"
 
@@ -11,9 +12,9 @@ namespace {
 
 constexpr char kMagic[] = "EPLSNAP1";  // 8 bytes, versioned
 // Version 2 added QueryState::{level, stream, definition} (composite
-// gestures); version-1 snapshots still decode, with those fields
-// defaulted (v1 runtimes had no composites to restore).
-constexpr uint32_t kVersion = 2;
+// gestures); version 3 moved the query text into a template table that
+// base query rows index (see snapshot.h). Versions 1 and 2 still decode.
+constexpr uint32_t kVersion = 3;
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kSnapshotSuffix[] = ".snap";
 constexpr char kTmpSuffix[] = ".tmp";
@@ -67,16 +68,48 @@ void EncodeSnapshotBody(const Snapshot& snapshot, ByteWriter* out) {
     out->PutString(session.user);
     out->PutU64(session.ingested_events);
   }
+  out->PutU64(snapshot.templates.size());
+  for (const TemplateState& state : snapshot.templates) {
+    out->PutString(state.query_text);
+  }
   out->PutU64(snapshot.queries.size());
   for (const QueryState& query : snapshot.queries) {
     out->PutI64(query.session);
     out->PutString(query.name);
-    out->PutString(query.query_text);
     out->PutI64(query.level);
-    out->PutString(query.stream);
-    out->PutString(query.definition);
+    if (query.level == 0) {
+      out->PutU64(static_cast<uint64_t>(query.template_index));
+    } else {
+      out->PutString(query.stream);
+      out->PutString(query.definition);
+    }
     EncodeRunState(query.runs, out);
   }
+}
+
+/// Decodes a version 1 or 2 query row, whose base queries carry their
+/// query text inline: rows with the same text share one template.
+Status DecodeInlineTextQuery(ByteReader* in, uint32_t version,
+                             std::map<std::string, int>* template_of_text,
+                             Snapshot* snapshot, QueryState* query) {
+  EPL_ASSIGN_OR_RETURN(std::string query_text, in->ReadString());
+  if (version >= 2) {
+    EPL_ASSIGN_OR_RETURN(int64_t level, in->ReadI64());
+    query->level = static_cast<int>(level);
+    EPL_ASSIGN_OR_RETURN(query->stream, in->ReadString());
+    EPL_ASSIGN_OR_RETURN(query->definition, in->ReadString());
+  }
+  if (query->level == 0) {
+    auto [it, inserted] = template_of_text->emplace(
+        query_text, static_cast<int>(snapshot->templates.size()));
+    if (inserted) {
+      TemplateState state;
+      state.query_text = std::move(query_text);
+      snapshot->templates.push_back(std::move(state));
+    }
+    query->template_index = it->second;
+  }
+  return OkStatus();
 }
 
 Result<Snapshot> DecodeSnapshotBody(std::string_view body, uint32_t version) {
@@ -94,18 +127,48 @@ Result<Snapshot> DecodeSnapshotBody(std::string_view body, uint32_t version) {
     EPL_ASSIGN_OR_RETURN(session.ingested_events, in.ReadU64());
     snapshot.sessions.push_back(std::move(session));
   }
+  if (version >= 3) {
+    EPL_ASSIGN_OR_RETURN(uint64_t num_templates, in.ReadU64());
+    // Each template takes at least its 8-byte string length.
+    if (num_templates > in.remaining() / 8) {
+      return DataLossError("template count " + std::to_string(num_templates) +
+                           " exceeds the remaining input");
+    }
+    for (uint64_t i = 0; i < num_templates; ++i) {
+      TemplateState state;
+      EPL_ASSIGN_OR_RETURN(state.query_text, in.ReadString());
+      snapshot.templates.push_back(std::move(state));
+    }
+  }
+  std::map<std::string, int> template_of_text;  // versions 1 and 2
   EPL_ASSIGN_OR_RETURN(uint64_t num_queries, in.ReadU64());
   for (uint64_t i = 0; i < num_queries; ++i) {
     QueryState query;
     EPL_ASSIGN_OR_RETURN(int64_t session, in.ReadI64());
     query.session = static_cast<int>(session);
     EPL_ASSIGN_OR_RETURN(query.name, in.ReadString());
-    EPL_ASSIGN_OR_RETURN(query.query_text, in.ReadString());
-    if (version >= 2) {
+    if (version >= 3) {
       EPL_ASSIGN_OR_RETURN(int64_t level, in.ReadI64());
       query.level = static_cast<int>(level);
-      EPL_ASSIGN_OR_RETURN(query.stream, in.ReadString());
-      EPL_ASSIGN_OR_RETURN(query.definition, in.ReadString());
+      if (query.level == 0) {
+        EPL_ASSIGN_OR_RETURN(uint64_t index, in.ReadU64());
+        if (index >= snapshot.templates.size()) {
+          return DataLossError("query '" + query.name + "' binds template " +
+                               std::to_string(index) + " of " +
+                               std::to_string(snapshot.templates.size()));
+        }
+        query.template_index = static_cast<int>(index);
+      } else {
+        EPL_ASSIGN_OR_RETURN(query.stream, in.ReadString());
+        EPL_ASSIGN_OR_RETURN(query.definition, in.ReadString());
+      }
+    } else {
+      EPL_RETURN_IF_ERROR(DecodeInlineTextQuery(
+          &in, version, &template_of_text, &snapshot, &query));
+    }
+    if (query.level < 0) {
+      return DataLossError("query '" + query.name + "' has negative level " +
+                           std::to_string(query.level));
     }
     EPL_ASSIGN_OR_RETURN(query.runs, DecodeRunState(&in));
     snapshot.queries.push_back(std::move(query));

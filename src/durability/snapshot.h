@@ -2,9 +2,11 @@
 // records the GestureRuntime logs between them.
 //
 // A checkpoint is a consistent cut of the whole runtime at a quiesced
-// event boundary: the open sessions, every deployed query (its canonical
-// query text from the unparser, its gesture name, its session whose gate
-// it carries), and every query's live NFA runs and statistics
+// event boundary: the open sessions, every distinct compiled gesture (a
+// template: its canonical query text from the unparser), every deployed
+// query
+// (its gesture name, its session whose gate it carries, the template it
+// binds), and every query's live NFA runs and statistics
 // (cep::NfaRunState, the ExtractPattern-shaped materialization). Recovery
 // rebuilds the runtime from the newest valid snapshot and replays the WAL
 // suffix with seq >= Snapshot::wal_seq.
@@ -15,6 +17,21 @@
 //
 //   file := "EPLSNAP1" | u32 version | u32 body_len | u32 crc32(body)
 //           | body
+//
+//   body (version 3) :=
+//       u64 wal_seq | i64 next_session_id
+//     | u64 n | n x (i64 id | str user | u64 ingested_events)
+//     | u64 t | t x str query_text                   -- templates
+//     | u64 q | q x (i64 session | str name | i64 level
+//                    | level == 0: u64 template index (< t)
+//                    | level >= 1: str stream | str definition
+//                    | run state)
+//
+// Version 3 stores each template once, however many sessions deploy it:
+// a fleet of N sessions running 16 gestures writes 16 query texts, not
+// 16 N. Versions 1 and 2 stored the query text in every query row (v2 added
+// level, stream and definition per row); both still decode, their rows
+// grouped into templates by exact query text.
 //
 // written to a ".tmp" sibling, fsynced, atomically renamed, and sealed
 // with a directory fsync -- so a visible snapshot file is complete by
@@ -85,15 +102,22 @@ struct SessionState {
   uint64_t ingested_events = 0;
 };
 
+/// One compiled gesture shared by the base queries that bind it.
+struct TemplateState {
+  /// Canonical unparser rendering of the deployed (rescoped) query.
+  std::string query_text;
+};
+
 /// One deployed query at the cut, in restoration order.
 struct QueryState {
   int session = -1;
-  std::string name;        // gesture name (deploy key)
-  std::string query_text;  // canonical unparser rendering, rescoped
+  std::string name;  // gesture name (deploy key)
+  /// Base queries (level 0): index into Snapshot::templates.
+  int template_index = -1;
   /// Composite level (0 = base query; see cep/composite.h). Level >= 1
   /// queries restore from `definition` (workflow::SerializeComposite
   /// text, which round-trips gesture tags exactly) and `stream` (the
-  /// channel the composite's inputs feed), not from query_text.
+  /// channel the composite's inputs feed), not from a template.
   int level = 0;
   std::string stream;
   std::string definition;
@@ -106,6 +130,7 @@ struct Snapshot {
   uint64_t wal_seq = 0;
   int next_session_id = 0;
   std::vector<SessionState> sessions;
+  std::vector<TemplateState> templates;
   std::vector<QueryState> queries;
 };
 

@@ -198,11 +198,8 @@ Result<SessionId> GestureRuntime::DoOpenSession(const std::string& user,
   if (user.empty()) {
     return InvalidArgumentError("session needs a user name");
   }
-  for (const auto& [id, session] : sessions_) {
-    (void)id;
-    if (session.open && session.name == user) {
-      return AlreadyExistsError("session already open for user: " + user);
-    }
+  if (open_users_.count(user) > 0) {
+    return AlreadyExistsError("session already open for user: " + user);
   }
   // Recovery pins session ids to their original values: the gates and WAL
   // records of a restored session encode the id, so it must not drift.
@@ -251,6 +248,7 @@ Result<SessionId> GestureRuntime::DoOpenSession(const std::string& user,
         std::move(gate));
   }
   sessions_.emplace(id, std::move(session));
+  open_users_[user] = id;
   return id;
 }
 
@@ -265,6 +263,7 @@ Status GestureRuntime::CloseSession(SessionId session) {
   auto it = sessions_.find(session);
   if (it != sessions_.end()) {
     it->second.open = false;
+    open_users_.erase(it->second.name);
   }
   return OkStatus();
 }
@@ -301,6 +300,10 @@ Status GestureRuntime::DoCloseSession(SessionId session) {
   // left registered -- the caller keeps responsibility for it.
   const std::string raw = it->second.raw_stream;
   const std::string view = it->second.view_stream;
+  auto user = open_users_.find(it->second.name);
+  if (user != open_users_.end() && user->second == session) {
+    open_users_.erase(user);
+  }
   sessions_.erase(it);
   ingested_.erase(session);
   bool view_removed = true;
@@ -384,20 +387,25 @@ Result<GestureRuntime::Channel*> GestureRuntime::EnsureChannel(
 
 Result<query::ParsedQuery> GestureRuntime::BuildQuery(
     const Session* session, const GestureDefinition& definition) const {
-  EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
-                       core::GenerateQuery(definition, options_.query));
-  if (session != nullptr) {
-    if (options_.backend == RuntimeBackend::kLegacyPerQuery) {
-      parsed.pattern = parsed.pattern->Rescope(session->view_stream, nullptr);
-    } else {
-      // The session's identity predicate is NOT conjoined into the poses:
-      // it rides along as the query's gate, which the matcher enforces on
-      // every state. Identical gestures deployed by different sessions
-      // therefore share their pose predicates in the bank.
-      parsed.pattern = parsed.pattern->Rescope(kSessionStreamName, nullptr);
-    }
+  if (session == nullptr) {
+    return core::GenerateQuery(definition, options_.query);
   }
-  return parsed;
+  // The caller's definition is what the WAL logs and replay deserializes,
+  // so it must be valid as given, not only once scoped (an empty source
+  // stream would be logged as text that does not deserialize).
+  EPL_RETURN_IF_ERROR(definition.Validate());
+  // Generated straight onto the session's stream: the query rescoping the
+  // definition's own would give (PatternExpr::Rescope), without the clone.
+  // The session's identity predicate is NOT conjoined into the poses: it
+  // rides along as the query's gate, which the matcher enforces on every
+  // state. Identical gestures deployed by different sessions therefore
+  // share their pose predicates in the bank. (Legacy sessions run their
+  // own per-query operators on their own view.)
+  GestureDefinition scoped = definition;
+  scoped.source_stream = options_.backend == RuntimeBackend::kLegacyPerQuery
+                             ? session->view_stream
+                             : std::string(kSessionStreamName);
+  return core::GenerateQuery(scoped, options_.query);
 }
 
 Status GestureRuntime::Retire(const Gesture& gesture) {
@@ -429,6 +437,10 @@ Status GestureRuntime::Install(const GestureKey& key, Gesture gesture,
   auto existing = gestures_.find(key);
   if (existing != gestures_.end()) {
     EPL_RETURN_IF_ERROR(Retire(existing->second));
+    // Releases the retired query's template; `gesture` already holds its
+    // own, so a relearn of an identical definition keeps the template.
+    gestures_.erase(existing);
+    composites_.erase(key);
   }
   // A deploy is a restore from empty run state.
   Result<int> id =
@@ -437,8 +449,108 @@ Status GestureRuntime::Install(const GestureKey& key, Gesture gesture,
           : channel->sharded.engine->RestoreQuery(std::move(spec), runs);
   EPL_RETURN_IF_ERROR(id.status());
   gesture.query_id = *id;
-  gestures_[key] = std::move(gesture);
+  if (gesture.level > 0) {
+    composites_.insert(key);
+  }
+  gestures_.emplace(key, std::move(gesture));
   return OkStatus();
+}
+
+Result<GestureRuntime::TemplatePtr> GestureRuntime::AddTemplate(
+    const query::ParsedQuery& parsed, Template tmpl) {
+  EPL_ASSIGN_OR_RETURN(
+      cep::MultiMatchOperator::QuerySpec compiled,
+      query::CompileQuerySpec(engine_, parsed, nullptr, nullptr));
+  tmpl.stream = parsed.pattern->SourceStream();
+  tmpl.output_name = std::move(compiled.output_name);
+  tmpl.pattern = std::move(compiled.pattern);
+  tmpl.measures = std::move(compiled.measures);
+  const bool keyed = tmpl.definition.has_value();
+  const size_t hash =
+      keyed ? core::HashDefinition(*tmpl.definition) ^ tmpl.session_scoped
+            : 0;
+  // The last binding's release takes the template out of the table.
+  auto release = [this, keyed, hash](const Template* dead) {
+    if (keyed) {
+      auto it = templates_.find(hash);
+      while (it->second != dead) {
+        ++it;
+      }
+      templates_.erase(it);
+    }
+    --live_templates_;
+    delete dead;
+  };
+  TemplatePtr made(new Template(std::move(tmpl)), release);
+  if (keyed) {
+    templates_.emplace(hash, made.get());
+  }
+  ++live_templates_;
+  return made;
+}
+
+Result<GestureRuntime::TemplatePtr> GestureRuntime::FindOrCompileTemplate(
+    const Session* session, const GestureDefinition& definition) {
+  const bool scoped = session != nullptr;
+  auto [it, end] =
+      templates_.equal_range(core::HashDefinition(definition) ^ scoped);
+  for (; it != end; ++it) {
+    const Template& tmpl = *it->second;
+    if (tmpl.session_scoped == scoped &&
+        core::SameDefinition(*tmpl.definition, definition)) {
+      return tmpl.shared_from_this();
+    }
+  }
+  EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
+                       BuildQuery(session, definition));
+  Template tmpl;
+  tmpl.definition = definition;
+  tmpl.session_scoped = scoped;
+  // Durable runtimes keep the query's canonical text (what a checkpoint
+  // serializes) and the gesturedb-format definition (what a deploy's WAL
+  // record carries and replay reapplies).
+  if (durable()) {
+    tmpl.query_text = query::FormatQuery(parsed);
+    tmpl.definition_text = gesturedb::Serialize(definition);
+  }
+  return AddTemplate(parsed, std::move(tmpl));
+}
+
+Result<GestureRuntime::TemplatePtr> GestureRuntime::RestoreTemplate(
+    const durability::TemplateState& state) {
+  Result<query::ParsedQuery> parsed = query::ParseQuery(state.query_text);
+  if (!parsed.ok()) {
+    return DataLossError("snapshot template text does not parse: " +
+                         parsed.status().ToString());
+  }
+  // Keyless: it binds the restored queries only. A later deploy of its
+  // gesture compiles a template of its own from the definition, as the
+  // same deploy on a fresh runtime would.
+  Template tmpl;
+  tmpl.query_text = state.query_text;
+  return AddTemplate(*parsed, std::move(tmpl));
+}
+
+cep::MultiMatchOperator::QuerySpec GestureRuntime::BindTemplate(
+    const Template& tmpl, const GestureKey& key, const Session* found,
+    cep::DetectionCallback callback) {
+  cep::MultiMatchOperator::QuerySpec spec;
+  spec.output_name = tmpl.output_name;
+  spec.pattern = tmpl.pattern;  // shares the compiled body
+  spec.measures = tmpl.measures;
+  spec.callback = Guard(std::move(callback));
+  spec.gate = found != nullptr ? found->gate : nullptr;
+  // The derived-event identity: composites deployed later match this
+  // gesture's detections by these tags. Stamped on every base deploy
+  // (they cost nothing without composites), so a composite can consume
+  // any gesture that was live before it.
+  spec.tag = cep::GestureTag(key.second);
+  spec.session_tag = static_cast<double>(key.first);
+  // A gated query only matches events whose session field equals
+  // session_tag; telling the engine lets it route fan-out and co-locate
+  // the session's queries.
+  spec.session_scoped = found != nullptr;
+  return spec;
 }
 
 Status GestureRuntime::DoDeploy(SessionId session,
@@ -457,72 +569,50 @@ Status GestureRuntime::DoDeploy(SessionId session,
     }
     found = &it->second;
   }
-  EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
-                       BuildQuery(found, definition));
-  const std::string stream = parsed.pattern->SourceStream();
   const GestureKey key{session, definition.name};
-  auto existing = gestures_.find(key);
-  // Durable runtimes keep the deployed query's canonical text (what a
-  // checkpoint serializes) and log the deploy with its gesturedb-format
-  // definition (what replay reapplies).
-  std::string query_text;
-  durability::WalRecord record;
   const bool log_deploy = durable() && !replaying_ && !suppress_wal_;
-  if (durable()) {
-    query_text = query::FormatQuery(parsed);
-  }
-  if (log_deploy) {
-    record.type = durability::WalRecord::Type::kDeploy;
-    record.session = session;
-    record.name = definition.name;
-    record.definition = gesturedb::Serialize(definition);
-  }
 
   // Atomic swap semantics: the retiring query is removed before the
   // replacement is added, both at the same event boundary, so the old
   // query sees every event up to that boundary and the new query exactly
   // the events after it.
   if (options_.backend == RuntimeBackend::kLegacyPerQuery) {
+    EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
+                         BuildQuery(found, definition));
     EPL_ASSIGN_OR_RETURN(
         stream::DeploymentId id,
         query::DeployQuery(engine_, parsed, Guard(std::move(callback)),
                            options_.matcher));
+    auto existing = gestures_.find(key);
     if (existing != gestures_.end()) {
       EPL_RETURN_IF_ERROR(Retire(existing->second));
     }
     Gesture gesture;
-    gesture.stream = stream;
+    gesture.stream = parsed.pattern->SourceStream();
     gesture.legacy_id = id;
-    gesture.query_text = std::move(query_text);
     gestures_[key] = std::move(gesture);
-    if (log_deploy) {
-      EPL_RETURN_IF_ERROR(LogRecord(record));
-    }
     return OkStatus();
   }
 
-  // Compile before touching the channel, so a bad query cannot leave an
-  // empty operator (or running shard workers) deployed behind an error.
-  EPL_ASSIGN_OR_RETURN(
-      cep::MultiMatchOperator::QuerySpec spec,
-      query::CompileQuerySpec(engine_, parsed, Guard(std::move(callback)),
-                              found != nullptr ? found->gate : nullptr));
-  // The derived-event identity: composites deployed later match this
-  // gesture's detections by these tags. Stamped on every base deploy
-  // (they cost nothing without composites), so a composite can consume
-  // any gesture that was live before it.
-  spec.tag = cep::GestureTag(definition.name);
-  spec.session_tag = static_cast<double>(session);
-  // A gated query only matches events whose session field equals
-  // session_tag; telling the engine lets it route fan-out and co-locate
-  // the session's queries.
-  spec.session_scoped = found != nullptr;
+  // Compile (on a template miss) before touching the channel, so a bad
+  // query cannot leave an empty operator (or running shard workers)
+  // deployed behind an error.
+  EPL_ASSIGN_OR_RETURN(TemplatePtr tmpl,
+                       FindOrCompileTemplate(found, definition));
+  cep::MultiMatchOperator::QuerySpec spec =
+      BindTemplate(*tmpl, key, found, std::move(callback));
   Gesture gesture;
-  gesture.stream = stream;
-  gesture.query_text = std::move(query_text);
+  gesture.stream = tmpl->stream;
+  gesture.tmpl = tmpl;
   EPL_RETURN_IF_ERROR(
       Install(key, std::move(gesture), std::move(spec), cep::NfaRunState()));
   if (log_deploy) {
+    // Logged with its gesturedb-format definition, what replay reapplies.
+    durability::WalRecord record;
+    record.type = durability::WalRecord::Type::kDeploy;
+    record.session = session;
+    record.name = definition.name;
+    record.definition = tmpl->definition_text;
     EPL_RETURN_IF_ERROR(LogRecord(record));
   }
   return OkStatus();
@@ -546,11 +636,13 @@ Status GestureRuntime::EnsureDetectionStream() {
 
 Status GestureRuntime::CheckNotConsumed(SessionId session,
                                         const std::string& name) const {
-  for (const auto& [key, gesture] : gestures_) {
-    if (gesture.level == 0 || (key.first == session && key.second == name)) {
+  // Only composites consume; most runtimes have none, and then this is
+  // free however many gestures are deployed.
+  for (const GestureKey& key : composites_) {
+    if (key.first == session && key.second == name) {
       continue;
     }
-    for (const CompositeStep& step : gesture.composite.steps) {
+    for (const CompositeStep& step : gestures_.at(key).composite.steps) {
       if (step.gesture == name &&
           (step.session == kAnySession || step.session == session)) {
         return FailedPreconditionError(
@@ -656,8 +748,9 @@ Status GestureRuntime::DoUndeploy(SessionId session, const std::string& name) {
   if (!suppress_wal_) {
     EPL_RETURN_IF_ERROR(CheckNotConsumed(session, name));
   }
-  Gesture gesture = it->second;
+  Gesture gesture = std::move(it->second);
   gestures_.erase(it);
+  composites_.erase(GestureKey{session, name});
   EPL_RETURN_IF_ERROR(Retire(gesture));
   durability::WalRecord record;
   record.type = durability::WalRecord::Type::kUndeploy;
@@ -678,13 +771,12 @@ bool GestureRuntime::IsDeployed(SessionId session,
 std::vector<std::string> GestureRuntime::DeployedGestures(
     SessionId session) const {
   std::vector<std::string> names;
-  for (const auto& [key, gesture] : gestures_) {
-    (void)gesture;
-    if (key.first == session) {
-      names.push_back(key.second);
-    }
+  // The session's keys are one contiguous range of the map, sorted by name.
+  for (auto it = gestures_.lower_bound(GestureKey{session, std::string()});
+       it != gestures_.end() && it->first.first == session; ++it) {
+    names.push_back(it->first.second);
   }
-  return names;  // map order: already sorted by name within the session
+  return names;
 }
 
 Result<int> GestureRuntime::LoadStore(SessionId session,
@@ -840,14 +932,22 @@ Status GestureRuntime::Checkpoint() {
   // Per channel, queries serialize in stable-id order: restoration assigns
   // fresh ids in that order, preserving the relative order the sharded
   // merge sorts detections by ((event_seq, query_id)).
+  // Each template is written once, however many queries bind it.
   std::map<std::string, std::map<int, durability::QueryState>> per_channel;
+  std::unordered_map<const Template*, int> template_index;
   for (const auto& [key, gesture] : gestures_) {
     durability::QueryState state;
     state.session = key.first;
     state.name = key.second;
-    state.query_text = gesture.query_text;
     state.level = gesture.level;
-    if (gesture.level > 0) {
+    if (gesture.level == 0) {
+      auto [it, added] = template_index.emplace(
+          gesture.tmpl.get(), static_cast<int>(snapshot.templates.size()));
+      if (added) {
+        snapshot.templates.push_back({gesture.tmpl->query_text});
+      }
+      state.template_index = it->second;
+    } else {
       // Composites serialize their definition (tags round-trip exactly)
       // plus the channel stream, which restore cannot re-derive: the
       // inputs' own restore order must not matter.
@@ -900,42 +1000,53 @@ Status GestureRuntime::Checkpoint() {
   return wal_->DropSegmentsBelow(snapshot.wal_seq);
 }
 
-Status GestureRuntime::RestoreQuery(const durability::QueryState& state,
-                                    const DetectionCallbackFactory& factory) {
+Status GestureRuntime::RestoreQuery(
+    const durability::QueryState& state,
+    const std::vector<durability::TemplateState>& templates,
+    std::vector<TemplatePtr>* restored,
+    const DetectionCallbackFactory& factory) {
+  cep::DetectionCallback callback =
+      factory ? factory(state.session, state.name) : nullptr;
+  const GestureKey key{state.session, state.name};
   Gesture gesture;
   gesture.level = state.level;
-  query::ParsedQuery parsed;
-  std::shared_ptr<const cep::CompiledPattern> gate;
+  cep::MultiMatchOperator::QuerySpec spec;
   if (state.level > 0) {
     // A composite restores from its serialized definition and recorded
     // channel; its inputs' liveness was proven at original deploy time
     // and their run state restores from the same snapshot.
     EPL_ASSIGN_OR_RETURN(gesture.composite, ParseComposite(state.definition));
-    EPL_ASSIGN_OR_RETURN(parsed, BuildCompositeQuery(gesture.composite));
+    EPL_ASSIGN_OR_RETURN(query::ParsedQuery parsed,
+                         BuildCompositeQuery(gesture.composite));
     EPL_RETURN_IF_ERROR(EnsureDetectionStream());
     gesture.stream = state.stream;
+    EPL_ASSIGN_OR_RETURN(
+        spec, query::CompileQuerySpec(engine_, parsed,
+                                      Guard(std::move(callback)), nullptr));
+    // Restore the derived-event identity too: composites recovered from
+    // the same snapshot (and WAL replay) keep re-deriving from this query.
+    spec.level = state.level;
+    spec.tag = cep::GestureTag(state.name);
+    spec.session_tag = static_cast<double>(state.session);
   } else {
-    EPL_ASSIGN_OR_RETURN(parsed, query::ParseQuery(state.query_text));
+    const Session* found = nullptr;
     if (state.session != kLocalSession) {
-      EPL_ASSIGN_OR_RETURN(Session * found, FindSession(state.session));
-      gate = found->gate;
+      EPL_ASSIGN_OR_RETURN(found, FindSession(state.session));
     }
-    gesture.stream = parsed.pattern->SourceStream();
-    gesture.query_text = state.query_text;
+    if (state.template_index < 0 ||
+        static_cast<size_t>(state.template_index) >= templates.size()) {
+      return DataLossError("query binds missing template " +
+                           std::to_string(state.template_index));
+    }
+    TemplatePtr& tmpl = (*restored)[static_cast<size_t>(state.template_index)];
+    if (tmpl == nullptr) {
+      EPL_ASSIGN_OR_RETURN(tmpl, RestoreTemplate(templates[static_cast<size_t>(
+                                     state.template_index)]));
+    }
+    spec = BindTemplate(*tmpl, key, found, std::move(callback));
+    gesture.stream = tmpl->stream;
+    gesture.tmpl = tmpl;
   }
-  cep::DetectionCallback callback =
-      factory ? factory(state.session, state.name) : nullptr;
-  EPL_ASSIGN_OR_RETURN(
-      cep::MultiMatchOperator::QuerySpec spec,
-      query::CompileQuerySpec(engine_, parsed, Guard(std::move(callback)),
-                              gate));
-  // Restore the derived-event identity too: composites recovered from the
-  // same snapshot (and WAL replay) keep re-deriving from this query.
-  spec.level = state.level;
-  spec.tag = cep::GestureTag(state.name);
-  spec.session_tag = static_cast<double>(state.session);
-  spec.session_scoped = gate != nullptr;
-  const GestureKey key{state.session, state.name};
   return Install(key, std::move(gesture), std::move(spec), state.runs);
 }
 
@@ -1015,9 +1126,11 @@ Result<std::unique_ptr<GestureRuntime>> GestureRuntime::Recover(
                          runtime->DoOpenSession(session.user, session.id));
     (void)id;
   }
+  // Each template compiles once, when its first query is restored.
+  std::vector<TemplatePtr> restored(snapshot.templates.size());
   for (const durability::QueryState& query : snapshot.queries) {
     EPL_RETURN_IF_ERROR(
-        runtime->RestoreQuery(query, factory)
+        runtime->RestoreQuery(query, snapshot.templates, &restored, factory)
             .WithContext("restoring query " + query.name));
   }
 

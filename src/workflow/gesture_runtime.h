@@ -18,16 +18,35 @@
 // ("<user>/kinect" -> "<user>/kinect_t"), all sessions merge into ONE
 // shared stream (kSessionStreamName) whose events carry a `session` field,
 // and one shared runtime hosts every session's queries. Each deployed
-// query is rescoped onto the merged stream (PatternExpr::Rescope) and
-// carries the session's identity predicate as its GROUP GATE
-// (MultiPatternMatcher::AddPattern), which the matcher enforces as an
-// extra conjunct on every state -- per-session isolation by construction.
+// query reads the merged stream and carries the session's identity
+// predicate as its GROUP GATE (MultiPatternMatcher::AddPattern), which the
+// matcher enforces as an extra conjunct on every state -- per-session
+// isolation by construction.
 // Because the gate stays OUT of the pose predicates, identical gestures
 // deployed by different sessions dedup to ONE predicate set in the shared
 // bank (predicate cost independent of the session count), and the flat
 // runtime skips an entire session's patterns with one gate read when an
 // event belongs to another session -- per-event cost sub-linear in the
 // number of idle sessions.
+//
+// Gesture templates: the front end ahead of the bank -- generate the
+// query onto its stream, compile it and, on durable runtimes, render its
+// canonical text and serialize its definition -- runs once per distinct
+// gesture, not once per deploy. The runtime keeps a table of templates,
+// each keyed by the exact definition (core::SameDefinition, bit for bit)
+// and its scope (session stream or local), holding the compiled pattern
+// and measures and, when durable, the query text and the definition text.
+// A deploy looks its template up, compiles a new one on a miss, and binds
+// it: the query it installs shares the template's compiled body
+// (cep::CompiledPattern copies share one body) and adds only the
+// session's gate, the callback, tags and empty run state. Relearns, WAL
+// replay and snapshot restore take the same path, so a relearn of an
+// identical definition compiles nothing. A template lives while a query
+// binds it. Checkpoints write each template's text once (snapshot version
+// 3), and Recover compiles each text once; a recovered template binds only
+// the restored queries, so the next deploy of its gesture compiles once.
+// The legacy backend compiles every query on its own: it is the reference
+// the templated backends are checked against.
 //
 // Detections route per query: each deploy carries its own callback, so a
 // session only ever observes its own gestures (the merge stream never
@@ -70,7 +89,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -326,6 +348,9 @@ class GestureRuntime {
   size_t num_deployed() const { return gestures_.size(); }
   /// Live fused/sharded operators (one per source stream in use).
   size_t num_channels() const { return channels_.size(); }
+  /// Live gesture templates: distinct compiled gestures bound by at least
+  /// one deployed query (always 0 on the legacy backend).
+  size_t num_templates() const { return live_templates_; }
 
   /// Whether this runtime writes a WAL (options.durability.dir set).
   bool durable() const { return !options_.durability.dir.empty(); }
@@ -375,15 +400,36 @@ class GestureRuntime {
     bool open = true;
   };
 
+  /// One compiled gesture, shared by every deploy of the same definition
+  /// in the same scope (see "Gesture templates" above). Never changed
+  /// after it is built; the deleter of its shared_ptr takes it out of the
+  /// table when the last binding lets go.
+  struct Template : std::enable_shared_from_this<Template> {
+    /// The key: the exact definition (unset for a template restored from
+    /// a snapshot, which only its restored queries bind), and whether its
+    /// queries read the shared session stream.
+    std::optional<core::GestureDefinition> definition;
+    bool session_scoped = false;
+    std::string stream;  // the compiled query's source stream: channel key
+    std::string output_name;
+    cep::CompiledPattern pattern;
+    std::vector<cep::ExprProgram> measures;
+    /// Durable runtimes only: the canonical unparser rendering of the
+    /// deployed (rescoped) query, which checkpoints serialize, and the
+    /// gesturedb text of the definition, which deploy WAL records carry.
+    std::string query_text;
+    std::string definition_text;
+  };
+  using TemplatePtr = std::shared_ptr<const Template>;
+
   struct Gesture {
     std::string stream;               // channel key / legacy deploy stream
     int query_id = -1;                // fused/sharded stable id
     stream::DeploymentId legacy_id = 0;
-    /// Canonical unparser rendering of the deployed (rescoped) query;
-    /// recorded only on durable runtimes, serialized into checkpoints.
-    /// Empty for composites, which serialize their definition instead
-    /// (gesture tags round-trip exactly through it).
-    std::string query_text;
+    /// The template this base query binds (fused/sharded backends). Null
+    /// for legacy deploys and for composites, which serialize their
+    /// definition instead (gesture tags round-trip exactly through it).
+    TemplatePtr tmpl;
     /// Composite level; 0 = base gesture. Level >= 1 gestures keep their
     /// definition for consumed-input checks and checkpointing.
     int level = 0;
@@ -409,10 +455,12 @@ class GestureRuntime {
   /// paths (logging suppressed via replaying_).
   Status ApplyWalRecord(const durability::WalRecord& record,
                         const DetectionCallbackFactory& factory);
-  /// Restores one snapshot query: reparse its canonical text (or composite
-  /// definition), recompile against the restored session's gate, and
-  /// Install it with its live runs.
+  /// Restores one snapshot query: bind its template (compiled from the
+  /// template's text on first use, kept in `restored`) or rebuild its
+  /// composite definition, and Install it with its live runs.
   Status RestoreQuery(const durability::QueryState& state,
+                      const std::vector<durability::TemplateState>& templates,
+                      std::vector<TemplatePtr>* restored,
                       const DetectionCallbackFactory& factory);
   /// Wraps a detection callback so the runtime knows when it is inside a
   /// dispatch (mutations from there are deferred).
@@ -435,6 +483,23 @@ class GestureRuntime {
   /// The gesture's generated query, rescoped for `session` (null = local).
   Result<query::ParsedQuery> BuildQuery(
       const Session* session, const core::GestureDefinition& definition) const;
+  /// The live template of (definition, scope `session` != null), or a new
+  /// one compiled from the definition's generated query.
+  Result<TemplatePtr> FindOrCompileTemplate(
+      const Session* session, const core::GestureDefinition& definition);
+  /// A keyless template compiled from snapshot text. DataLoss when the
+  /// text does not parse.
+  Result<TemplatePtr> RestoreTemplate(const durability::TemplateState& state);
+  /// Compiles `parsed` into `tmpl` (stream, output name, pattern,
+  /// measures) and enters it into the table.
+  Result<TemplatePtr> AddTemplate(const query::ParsedQuery& parsed,
+                                  Template tmpl);
+  /// A deploy of `tmpl` under `key` (`found` its session, null = local):
+  /// the template's pattern and measures plus the session's gate, the
+  /// callback, and the gesture's derived-event tags.
+  cep::MultiMatchOperator::QuerySpec BindTemplate(
+      const Template& tmpl, const GestureKey& key, const Session* found,
+      cep::DetectionCallback callback);
   /// Registers the synthetic `__detections` stream on first composite use
   /// (schema resolution only -- derived events never flow through the
   /// engine, see cep/composite.h).
@@ -466,7 +531,15 @@ class GestureRuntime {
 
   std::map<std::string, Channel> channels_;
   std::map<SessionId, Session> sessions_;
+  /// User name -> id of the session open for that user.
+  std::unordered_map<std::string, SessionId> open_users_;
+  /// Templates that carry a definition, by HashDefinition and scope.
+  /// Declared before gestures_, whose bindings release into it.
+  std::unordered_multimap<size_t, const Template*> templates_;
+  size_t live_templates_ = 0;
   std::map<GestureKey, Gesture> gestures_;
+  /// Keys of the live composites (level >= 1) in gestures_.
+  std::set<GestureKey> composites_;
   SessionId next_session_id_ = 0;
 
   int dispatch_depth_ = 0;

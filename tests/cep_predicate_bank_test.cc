@@ -195,6 +195,109 @@ TEST(PredicateBankTest, DeduplicatesAcrossPatterns) {
   EXPECT_EQ(bank.registered_states(), 3u);
 }
 
+/// Pattern `recipe` of a small random family: a 1-4 pose sequence whose
+/// pose predicates draw from few centers (so patterns share predicates)
+/// and sometimes are not decomposable (bank fallback).
+PatternExprPtr RecipePattern(uint64_t recipe) {
+  Rng rng(recipe);
+  const char* fields[] = {"x", "y", "z"};
+  std::vector<PatternExprPtr> poses;
+  const int num_poses = static_cast<int>(rng.UniformInt(1, 4));
+  for (int p = 0; p < num_poses; ++p) {
+    ExprPtr predicate = Expr::RangePredicate(
+        fields[rng.UniformInt(0, 2)],
+        10.0 * static_cast<double>(rng.UniformInt(0, 5)), 15.0);
+    if (rng.Bernoulli(0.25)) {
+      predicate = Expr::Binary(
+          BinaryOp::kOr, std::move(predicate),
+          Expr::Binary(BinaryOp::kGt,
+                       Expr::Binary(BinaryOp::kMul, Expr::Field("x"),
+                                    Expr::Field("y")),
+                       Expr::Constant(100.0 * static_cast<double>(
+                                                  rng.UniformInt(1, 3)))));
+    }
+    poses.push_back(PatternExpr::Pose("s", std::move(predicate)));
+  }
+  if (poses.size() == 1) {
+    return std::move(poses[0]);
+  }
+  return PatternExpr::Sequence(std::move(poses), 1000);
+}
+
+CompiledPattern CompileRecipe(uint64_t recipe) {
+  Result<CompiledPattern> compiled =
+      CompiledPattern::Compile(*RecipePattern(recipe), XyzSchema());
+  EPL_CHECK(compiled.ok()) << compiled.status();
+  return std::move(compiled).value();
+}
+
+// Registering a copy of an already registered body reuses the body's slot
+// ids; a bank fed copies of a few bodies must hand out exactly the ids,
+// predicates and truth values of a bank fed a separate compile per
+// registration.
+TEST(PredicateBankTest, SharedBodiesRegisterLikeSeparateCompiles) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    constexpr int kRecipes = 8;
+    std::vector<CompiledPattern> bodies;
+    for (int r = 0; r < kRecipes; ++r) {
+      bodies.push_back(CompileRecipe(seed * 100 + static_cast<uint64_t>(r)));
+    }
+    // Kept alive for the banks' lifetime.
+    std::vector<CompiledPattern> separate;
+    std::vector<CompiledPattern> copies;
+    PredicateBank plain;
+    PredicateBank memo;
+    for (int pick = 0; pick < 200; ++pick) {
+      const int r = static_cast<int>(rng.UniformInt(0, kRecipes - 1));
+      separate.push_back(CompileRecipe(seed * 100 + static_cast<uint64_t>(r)));
+      copies.push_back(bodies[static_cast<size_t>(r)]);
+      ASSERT_NE(separate.back().body_id(), copies.back().body_id());
+      ASSERT_EQ(copies.back().body_id(),
+                bodies[static_cast<size_t>(r)].body_id());
+      EXPECT_EQ(memo.RegisterPattern(copies.back()),
+                plain.RegisterPattern(separate.back()))
+          << "seed " << seed << " pick " << pick;
+    }
+    EXPECT_EQ(memo.num_predicates(), plain.num_predicates());
+    EXPECT_EQ(memo.registered_states(), plain.registered_states());
+    const Event events[] = {At(0, 10, 20), At(30, 40, 50), At(12, 9, 41),
+                            At(50, 3, 0)};
+    memo.EvaluateBatch(events, 4);
+    plain.EvaluateBatch(events, 4);
+    EXPECT_EQ(memo.num_decomposable(), plain.num_decomposable());
+    for (size_t b = 0; b < 4; ++b) {
+      for (int id = 0; id < plain.num_predicates(); ++id) {
+        EXPECT_EQ(memo.batch_value(b, id), plain.batch_value(b, id));
+      }
+    }
+  }
+}
+
+// The bank keeps each registered body alive, so a pattern registered and
+// dropped straight away cannot hand its address -- its memo key -- to a
+// different body registered after it.
+TEST(PredicateBankTest, DroppedPatternsDoNotAliasLaterBodies) {
+  std::vector<CompiledPattern> kept;
+  PredicateBank plain;
+  PredicateBank memo;
+  for (uint64_t recipe = 1; recipe <= 60; ++recipe) {
+    kept.push_back(CompileRecipe(recipe));
+    EXPECT_EQ(memo.RegisterPattern(CompileRecipe(recipe)),
+              plain.RegisterPattern(kept.back()))
+        << "recipe " << recipe;
+  }
+  const Event events[] = {At(0, 10, 20), At(30, 40, 50), At(12, 9, 41)};
+  memo.EvaluateBatch(events, 3);
+  plain.EvaluateBatch(events, 3);
+  ASSERT_EQ(memo.num_predicates(), plain.num_predicates());
+  for (size_t b = 0; b < 3; ++b) {
+    for (int id = 0; id < plain.num_predicates(); ++id) {
+      EXPECT_EQ(memo.batch_value(b, id), plain.batch_value(b, id));
+    }
+  }
+}
+
 TEST(PredicateBankTest, DedupKeyIsExactBeyondPrintPrecision) {
   // Centers differing below Expr::ToString's 6-decimal print precision
   // must NOT merge: the dedup key is an exact rendering.

@@ -83,8 +83,8 @@ size_t NumQueries(const WorkloadCase& setup) {
   return setup.definitions.size() + 1;
 }
 
-/// Compiles query `q` fresh (CompiledPattern is move-only, so every
-/// deployment recompiles) with its session gate when gated. Base queries
+/// Compiles query `q` fresh (every deployment gets its own compiled
+/// body) with its session gate when gated. Base queries
 /// carry their derived-event tag; the last query is the composite.
 MultiMatchOperator::QuerySpec BuildSpec(const WorkloadCase& setup, size_t q,
                                         DetectionCallback callback) {

@@ -128,8 +128,7 @@ inline DetectionCallback Recorder(std::vector<DetectionRecord>* out) {
   };
 }
 
-/// QuerySpec consuming a compiled query (CompiledPattern is move-only, so
-/// deployments that need the same query twice compile it twice).
+/// QuerySpec consuming a compiled query.
 inline MultiMatchOperator::QuerySpec MakeSpec(query::CompiledQuery compiled,
                                               DetectionCallback callback) {
   MultiMatchOperator::QuerySpec spec;

@@ -483,12 +483,34 @@ Snapshot SampleSnapshot(uint64_t wal_seq) {
   alice.user = "alice";
   alice.ingested_events = 900;
   snapshot.sessions.push_back(alice);
-  QueryState query;
-  query.session = 0;
-  query.name = "swipe";
-  query.query_text = "select ... from gesture_sessions";
-  query.runs = SampleRunState();
-  snapshot.queries.push_back(query);
+  // Two sessions bind one template, a third query another, and a
+  // composite row carries its own definition.
+  TemplateState swipe;
+  swipe.query_text = "select ... from gesture_sessions";
+  snapshot.templates.push_back(swipe);
+  TemplateState wave;
+  wave.query_text = "select ... wave from gesture_sessions";
+  snapshot.templates.push_back(wave);
+  for (int session : {0, 2}) {
+    QueryState query;
+    query.session = session;
+    query.name = "swipe";
+    query.template_index = 0;
+    query.runs = SampleRunState();
+    snapshot.queries.push_back(query);
+  }
+  QueryState wave_query;
+  wave_query.session = 0;
+  wave_query.name = "wave";
+  wave_query.template_index = 1;
+  snapshot.queries.push_back(wave_query);
+  QueryState composite;
+  composite.session = 0;
+  composite.name = "combo";
+  composite.level = 1;
+  composite.stream = "gesture_sessions";
+  composite.definition = "composite combo";
+  snapshot.queries.push_back(composite);
   return snapshot;
 }
 
@@ -501,11 +523,18 @@ void ExpectSnapshotEq(const Snapshot& a, const Snapshot& b) {
     EXPECT_EQ(a.sessions[i].user, b.sessions[i].user);
     EXPECT_EQ(a.sessions[i].ingested_events, b.sessions[i].ingested_events);
   }
+  ASSERT_EQ(a.templates.size(), b.templates.size());
+  for (size_t i = 0; i < a.templates.size(); ++i) {
+    EXPECT_EQ(a.templates[i].query_text, b.templates[i].query_text);
+  }
   ASSERT_EQ(a.queries.size(), b.queries.size());
   for (size_t i = 0; i < a.queries.size(); ++i) {
     EXPECT_EQ(a.queries[i].session, b.queries[i].session);
     EXPECT_EQ(a.queries[i].name, b.queries[i].name);
-    EXPECT_EQ(a.queries[i].query_text, b.queries[i].query_text);
+    EXPECT_EQ(a.queries[i].template_index, b.queries[i].template_index);
+    EXPECT_EQ(a.queries[i].level, b.queries[i].level);
+    EXPECT_EQ(a.queries[i].stream, b.queries[i].stream);
+    EXPECT_EQ(a.queries[i].definition, b.queries[i].definition);
     EXPECT_EQ(a.queries[i].runs.runs.size(), b.queries[i].runs.runs.size());
   }
 }
@@ -603,6 +632,139 @@ TEST(SnapshotTest, CorruptionMatrixNeverCrashes) {
     Result<Snapshot> loaded =
         ReadLatestSnapshot(DefaultFileSystem(), scratch.path());
     EXPECT_FALSE(loaded.ok()) << "flipped offset " << offset;
+  }
+}
+
+/// Writes `body` as a snapshot file with a valid header and CRC: the
+/// decoder, not the checksum, has to reject what the body says.
+void WriteRawSnapshot(const std::string& dir, uint64_t wal_seq,
+                      uint32_t version, const std::string& body) {
+  ByteWriter header;
+  header.PutU32(version);
+  header.PutU32(static_cast<uint32_t>(body.size()));
+  header.PutU32(Crc32c(body));
+  std::string digits = std::to_string(wal_seq);
+  const std::string path = dir + "/snapshot-" +
+                           std::string(20 - digits.size(), '0') + digits +
+                           ".snap";
+  (void)DefaultFileSystem()->Remove(path);
+  EPL_ASSERT_OK_AND_ASSIGN(std::unique_ptr<File> file,
+                           DefaultFileSystem()->OpenAppend(path));
+  EPL_ASSERT_OK(file->Append("EPLSNAP1"));
+  EPL_ASSERT_OK(file->Append(header.str()));
+  EPL_ASSERT_OK(file->Append(body));
+  EPL_ASSERT_OK(file->Close());
+}
+
+/// A version 3 body with one session and `templates` written of
+/// `declared_templates`, then one base query binding `index`.
+std::string V3Body(uint64_t wal_seq, uint64_t declared_templates,
+                   int templates, uint64_t index) {
+  ByteWriter body;
+  body.PutU64(wal_seq);
+  body.PutI64(1);
+  body.PutU64(1);
+  body.PutI64(0);
+  body.PutString("alice");
+  body.PutU64(7);
+  body.PutU64(declared_templates);
+  for (int t = 0; t < templates; ++t) {
+    body.PutString("select ... from gesture_sessions");
+  }
+  body.PutU64(1);
+  body.PutI64(0);
+  body.PutString("swipe");
+  body.PutI64(0);
+  body.PutU64(index);
+  EncodeRunState(SampleRunState(), &body);
+  return body.Take();
+}
+
+TEST(SnapshotTest, V3StoresEachTemplateOnce) {
+  ScopedTempDir dir;
+  Snapshot snapshot = SampleSnapshot(9);
+  const std::string text(64 << 10, 'q');
+  snapshot.templates[0].query_text = text;
+  for (int session = 3; session < 40; ++session) {
+    QueryState query;
+    query.session = session;
+    query.name = "swipe";
+    query.template_index = 0;
+    snapshot.queries.push_back(query);
+  }
+  EPL_ASSERT_OK(WriteSnapshot(DefaultFileSystem(), dir.path(), snapshot));
+  EPL_ASSERT_OK_AND_ASSIGN(std::vector<std::string> names,
+                           DefaultFileSystem()->ListDir(dir.path()));
+  ASSERT_EQ(names.size(), 1u);
+  EPL_ASSERT_OK_AND_ASSIGN(uint64_t size, DefaultFileSystem()->FileSize(
+                                              dir.path() + "/" + names[0]));
+  // 39 queries bind the 64 KiB text; it is on disk once.
+  EXPECT_LT(size, 2 * text.size());
+  EPL_ASSERT_OK_AND_ASSIGN(Snapshot loaded,
+                           ReadLatestSnapshot(DefaultFileSystem(),
+                                              dir.path()));
+  ExpectSnapshotEq(loaded, snapshot);
+}
+
+TEST(SnapshotTest, V3CorruptionMatrixIsDataLoss) {
+  ScopedTempDir dir;
+  // The well-formed body decodes, so each case below fails for its own
+  // reason.
+  WriteRawSnapshot(dir.path(), 3, 3, V3Body(3, 1, 1, 0));
+  EPL_ASSERT_OK_AND_ASSIGN(Snapshot good,
+                           ReadLatestSnapshot(DefaultFileSystem(), dir.path()));
+  ASSERT_EQ(good.templates.size(), 1u);
+  EXPECT_EQ(good.queries[0].template_index, 0);
+
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"template index out of range", V3Body(3, 1, 1, 1)},
+      {"template index far out of range", V3Body(3, 1, 1, ~uint64_t{0})},
+      {"truncated template table", V3Body(3, 2, 1, 0)},
+      {"template count beyond the input", V3Body(3, uint64_t{1} << 60, 0, 0)},
+  };
+  for (const auto& [what, body] : cases) {
+    WriteRawSnapshot(dir.path(), 3, 3, body);
+    Result<Snapshot> loaded =
+        ReadLatestSnapshot(DefaultFileSystem(), dir.path());
+    ASSERT_FALSE(loaded.ok()) << what;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << what << ": " << loaded.status();
+  }
+}
+
+TEST(SnapshotTest, CommittedV1AndV2SnapshotsDecode) {
+  // Written by the version 1 and 2 encoders: sessions alice (0) and bob
+  // (1), alice deploying swipe_right_0 and raise_hand_1, bob
+  // swipe_right_0 and swipe_right_2, cut mid-gesture after 40 frames; the
+  // v2 file adds alice's composite "combo".
+  for (const char* version : {"v1", "v2"}) {
+    const std::string dir =
+        epl::testing::TestDataDir() + "/snapshots/" + version;
+    EPL_ASSERT_OK_AND_ASSIGN(Snapshot snapshot,
+                             ReadLatestSnapshot(DefaultFileSystem(), dir));
+    ASSERT_EQ(snapshot.sessions.size(), 2u) << version;
+    EXPECT_EQ(snapshot.sessions[0].user, "alice");
+    EXPECT_EQ(snapshot.sessions[1].ingested_events, 40u);
+    // Rows with the same text share a template: both swipe_right_0 rows.
+    ASSERT_EQ(snapshot.templates.size(), 3u) << version;
+    const bool v2 = std::string(version) == "v2";
+    ASSERT_EQ(snapshot.queries.size(), v2 ? 5u : 4u);
+    EXPECT_EQ(snapshot.queries[0].name, "swipe_right_0");
+    EXPECT_EQ(snapshot.queries[2].name, "swipe_right_0");
+    EXPECT_EQ(snapshot.queries[0].template_index,
+              snapshot.queries[2].template_index);
+    EXPECT_NE(snapshot.queries[1].template_index,
+              snapshot.queries[3].template_index);
+    for (const TemplateState& tmpl : snapshot.templates) {
+      EXPECT_NE(tmpl.query_text.find("gesture_sessions"), std::string::npos);
+    }
+    EXPECT_FALSE(snapshot.queries[0].runs.runs.empty());
+    if (v2) {
+      EXPECT_EQ(snapshot.queries[4].name, "combo");
+      EXPECT_EQ(snapshot.queries[4].level, 1);
+      EXPECT_EQ(snapshot.queries[4].template_index, -1);
+      EXPECT_FALSE(snapshot.queries[4].definition.empty());
+    }
   }
 }
 
