@@ -420,7 +420,6 @@ void BM_SessionRoutedFanout(benchmark::State& state) {
       static_cast<double>(stats.events_skipped_by_filter) / events;
   state.counters["fanout_subbatches"] =
       static_cast<double>(stats.fanout_subbatches);
-  state.counters["advance_tokens"] = static_cast<double>(stats.advance_tokens);
   state.counters["affinity_moves"] = static_cast<double>(stats.affinity_moves);
   state.counters["worker_wakeups_per_event"] =
       static_cast<double>(stats.worker_wakeups) / events;

@@ -98,7 +98,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
   options_.queue_capacity = std::max<size_t>(1, options_.queue_capacity);
   shards_.reserve(static_cast<size_t>(options_.num_shards));
   for (int i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(MakeShard(0));
+    shards_.push_back(MakeShard());
   }
   ResizeIndexLocked();
   pending_batch_ = std::make_unique<Batch>();
@@ -111,8 +111,7 @@ ShardedEngine::~ShardedEngine() {
   }
 }
 
-std::unique_ptr<ShardedEngine::Shard> ShardedEngine::MakeShard(
-    uint64_t base_seq) {
+std::unique_ptr<ShardedEngine::Shard> ShardedEngine::MakeShard() {
   auto shard = std::make_unique<Shard>(options_.matcher);
   // The worker runs each fan-out batch as one matcher sweep; the hook
   // stamps current_seq per event so the recorders still tag matches with
@@ -125,7 +124,6 @@ std::unique_ptr<ShardedEngine::Shard> ShardedEngine::MakeShard(
                            ? (*raw->batch_seqs)[index]
                            : raw->batch_base_seq + index;
   });
-  raw->processed_events.store(base_seq, std::memory_order_release);
   return shard;
 }
 
@@ -250,14 +248,13 @@ Status ShardedEngine::Resize(int num_shards) {
   const bool live = running_;
   QuiesceLocked();
   if (target > shards_.size()) {
-    // Grow: fresh shards are born at the quiesce boundary. Pre-advancing
-    // them to next_seq_ keeps the fleet watermark exact -- they have by
-    // definition processed every event pushed so far (none of their
-    // queries existed earlier).
+    // Grow: fresh shards are born at the quiesce boundary holding no
+    // window, so they count as having processed every event pushed so far
+    // (none of their queries existed earlier).
     const size_t old_count = shards_.size();
     std::vector<std::unique_ptr<Shard>> born;
     while (old_count + born.size() < target) {
-      born.push_back(MakeShard(next_seq_));
+      born.push_back(MakeShard());
     }
     {
       std::lock_guard<std::mutex> pool_lock(pool_mu_);
@@ -470,7 +467,8 @@ std::vector<ShardedEngine::QueryStatsSnapshot> ShardedEngine::QueryStats() {
 uint64_t ShardedEngine::processed() const {
   CheckNotDelivering("processed");
   std::lock_guard<std::mutex> lock(control_mu_);
-  return MinProcessed();
+  std::lock_guard<std::mutex> pool_lock(pool_mu_);
+  return MinProcessedLocked();
 }
 
 size_t ShardedEngine::num_queries() const {
@@ -492,7 +490,8 @@ uint64_t ShardedEngine::rebalanced_queries() const {
 }
 
 uint64_t ShardedEngine::stolen_batches() const {
-  return stolen_batches_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(pool_mu_);
+  return stolen_batches_;
 }
 
 int ShardedEngine::pin_failures() const {
@@ -509,7 +508,8 @@ ShardedEngine::EngineStats ShardedEngine::engine_stats() const {
   CheckNotDelivering("engine_stats");
   std::lock_guard<std::mutex> lock(control_mu_);
   EngineStats stats = stats_;
-  stats.worker_wakeups = wakeups_signaled_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> pool_lock(pool_mu_);
+  stats.worker_wakeups = wakeups_signaled_;
   return stats;
 }
 
@@ -529,7 +529,8 @@ void ShardedEngine::TestOnlyFlipInterestBit(double key, int shard) {
 int ShardedEngine::num_shards() const {
   // pool_mu_, not control_mu_: the shard vector's shape only changes under
   // both, and pool_mu_ is never held while user callbacks run -- so this
-  // stays callable from a detection callback (e.g. operator name()).
+  // stays callable from a detection callback. ShardedMatchOperator::name()
+  // is not: it also reads num_queries(), which dies there.
   std::lock_guard<std::mutex> lock(pool_mu_);
   return static_cast<int>(shards_.size());
 }
@@ -539,7 +540,7 @@ std::vector<uint64_t> ShardedEngine::shard_busy_ns() const {
   std::vector<uint64_t> busy;
   busy.reserve(shards_.size());
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    busy.push_back(shard->busy_ns.load(std::memory_order_relaxed));
+    busy.push_back(shard->busy_ns);
   }
   return busy;
 }
@@ -599,27 +600,30 @@ void ShardedEngine::WorkerLoop(Shard* primary, int worker_index) {
       });
       continue;
     }
-    QueueEntry entry = std::move(victim->queue.front());
+    Batch* batch = victim->queue.front();
     victim->queue.pop_front();
-    if (entry.batch == nullptr) {
-      // Advance token: the interest filter skipped this whole window for
-      // the shard; lift the watermark without touching the matcher. Safe
-      // under pool_mu_: the shard was claimable, so no executor is
-      // concurrently publishing a smaller value.
-      victim->processed_events.store(entry.advance_to,
-                                     std::memory_order_release);
-      control_cv_.notify_all();
-      continue;
-    }
-    victim->busy = true;
+    victim->running = batch;
     if (victim != primary) {
-      stolen_batches_.fetch_add(1, std::memory_order_relaxed);
+      ++stolen_batches_;
     }
     lock.unlock();
-    ExecuteBatch(victim, *entry.batch);
+    const auto started = std::chrono::steady_clock::now();
+    Status status = ExecuteBatch(victim, *batch);
+    const auto elapsed = std::chrono::steady_clock::now() - started;
     lock.lock();
-    ReleaseWindowLocked(entry.batch);
-    victim->busy = false;
+    // Publish in the hold that clears `running`, so the watermark never
+    // passes a batch whose matches are not yet in `pending`.
+    for (PendingMatch& match : victim->local) {
+      victim->pending.push_back(std::move(match));
+    }
+    victim->local.clear();
+    if (victim->status.ok()) {
+      victim->status = std::move(status);
+    }
+    victim->busy_ns += static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
+    victim->running = nullptr;
+    ReleaseWindowLocked(batch);
     if (!victim->queue.empty()) {
       // The shard is claimable again and still has work: republish it to
       // its own worker (possibly this one, next iteration) and -- when
@@ -636,7 +640,7 @@ void ShardedEngine::WorkerLoop(Shard* primary, int worker_index) {
 void ShardedEngine::WakeShardLocked(Shard* shard) {
   ++shard->wake_epoch;
   shard->cv.notify_one();
-  wakeups_signaled_.fetch_add(1, std::memory_order_relaxed);
+  ++wakeups_signaled_;
 }
 
 void ShardedEngine::WakeAllWorkersLocked() {
@@ -648,7 +652,7 @@ void ShardedEngine::WakeAllWorkersLocked() {
 
 void ShardedEngine::WakeIdleWorkersLocked() {
   for (std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->queue.empty() && !shard->busy) {
+    if (shard->queue.empty() && shard->running == nullptr) {
       WakeShardLocked(shard.get());
     }
   }
@@ -656,7 +660,7 @@ void ShardedEngine::WakeIdleWorkersLocked() {
 
 ShardedEngine::Shard* ShardedEngine::PickRunnableLocked(Shard* primary) {
   const auto claimable = [](const Shard& shard) {
-    return !shard.busy && !shard.retired;
+    return shard.running == nullptr && !shard.retired;
   };
   if (claimable(*primary) && !primary->queue.empty()) {
     return primary;  // own shard first: its bank and arena are cache-hot
@@ -679,8 +683,7 @@ ShardedEngine::Shard* ShardedEngine::PickRunnableLocked(Shard* primary) {
   return victim < 0 ? nullptr : shards_[static_cast<size_t>(victim)].get();
 }
 
-void ShardedEngine::ExecuteBatch(Shard* shard, const Batch& batch) {
-  const auto started = std::chrono::steady_clock::now();
+Status ShardedEngine::ExecuteBatch(Shard* shard, const Batch& batch) {
   // The whole fan-out batch runs as ONE matcher sweep: the shard's bank
   // answers all events in one pass per field and every pattern advances
   // across the window before the next pattern is touched. The operator's
@@ -689,28 +692,7 @@ void ShardedEngine::ExecuteBatch(Shard* shard, const Batch& batch) {
   shard->batch_seqs = batch.seqs.empty() ? nullptr : &batch.seqs;
   Status status = shard->op.ProcessBatch(batch.events.data(), batch.size);
   shard->batch_seqs = nullptr;
-  if (!status.ok()) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->status.ok()) {
-      shard->status = status;
-    }
-  }
-  if (!shard->local.empty()) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (PendingMatch& match : shard->local) {
-      shard->pending.push_back(std::move(match));
-    }
-    shard->local.clear();
-  }
-  // The watermark advances over the whole window, not just the delivered
-  // subset: the filtered-out events are exact no-ops for this shard.
-  shard->processed_events.store(batch.end_seq, std::memory_order_release);
-  shard->busy_ns.fetch_add(
-      static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - started)
-              .count()),
-      std::memory_order_relaxed);
+  return status;
 }
 
 void ShardedEngine::QuiesceLocked() {
@@ -720,13 +702,13 @@ void ShardedEngine::QuiesceLocked() {
   FlushBatch();
   {
     // control_mu_ keeps the producer out, so once every FIFO is empty and
-    // no shard is busy, no worker can claim anything until this caller
+    // no shard is running, no worker can claim anything until this caller
     // lets go of control_mu_: every pushed event is fully processed and
     // the shards' matchers are the caller's to read and mutate.
     std::unique_lock<std::mutex> lock(pool_mu_);
     control_cv_.wait(lock, [this] {
       for (const std::unique_ptr<Shard>& shard : shards_) {
-        if (!shard->queue.empty() || shard->busy) {
+        if (!shard->queue.empty() || shard->running != nullptr) {
           return false;
         }
       }
@@ -742,7 +724,6 @@ void ShardedEngine::FlushBatch() {
   }
   pending_batch_->base_seq = next_seq_;
   next_seq_ += pending_batch_->size;
-  pending_batch_->end_seq = next_seq_;
   ++stats_.fanout_batches;
   DistributeBatch();
   DrainAndDeliver();
@@ -773,29 +754,6 @@ size_t ShardedEngine::MaxSpareWindowsLocked() const {
   // Each FIFO holds at most queue_capacity windows and its executor one
   // more; the producer adds the window it fills and the one it routes.
   return shards_.size() * (options_.queue_capacity + 1) + 2;
-}
-
-void ShardedEngine::EnqueueAdvanceLocked(Shard* shard, uint64_t end_seq) {
-  ++stats_.advance_tokens;
-  if (shard->queue.empty() && !shard->busy) {
-    // The shard is idle with nothing in flight: advance the watermark
-    // directly, with no queue traffic and -- crucially -- no wakeup.
-    // Safe: the last executor published its store before clearing busy
-    // under pool_mu_.
-    shard->processed_events.store(end_seq, std::memory_order_release);
-    return;
-  }
-  if (!shard->queue.empty() && shard->queue.back().batch == nullptr) {
-    // Coalesce into the trailing advance token: per-shard FIFO order
-    // makes end_seq monotone, so the later target subsumes the earlier.
-    shard->queue.back().advance_to = end_seq;
-    return;
-  }
-  // The shard has work in flight; park the token behind it. No wakeup is
-  // needed: a worker is either processing the queue already or has a
-  // pending wake signal from the entry before this one, and the
-  // post-execution republish covers the stolen-batch case.
-  shard->queue.push_back(QueueEntry{nullptr, end_seq});
 }
 
 void ShardedEngine::DistributeBatch() {
@@ -867,7 +825,6 @@ void ShardedEngine::DistributeBatch() {
       }
       Batch* sub = route_windows_[s];
       sub->base_seq = window->base_seq;
-      sub->end_seq = window->end_seq;
       for (uint32_t index : route_scratch_[s]) {
         stream::FillSlot(sub->events, sub->size, window->events[index]);
         sub->seqs.push_back(window->base_seq + index);
@@ -881,7 +838,7 @@ void ShardedEngine::DistributeBatch() {
     // for the slowest destination before enqueueing anywhere keeps
     // per-shard backlog spread bounded by the capacity, which is what
     // makes the deepest-backlog steal heuristic meaningful. Skipped
-    // shards only receive a coalescing token, which needs no room.
+    // shards receive nothing, so they need no room.
     control_cv_.wait(lock, [this] {
       for (size_t s = 0; s < shards_.size(); ++s) {
         if (route_windows_[s] != nullptr &&
@@ -898,16 +855,15 @@ void ShardedEngine::DistributeBatch() {
       Shard* shard = shards_[s].get();
       Batch* batch = route_windows_[s];
       if (batch == nullptr) {
-        EnqueueAdvanceLocked(shard, window->end_seq);
         continue;
       }
-      if (shard->busy || !shard->queue.empty()) {
+      if (shard->running != nullptr || !shard->queue.empty()) {
         // The shard cannot start this batch immediately: with stealing
         // on, an idle worker elsewhere could.
         stealable_backlog = true;
       }
       ++batch->refs;
-      shard->queue.push_back(QueueEntry{batch, 0});
+      shard->queue.push_back(batch);
       WakeShardLocked(shard);
     }
     if (options_.work_stealing && stealable_backlog) {
@@ -921,13 +877,15 @@ void ShardedEngine::DistributeBatch() {
 }
 
 void ShardedEngine::DrainAndDeliver() {
-  const uint64_t watermark = MinProcessed();
-  merge_scratch_.clear();
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    while (!shard->pending.empty() && shard->pending.front().seq < watermark) {
-      merge_scratch_.push_back(std::move(shard->pending.front()));
-      shard->pending.pop_front();
+  {
+    std::lock_guard<std::mutex> lock(pool_mu_);
+    const uint64_t watermark = MinProcessedLocked();
+    for (std::unique_ptr<Shard>& shard : shards_) {
+      while (!shard->pending.empty() &&
+             shard->pending.front().seq < watermark) {
+        merge_scratch_.push_back(std::move(shard->pending.front()));
+        shard->pending.pop_front();
+      }
     }
   }
   if (merge_scratch_.empty()) {
@@ -980,11 +938,14 @@ void ShardedEngine::DrainAndDeliver() {
   merge_scratch_.clear();
 }
 
-uint64_t ShardedEngine::MinProcessed() const {
+uint64_t ShardedEngine::MinProcessedLocked() const {
   uint64_t watermark = next_seq_;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    watermark = std::min(
-        watermark, shard->processed_events.load(std::memory_order_acquire));
+    if (shard->running != nullptr) {
+      watermark = std::min(watermark, shard->running->base_seq);
+    } else if (!shard->queue.empty()) {
+      watermark = std::min(watermark, shard->queue.front()->base_seq);
+    }
   }
   return watermark;
 }
@@ -1306,8 +1267,8 @@ DetectionCallback ShardedEngine::MakeRecorder(Shard* shard, int query_id) {
 }
 
 Status ShardedEngine::FirstShardError() {
+  std::lock_guard<std::mutex> lock(pool_mu_);
   for (std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
     if (!shard->status.ok()) {
       return shard->status;
     }

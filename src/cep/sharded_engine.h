@@ -29,29 +29,30 @@
 // session-scoped queries can match, plus "everything" for unscoped
 // queries), and a fan-out window is split by routing key so a shard only
 // receives -- and is only woken for -- the events some resident query
-// could match. Skipped shards advance their processed_events watermark
-// through a cheap advance-to-seq queue entry (or a direct store when
-// idle), so the MinProcessed() merge, and hence delivery order, is
-// bit-identical to broadcast at every shard count. This exactness leans
-// on the gate-group invariant (see multi_matcher.cc): an event that
-// satisfies no state predicate of a query neither seeds, advances,
-// completes, nor expires anything, so not delivering it to that query's
-// shard cannot change any output.
+// could match. A skipped shard receives nothing at all: its watermark is
+// derived from the windows it still holds (see MinProcessedLocked), so
+// the merge, and hence delivery order, is bit-identical to broadcast at
+// every shard count. This exactness leans on the gate-group invariant
+// (see multi_matcher.cc): an event that satisfies no state predicate of a
+// query neither seeds, advances, completes, nor expires anything, so not
+// delivering it to that query's shard cannot change any output.
 //
 // Execution is scheduled from a shared pool: every shard spawns one
 // worker, each worker prefers its own shard's FIFO (cache-hot bank and
 // arena), and -- with `work_stealing` on -- an idle worker claims the next
 // batch of the deepest-backlog shard instead of sleeping, so one skewed
 // shard cannot idle the other cores. A shard's batches always execute one
-// at a time in FIFO order (a busy flag makes the shard a unit of mutual
-// exclusion), which is why stealing cannot change any shard's event order.
+// at a time in FIFO order (its running slot makes the shard a unit of
+// mutual exclusion), which is why stealing cannot change any shard's
+// event order.
 //
 // Matches are recorded per shard as (event-seq, query-id, Detection) and
 // merged back on the producer thread in deterministic (event-seq,
 // query-id) order -- the exact order a single fused operator would emit,
 // regardless of shard count, worker timing, stealing, or rebalancing.
 // Merging only releases matches up to the fleet-wide watermark (the
-// smallest event sequence every shard has fully processed), so delivery is
+// smallest base sequence of any window a shard still runs or queues, or
+// every pushed event when no shard holds one), so delivery is
 // totally ordered and reproducible; delivery happens during Push (batch
 // boundaries), Flush(), Stop(), and control operations.
 //
@@ -208,7 +209,8 @@ class ShardedEngine {
 
   /// Feeds one event (single producer thread). Events reach every
   /// interested shard (every shard, without routing_field); each shard
-  /// advances only its own queries. Returns false once stopped.
+  /// advances only its own queries. Returns false before Start() and once
+  /// stopped.
   /// Completed matches ready for delivery are dispatched from inside Push
   /// at batch boundaries, in (event-seq, query-id) order.
   /// The event's values are copied into a reused window slot, so the
@@ -252,7 +254,7 @@ class ShardedEngine {
   /// their partial runs, statistics, and stable ids: shrinking extracts
   /// every query from the doomed shards and adopts it on a survivor
   /// before the doomed workers are joined; growing spawns fresh shards
-  /// (pre-advanced to the current watermark) and rebalances onto them.
+  /// and rebalances onto them.
   /// Queries observe an exact prefix/suffix of the stream across the
   /// resize, exactly like AddQuery. Callable from any thread (not a
   /// detection callback), before Start or while live; error once stopped.
@@ -339,9 +341,6 @@ class ShardedEngine {
     uint64_t events_routed = 0;
     /// (event, shard) pairs the interest filter proved unnecessary.
     uint64_t events_skipped_by_filter = 0;
-    /// Advance-to-seq watermark updates for skipped shards (queue tokens
-    /// and direct stores).
-    uint64_t advance_tokens = 0;
     /// Queries moved to consolidate a session onto its home shard
     /// (ShardPlacement::kSessionAffinity only).
     uint64_t affinity_moves = 0;
@@ -371,19 +370,17 @@ class ShardedEngine {
     int level = 0;
   };
 
-  /// A fan-out unit covering the window [base_seq, end_seq), recycled
-  /// through the engine's window pool. Slots [0, size) of `events` hold
-  /// the unit's events; slots past `size` keep their values capacity for
-  /// the next fill. A full window has `seqs` empty (slot i has sequence
+  /// A fan-out unit of the window starting at base_seq, recycled through
+  /// the engine's window pool. Slots [0, size) of `events` hold the unit's
+  /// events; slots past `size` keep their values capacity for the next
+  /// fill. A full window has `seqs` empty (slot i has sequence
   /// base_seq + i) and is shared by every shard that wants all of it. A
   /// routed sub-batch holds the subset of the window its shard is
   /// interested in, with `seqs[i]` carrying each slot's absolute sequence
-  /// number. Executing either advances the shard's watermark to end_seq --
-  /// the events the filter skipped are exact no-ops for the shard's
-  /// queries.
+  /// number; it keeps the window's base_seq, because the events the filter
+  /// skipped are exact no-ops for the shard's queries.
   struct Batch {
     uint64_t base_seq = 0;
-    uint64_t end_seq = 0;
     size_t size = 0;
     std::vector<stream::Event> events;
     std::vector<uint64_t> seqs;
@@ -391,16 +388,6 @@ class ShardedEngine {
     /// executing workers that still need it, plus the producer while it
     /// distributes. The last release returns it to the pool.
     size_t refs = 0;
-  };
-
-  /// One shard-FIFO entry. `batch` carries events; with a null batch the
-  /// entry is an advance-to-seq token that lifts processed_events to
-  /// `advance_to` for a window the interest filter skipped entirely.
-  /// Advance tokens coalesce in place at the queue tail, so a mostly
-  /// skipped shard's FIFO stays one entry deep.
-  struct QueueEntry {
-    Batch* batch = nullptr;
-    uint64_t advance_to = 0;
   };
 
   struct Shard {
@@ -411,13 +398,13 @@ class ShardedEngine {
     std::thread worker;
 
     // Scheduler state, guarded by the engine's pool_mu_. `queue` is the
-    // shard's FIFO of fan-out batches and tokens (see QueueEntry);
-    // `busy` marks a worker currently executing a batch of this shard
-    // (the shard-level mutual exclusion that makes stealing safe);
-    // `retired` tells the shard's own worker to exit (Resize shrink). An
-    // empty queue of a shard that is not busy is the quiesced state.
-    std::deque<QueueEntry> queue;
-    bool busy = false;
+    // shard's FIFO of fan-out windows; `running` is the batch a worker is
+    // executing on this shard, if any (the shard-level mutual exclusion
+    // that makes stealing safe); `retired` tells the shard's own worker to
+    // exit (Resize shrink). An empty queue of a shard that is not running
+    // is the quiesced state.
+    std::deque<Batch*> queue;
+    const Batch* running = nullptr;
     bool retired = false;
 
     // Per-shard wakeup channel: the shard's own worker waits on cv for
@@ -430,25 +417,23 @@ class ShardedEngine {
     uint64_t wake_epoch = 0;
 
     // Executor-only state while processing a batch -- exactly one worker
-    // executes a shard at a time (the busy flag), and the pool lock
-    // orders the handoff between consecutive executors. current_seq is
-    // stamped per event by the operator's batch-event hook (batch_seqs
-    // for a routed sub-batch, else base_seq + in-batch index) so
-    // recorded matches carry exact sequence numbers even though the
-    // whole batch runs as one matcher sweep.
+    // executes a shard at a time (`running`), and the pool lock orders
+    // the handoff between consecutive executors. current_seq is stamped
+    // per event by the operator's batch-event hook (batch_seqs for a
+    // routed sub-batch, else base_seq + in-batch index) so recorded
+    // matches carry exact sequence numbers even though the whole batch
+    // runs as one matcher sweep.
     uint64_t batch_base_seq = 0;
     uint64_t current_seq = 0;
     const std::vector<uint64_t>* batch_seqs = nullptr;
     std::vector<PendingMatch> local;
 
-    std::mutex mu;  // guards pending and status
+    // Published by the executor, under pool_mu_, in the same hold that
+    // clears `running`: a batch's matches, its first error, and its
+    // execution wall time.
     std::deque<PendingMatch> pending;
     Status status;
-
-    /// Events fully processed (matches published to `pending`).
-    std::atomic<uint64_t> processed_events{0};
-    /// Cumulative batch-execution wall time.
-    std::atomic<uint64_t> busy_ns{0};
+    uint64_t busy_ns = 0;
   };
 
   struct QueryInfo {
@@ -500,27 +485,25 @@ class ShardedEngine {
     size_t scoped_queries = 0;
   };
 
-  /// Creates a shard with its batch-event hook installed, pre-advanced to
-  /// `base_seq` (a shard born mid-stream must not drag the fleet
-  /// watermark back to zero).
-  std::unique_ptr<Shard> MakeShard(uint64_t base_seq);
+  /// Creates a shard with its batch-event hook installed.
+  std::unique_ptr<Shard> MakeShard();
   void SpawnWorkerLocked(Shard* shard, int worker_index);
   void WorkerLoop(Shard* primary, int worker_index);
   /// Next shard this worker may execute: its own when runnable, else --
   /// work stealing only -- PickStealVictim over the fleet. pool_mu_ held.
   Shard* PickRunnableLocked(Shard* primary);
-  /// Runs one fan-out batch on `shard` (no engine locks held; the
-  /// caller claimed the shard via its busy flag).
-  void ExecuteBatch(Shard* shard, const Batch& batch);
+  /// Runs one fan-out batch on `shard` into shard->local (no engine locks
+  /// held; the caller claimed the shard by setting `running`).
+  Status ExecuteBatch(Shard* shard, const Batch& batch);
   /// The one control barrier of Flush, Stop and every control operation
   /// (control_mu_ held; a no-op unless running): flushes the partial
-  /// batch, waits until every shard FIFO is empty and no shard is busy --
+  /// batch, waits until every shard FIFO is empty and no shard is running --
   /// all pushed events fully processed -- and delivers every pending
   /// match. The shards stay quiesced until control_mu_ is released.
   void QuiesceLocked();
   /// Routes the pending partial batch: a full-window share to every
   /// interested shard (or a routed sub-batch when only part of the
-  /// window is), an advance token to the rest.
+  /// window is), nothing to the rest.
   void FlushBatch();
   /// Splits the pending window by routing key and enqueues per-shard
   /// work. Computes destinations from the interest index (control_mu_
@@ -534,11 +517,6 @@ class ShardedEngine {
   /// or frees it when the pool is full. pool_mu_ held.
   void ReleaseWindowLocked(Batch* window);
   size_t MaxSpareWindowsLocked() const;
-  /// Advances a skipped shard's watermark to `end_seq`: a direct
-  /// processed_events store when the shard is idle (no wakeup at all),
-  /// else a coalescing advance token behind its in-flight work
-  /// (pool_mu_ held).
-  void EnqueueAdvanceLocked(Shard* shard, uint64_t end_seq);
   /// Work-availability wakeup of one shard's worker (pool_mu_ held).
   void WakeShardLocked(Shard* shard);
   /// Wakes every worker (shutdown; not counted in worker_wakeups).
@@ -549,9 +527,17 @@ class ShardedEngine {
   /// recruit thieves when a destination shard has claimable backlog.
   /// pool_mu_ held.
   void WakeIdleWorkersLocked();
-  /// Delivers every merged match below the fleet watermark.
+  /// Delivers every merged match below the fleet watermark: reads the
+  /// watermark and collects the pending matches in one pool_mu_ hold,
+  /// then runs the callbacks with no pool lock held.
   void DrainAndDeliver();
-  uint64_t MinProcessed() const;
+  /// The fleet watermark: every event before it is processed by every
+  /// shard and its matches published. A shard has processed everything
+  /// before the oldest window it holds -- the batch it is running, else
+  /// its FIFO head -- and a shard holding none everything pushed
+  /// (next_seq_), since each window routing skipped for it is a no-op for
+  /// its queries. control_mu_ and pool_mu_ held.
+  uint64_t MinProcessedLocked() const;
   /// Dies when the calling thread is running detection callbacks:
   /// `call` would re-enter the engine ("<call> from inside a detection
   /// callback").
@@ -606,7 +592,7 @@ class ShardedEngine {
   // The window Push fills; never null.
   std::unique_ptr<Batch> pending_batch_;
   uint64_t next_seq_ = 0;
-  std::vector<PendingMatch> merge_scratch_;
+  std::vector<PendingMatch> merge_scratch_;  // empty between deliveries
   // Id of the thread currently running user callbacks in DrainAndDeliver
   // (default id: none); guards against re-entrant engine calls from
   // inside a callback on that same thread. Checked before control_mu_
@@ -623,10 +609,11 @@ class ShardedEngine {
   std::vector<int> wildcard_shards_;
   // DistributeBatch scratch (control_mu_): per shard, the window indices
   // it is interested in, and the window it is sent (the pending window, a
-  // routed sub-batch, or null for an advance token).
+  // routed sub-batch, or null when routing skips it).
   std::vector<std::vector<uint32_t>> route_scratch_;
   std::vector<Batch*> route_windows_;
-  // Fan-out counters (control_mu_; worker_wakeups is the atomic below).
+  // Fan-out counters (control_mu_; worker_wakeups is counted in
+  // wakeups_signaled_ under pool_mu_).
   EngineStats stats_;
   // Composite (level >= 1) queries, keyed by engine query id; null until
   // the first one is deployed (zero flat-path cost without composites).
@@ -639,8 +626,9 @@ class ShardedEngine {
   bool stopped_ = false;
 
   // Shared scheduler pool. pool_mu_ guards every Shard's scheduler state
-  // (queue/busy/retired/wake_epoch), the shards_ vector shape,
-  // shutdown_, the window pool and every in-flight window's refs.
+  // (queue/running/retired/wake_epoch) and published results
+  // (pending/status/busy_ns), the shards_ vector shape, shutdown_, the
+  // scheduler counters, the window pool and every in-flight window's refs.
   // Worker wakeups are per shard (Shard::cv / Shard::wake_epoch) so a
   // routed window only disturbs the shards it targets; control_cv_ wakes
   // the producer/control side (backpressure space, a shard draining its
@@ -648,8 +636,9 @@ class ShardedEngine {
   mutable std::mutex pool_mu_;
   std::condition_variable control_cv_;
   bool shutdown_ = false;
-  std::atomic<uint64_t> stolen_batches_{0};
-  std::atomic<uint64_t> wakeups_signaled_{0};
+  uint64_t stolen_batches_ = 0;
+  uint64_t wakeups_signaled_ = 0;
+  // Atomic: a worker counts its pin failure before taking pool_mu_.
   std::atomic<int> pin_failures_{0};
   // Windows ready for reuse, at most MaxSpareWindowsLocked(). A window in
   // flight is owned by its holders (Batch::refs).

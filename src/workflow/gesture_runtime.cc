@@ -344,7 +344,6 @@ cep::ShardedEngine::EngineStats GestureRuntime::ShardedStats() const {
     total.fanout_subbatches += stats.fanout_subbatches;
     total.events_routed += stats.events_routed;
     total.events_skipped_by_filter += stats.events_skipped_by_filter;
-    total.advance_tokens += stats.advance_tokens;
     total.affinity_moves += stats.affinity_moves;
     total.worker_wakeups += stats.worker_wakeups;
   }

@@ -241,8 +241,8 @@ class GestureRuntime {
 
   /// Fan-out and placement counters summed over every sharded channel
   /// (all zeros under the fused/legacy backends): how many event copies
-  /// routing delivered vs skipped, sub-batch enqueues, advance tokens,
-  /// affinity moves, worker wakeups. See ShardedEngine::EngineStats.
+  /// routing delivered vs skipped, sub-batch enqueues, affinity moves,
+  /// worker wakeups. See ShardedEngine::EngineStats.
   cep::ShardedEngine::EngineStats ShardedStats() const;
 
   /// Deploys (or, if `name` is already live in this session, atomically

@@ -8,12 +8,14 @@
 #include <algorithm>
 #include <atomic>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -863,50 +865,80 @@ RoutedRun RunSessionFleet(const std::vector<Event>& events,
   return run;
 }
 
+/// SessionStream(count, kRoutedSessions) with edge routing keys: every
+/// other session-0 event carries -0.0 (which the fused gate admits, so it
+/// must reach session 0's shard), and every third session-1 event NaN
+/// (which no gate admits, so it reaches no session's queries).
+std::vector<Event> EdgeKeySessionStream(int count, size_t* nan_events) {
+  std::vector<Event> events = SessionStream(count, kRoutedSessions);
+  *nan_events = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    double& key = events[i].values[kRoutedSessionField];
+    if (i % 8 == 4) {
+      key = -0.0;
+    } else if (i % 12 == 5) {
+      key = std::numeric_limits<double>::quiet_NaN();
+      ++*nan_events;
+    }
+  }
+  return events;
+}
+
 TEST(InterestRoutingTest, RoutedMatchesBroadcastBitIdentically) {
-  const std::vector<Event> events = SessionStream(2000, kRoutedSessions);
-  const std::vector<DetectionRecord> expected = SessionBaseline(events);
-  ASSERT_FALSE(expected.empty());
+  size_t edge_nan_events = 0;
+  const std::vector<Event> edge_events =
+      EdgeKeySessionStream(2000, &edge_nan_events);
+  ASSERT_GT(edge_nan_events, 0u);
+  const std::pair<std::vector<Event>, size_t> inputs[] = {
+      {SessionStream(2000, kRoutedSessions), 0},
+      {edge_events, edge_nan_events}};
+  for (const auto& [events, nan_events] : inputs) {
+    const std::vector<DetectionRecord> expected = SessionBaseline(events);
+    ASSERT_FALSE(expected.empty());
 
-  for (int num_shards : {1, 4}) {
-    ShardedEngineOptions broadcast;
-    broadcast.num_shards = num_shards;
-    broadcast.batch_size = 8;
-    const RoutedRun off = RunSessionFleet(events, broadcast);
+    for (int num_shards : {1, 4}) {
+      ShardedEngineOptions broadcast;
+      broadcast.num_shards = num_shards;
+      broadcast.batch_size = 8;
+      const RoutedRun off = RunSessionFleet(events, broadcast);
 
-    ShardedEngineOptions routed = broadcast;
-    routed.routing_field = kRoutedSessionField;
-    routed.placement = ShardPlacement::kSessionAffinity;
-    const RoutedRun on = RunSessionFleet(events, routed);
+      ShardedEngineOptions routed = broadcast;
+      routed.routing_field = kRoutedSessionField;
+      routed.placement = ShardPlacement::kSessionAffinity;
+      const RoutedRun on = RunSessionFleet(events, routed);
 
-    EXPECT_EQ(on.processed, events.size());
-    ASSERT_TRUE(off.records == expected)
-        << off.records.size() << " vs " << expected.size()
-        << " broadcast detections at " << num_shards << " shards";
-    ASSERT_TRUE(on.records == expected)
-        << on.records.size() << " vs " << expected.size()
-        << " routed detections at " << num_shards << " shards";
-    // Broadcast hands every shard the producer's one copy of each window:
-    // no sub-batch, nothing skipped, no advance token.
-    EXPECT_EQ(off.stats.events_routed,
-              events.size() * static_cast<size_t>(num_shards));
-    EXPECT_EQ(off.stats.fanout_subbatches, 0u);
-    EXPECT_EQ(off.stats.events_skipped_by_filter, 0u);
-    EXPECT_EQ(off.stats.advance_tokens, 0u);
-    if (num_shards == 1) {
-      // One shard hosts every session: routing degenerates to full
-      // windows sharing the producer's batch, with nothing to skip.
-      EXPECT_EQ(on.stats.fanout_subbatches, 0u);
-      EXPECT_EQ(on.stats.events_skipped_by_filter, 0u);
-      EXPECT_EQ(on.stats.events_routed, off.stats.events_routed);
-    } else {
-      // Affinity packs one session per shard, so each 8-event round-robin
-      // window splits into 2-event sub-batches: 4x fewer copies.
-      EXPECT_GT(on.stats.fanout_subbatches, 0u);
-      EXPECT_GT(on.stats.events_skipped_by_filter, 0u);
-      EXPECT_LT(on.stats.events_routed, off.stats.events_routed);
+      EXPECT_EQ(on.processed, events.size());
+      ASSERT_TRUE(off.records == expected)
+          << off.records.size() << " vs " << expected.size()
+          << " broadcast detections at " << num_shards << " shards, "
+          << nan_events << " NaN keys";
+      ASSERT_TRUE(on.records == expected)
+          << on.records.size() << " vs " << expected.size()
+          << " routed detections at " << num_shards << " shards, "
+          << nan_events << " NaN keys";
+      // Broadcast hands every shard the producer's one copy of each
+      // window: no sub-batch, nothing skipped.
+      EXPECT_EQ(off.stats.events_routed,
+                events.size() * static_cast<size_t>(num_shards));
+      EXPECT_EQ(off.stats.fanout_subbatches, 0u);
+      EXPECT_EQ(off.stats.events_skipped_by_filter, 0u);
+      // Affinity packs one session per shard, so a keyed event skips all
+      // shards but its session's and a NaN-keyed one skips them all. One
+      // shard hosts every session: routing degenerates to full windows
+      // sharing the producer's batch, with only NaN keys to skip. At 4
+      // shards each 8-event round-robin window splits into 2-event
+      // sub-batches: 4x fewer copies.
+      const size_t shards = static_cast<size_t>(num_shards);
+      EXPECT_EQ(on.stats.events_skipped_by_filter,
+                (shards - 1) * (events.size() - nan_events) +
+                    shards * nan_events);
       EXPECT_EQ(on.stats.events_routed + on.stats.events_skipped_by_filter,
                 off.stats.events_routed);
+      if (num_shards == 1 && nan_events == 0) {
+        EXPECT_EQ(on.stats.fanout_subbatches, 0u);
+      } else {
+        EXPECT_GT(on.stats.fanout_subbatches, 0u);
+      }
     }
   }
 }
@@ -966,11 +998,11 @@ TEST(InterestRoutingTest, SkippedShardsAdvanceByTokenWithoutWakeups) {
   ASSERT_TRUE(on.records == expected)
       << on.records.size() << " vs " << expected.size()
       << " detections with three fully skipped shards";
-  // The skipped shards' watermarks advanced without queue traffic: every
-  // window hands 3 advance tokens out, and the producer signalled far
-  // fewer worker wakeups than the 4-destinations-per-window broadcast.
+  // The skipped shards receive nothing: a shard holding no window counts
+  // as having processed every event pushed, so their watermarks keep up
+  // without queue traffic, and the producer signalled far fewer worker
+  // wakeups than the 4-destinations-per-window broadcast.
   EXPECT_EQ(on.processed, events.size());
-  EXPECT_GT(on.stats.advance_tokens, 0u);
   EXPECT_EQ(on.stats.events_routed, events.size());
   EXPECT_EQ(on.stats.events_skipped_by_filter, 3 * events.size());
   EXPECT_LT(on.stats.worker_wakeups, off.stats.worker_wakeups);
