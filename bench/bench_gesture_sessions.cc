@@ -260,11 +260,17 @@ void BM_SessionsSharedRuntime(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionsSharedRuntime)->Arg(1)->Arg(8)->Arg(64);
 
-/// Shared runtime, batched sweeps (offline replay mode).
+/// Shared runtime, batched sweeps (offline replay mode). 256 sessions is
+/// the fleet shape: 4096 queries under 256 session gates, all resolved by
+/// the matcher's key lookup.
 void BM_SessionsSharedRuntimeBatched(benchmark::State& state) {
   RunSessions(state, RuntimeBackend::kFused, 32, 1);
 }
-BENCHMARK(BM_SessionsSharedRuntimeBatched)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_SessionsSharedRuntimeBatched)
+    ->Arg(1)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(256);
 
 /// Shared runtime on the sharded engine (2 shards; on a 1-core container
 /// the shards serialize -- this leg is a plumbing record, the multi-core

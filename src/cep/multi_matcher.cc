@@ -1,6 +1,7 @@
 #include "cep/multi_matcher.h"
 
 #include <algorithm>
+#include <map>
 #include <type_traits>
 #include <unordered_map>
 #include <utility>
@@ -77,10 +78,8 @@ int MultiPatternMatcher::AdoptPattern(std::unique_ptr<NfaMatcher> matcher,
   entry.matcher = std::move(matcher);
   entry.gate = gate;
   if (!bank_->built() && !bank_dirty_) {
+    // The gate waits for AssignGates, which sees the whole gate set.
     entry.bank_ids = bank_->RegisterPattern(entry.matcher->pattern());
-    if (gate != nullptr) {
-      entry.gate_bank_id = bank_->RegisterPattern(*gate)[0];
-    }
   } else {
     bank_dirty_ = true;
   }
@@ -94,8 +93,6 @@ void MultiPatternMatcher::RebuildBank() {
   auto bank = std::make_unique<PredicateBank>();
   for (Entry& entry : entries_) {
     entry.bank_ids = bank->RegisterPattern(entry.matcher->pattern());
-    entry.gate_bank_id =
-        entry.gate != nullptr ? bank->RegisterPattern(*entry.gate)[0] : -1;
   }
   // Swap: the old bank (and the predicate truth it served to in-flight
   // events) stays untouched until this point; from the next event on,
@@ -104,6 +101,103 @@ void MultiPatternMatcher::RebuildBank() {
   bank_dirty_ = false;
   arena_dirty_ = true;
   ++bank_generation_;
+}
+
+void MultiPatternMatcher::AssignGates() {
+  EPL_CHECK(!bank_->built());
+  // Classify each live gate body once. Bodies already classified carry
+  // over; the new memo holds live gates only. (A session's queries are
+  // usually neighbours, so the previous entry's body is checked first.)
+  std::unordered_map<const void*, GateShape> shapes;
+  const void* last_body = nullptr;
+  for (const Entry& entry : entries_) {
+    if (entry.gate == nullptr || entry.gate->body_id() == last_body) {
+      continue;
+    }
+    last_body = entry.gate->body_id();
+    auto [it, inserted] = shapes.try_emplace(last_body);
+    if (!inserted) {
+      continue;
+    }
+    GateShape& shape = it->second;
+    auto old = gate_shapes_.find(last_body);
+    if (old != gate_shapes_.end()) {
+      shape = std::move(old->second);
+      continue;
+    }
+    shape.gate = *entry.gate;
+    std::map<int, PredicateBank::Interval> intervals;
+    if (PredicateBank::Decompose(shape.gate.predicate_expr(0), &intervals) &&
+        intervals.size() == 1 &&
+        intervals.begin()->second.lo <= intervals.begin()->second.hi) {
+      shape.field = intervals.begin()->first;
+      shape.interval = intervals.begin()->second;
+    }
+  }
+  gate_shapes_ = std::move(shapes);
+
+  // The key field is the one constrained by the most distinct intervals.
+  // Its gates take the key path when those intervals are pairwise disjoint
+  // (each key then opens at most one group); otherwise, and for gates on
+  // any other field, the gate stays a bank predicate.
+  std::map<int, std::vector<std::pair<double, double>>> by_field;
+  for (const auto& [body, shape] : gate_shapes_) {
+    if (shape.field >= 0) {
+      by_field[shape.field].emplace_back(shape.interval.lo, shape.interval.hi);
+    }
+  }
+  std::vector<std::pair<double, double>> keys;
+  key_field_ = -1;
+  for (auto& [field, intervals] : by_field) {
+    std::sort(intervals.begin(), intervals.end());
+    intervals.erase(std::unique(intervals.begin(), intervals.end()),
+                    intervals.end());
+    if (intervals.size() > keys.size()) {
+      keys = std::move(intervals);
+      key_field_ = field;
+    }
+  }
+  for (size_t i = 1; i < keys.size(); ++i) {
+    if (!(keys[i - 1].second < keys[i].first)) {
+      keys.clear();
+      key_field_ = -1;
+      break;
+    }
+  }
+  key_lo_.clear();
+  key_groups_.clear();
+  for (const auto& [lo, hi] : keys) {
+    key_lo_.push_back(lo);
+    key_groups_.push_back(KeyGroup{hi, {}});
+  }
+
+  // A key gate's group is its interval's index; any other gate registers.
+  last_body = nullptr;
+  int32_t key_group = -1;
+  for (Entry& entry : entries_) {
+    entry.key_group = -1;
+    entry.gate_bank_id = -1;
+    if (entry.gate == nullptr) {
+      continue;
+    }
+    if (entry.gate->body_id() != last_body) {
+      last_body = entry.gate->body_id();
+      const GateShape& shape = gate_shapes_.at(last_body);
+      key_group = -1;
+      if (shape.field >= 0 && shape.field == key_field_) {
+        key_group = static_cast<int32_t>(
+            std::lower_bound(keys.begin(), keys.end(),
+                             std::make_pair(shape.interval.lo,
+                                            shape.interval.hi)) -
+            keys.begin());
+      }
+    }
+    entry.key_group = key_group;
+    if (key_group < 0) {
+      entry.gate_bank_id = bank_->RegisterPattern(*entry.gate)[0];
+    }
+  }
+  arena_dirty_ = true;
 }
 
 void MultiPatternMatcher::BuildArena() {
@@ -198,17 +292,25 @@ void MultiPatternMatcher::BuildArena() {
   states_ = std::move(states);
   flat_constraints_ = std::move(constraints);
 
-  // Gate groups: one per distinct gate bank predicate (the bank dedups by
-  // canonical key, so sessions sharing a gate expression group together
-  // even across separately compiled gate objects).
+  // Gate groups: one per distinct key interval (key path), else one per
+  // distinct gate bank predicate (the bank dedups by canonical key, so
+  // sessions sharing a gate expression group together even across
+  // separately compiled gate objects).
   groups_.clear();
   ungated_members_.clear();
   std::unordered_map<int, size_t> group_of;
+  for (KeyGroup& group : key_groups_) {
+    group.members.clear();
+  }
   for (size_t i = 0; i < entries_.size(); ++i) {
     Entry& entry = entries_[i];
     if (entry.gate == nullptr) {
-      entry.gate_group = -1;
       ungated_members_.push_back(static_cast<uint32_t>(i));
+      continue;
+    }
+    if (entry.key_group >= 0) {
+      key_groups_[static_cast<size_t>(entry.key_group)].members.push_back(
+          static_cast<uint32_t>(i));
       continue;
     }
     auto [it, inserted] = group_of.emplace(entry.gate_bank_id, groups_.size());
@@ -224,10 +326,41 @@ void MultiPatternMatcher::BuildArena() {
       }
       groups_.push_back(std::move(group));
     }
-    entry.gate_group = static_cast<int32_t>(it->second);
     groups_[it->second].members.push_back(static_cast<uint32_t>(i));
   }
+  key_open_.assign(key_groups_.size(), 0);
   arena_dirty_ = false;
+}
+
+void MultiPatternMatcher::OpenKeyGroups(const stream::Event* events,
+                                        size_t count, size_t gate_words) {
+  if (key_truth_.size() < key_groups_.size() * gate_words) {
+    key_truth_.resize(key_groups_.size() * gate_words);
+  }
+  const size_t none = key_groups_.size();
+  size_t last = none;
+  for (size_t b = 0; b < count; ++b) {
+    const double key = events[b].values[static_cast<size_t>(key_field_)];
+    size_t k = last;
+    if (k == none || !(key_lo_[k] <= key && key <= key_groups_[k].hi)) {
+      // The last interval starting at or below the key is the only one
+      // that can hold it. NaN holds in none (every comparison fails).
+      k = static_cast<size_t>(
+          std::upper_bound(key_lo_.begin(), key_lo_.end(), key) -
+          key_lo_.begin());
+      if (k == 0 || !(key <= key_groups_[k - 1].hi)) {
+        continue;
+      }
+      last = --k;
+      if (!key_open_[k]) {
+        key_open_[k] = 1;
+        std::fill_n(key_truth_.begin() + static_cast<ptrdiff_t>(k * gate_words),
+                    gate_words, 0);
+        key_touched_.push_back(static_cast<uint32_t>(k));
+      }
+    }
+    key_truth_[k * gate_words + (b >> 6)] |= uint64_t{1} << (b & 63);
+  }
 }
 
 template <typename Count>
@@ -243,8 +376,8 @@ void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
   const uint64_t* rows = bank_->batch_result_words(0);
   const size_t stride = bank_->row_words();
   const size_t gate_words = (count + 63) / 64;
-  // One gate-column extraction per group for the whole window: the SIMD
-  // kernel packs (row word & mask) != 0 into a bitmask column straight
+  // One gate-column extraction per general group for the whole window: the
+  // SIMD kernel packs (row word & mask) != 0 into a bitmask column straight
   // from the bank's result rows; members then visit only the set bits (or
   // skip the entire window) without touching their arena rows. Skipping a
   // member on a shut gate is output-exact even while it holds live runs:
@@ -273,6 +406,13 @@ void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
       }
     }
   }
+  // Key groups cost one lookup per event instead, and only those whose
+  // key occurs in the window get a column at all.
+  key_touched_.clear();
+  if (!key_groups_.empty()) {
+    OpenKeyGroups(events, count, gate_words);
+  }
+
   // Group-major sweep: a closed group skips ALL of its member patterns
   // with one flag check. (Iterating entries directly and testing
   // group_open_ per entry kept the sweep O(entries) per window however
@@ -419,12 +559,27 @@ void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
   for (uint32_t member : ungated_members_) {
     sweep_entry(member, nullptr);
   }
+  // Every open group, general then key: its column, and its members, each
+  // credited the events the column admits.
+  open_groups_.clear();
   for (size_t g = 0; g < groups_.size(); ++g) {
-    if (!group_open_[g]) {
-      continue;  // gate shut for the whole window, for every member
+    if (group_open_[g]) {  // else shut for the whole window, every member
+      open_groups_.emplace_back(gate_truth_.data() + g * gate_words,
+                                &groups_[g].members);
     }
-    const uint64_t* column = gate_truth_.data() + g * gate_words;
-    for (uint32_t member : groups_[g].members) {
+  }
+  for (uint32_t k : key_touched_) {
+    open_groups_.emplace_back(key_truth_.data() + k * gate_words,
+                              &key_groups_[k].members);
+    key_open_[k] = 0;
+  }
+  for (const auto& [column, members] : open_groups_) {
+    uint64_t open = 0;
+    for (size_t wi = 0; wi < gate_words; ++wi) {
+      open += static_cast<uint64_t>(__builtin_popcountll(column[wi]));
+    }
+    for (uint32_t member : *members) {
+      entries_[member].counters.gated_events += open;
       sweep_entry(member, column);
     }
   }
@@ -451,11 +606,13 @@ void MultiPatternMatcher::ProcessFlatBatch(const stream::Event* events,
 void MultiPatternMatcher::SyncStats(const Entry& entry) const {
   NfaMatcher* matcher = entry.matcher.get();
   ArenaCounters& counters = entry.counters;
-  const uint64_t events = arena_events_ - counters.events_synced;
+  const uint64_t events = entry.gate == nullptr
+                              ? arena_events_ - counters.events_synced
+                              : counters.gated_events;
   matcher->stats_.events += events;
   // Every arena bank read is a shared-bank cache hit in oracle terms: one
-  // seed read per event (minus consume-all completions that skip it) plus
-  // the advance-loop reads.
+  // seed read per stepped event (minus consume-all completions that skip
+  // it) plus the advance-loop reads.
   matcher->stats_.predicate_cache_hits +=
       events - counters.seed_skips + counters.advance_reads;
   matcher->stats_.matches += counters.matches;
@@ -505,6 +662,9 @@ void MultiPatternMatcher::ProcessBatch(const stream::Event* events,
   if (bank_dirty_) {
     RebuildBank();
   }
+  if (!bank_->built()) {
+    AssignGates();
+  }
   bank_->EvaluateBatch(events, count);
   if (options_.mode == MatcherOptions::Mode::kDominant) {
     if (arena_dirty_) {
@@ -524,8 +684,14 @@ void MultiPatternMatcher::ProcessBatch(const stream::Event* events,
   for (size_t b = 0; b < count; ++b) {
     for (size_t i = 0; i < entries_.size(); ++i) {
       Entry& entry = entries_[i];
-      if (entry.gate_bank_id >= 0 &&
-          !bank_->batch_value(b, entry.gate_bank_id)) {
+      if (entry.key_group >= 0) {
+        const size_t g = static_cast<size_t>(entry.key_group);
+        const double key = events[b].values[static_cast<size_t>(key_field_)];
+        if (!(key_lo_[g] <= key && key <= key_groups_[g].hi)) {
+          continue;
+        }
+      } else if (entry.gate_bank_id >= 0 &&
+                 !bank_->batch_value(b, entry.gate_bank_id)) {
         continue;
       }
       scratch_matches_.clear();

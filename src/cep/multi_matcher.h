@@ -40,6 +40,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cep/matcher.h"
@@ -71,17 +73,29 @@ class MultiPatternMatcher {
   /// in the bank, so predicate evaluation cost does not grow with the
   /// number of sessions.
   ///
-  /// Execution: patterns whose gates share one bank predicate (same
-  /// canonical key) form a group; the dominant flat loop decides a whole
-  /// group with ONE predicate read per event -- gate unsatisfied skips
-  /// every member outright (output-exact: this runtime has no eager run
-  /// expiry, so an event that can satisfy no effective state predicate is
-  /// a pure no-op for the pattern), gate satisfied runs the members on
-  /// their pose predicates alone (equivalent, since the gate conjunct is
-  /// known true). Per-event cost is therefore sub-linear in the number of
-  /// foreign sessions. Exhaustive mode enforces the gate with a per-entry
-  /// check. The differential fuzz harness pins gated execution against an
-  /// NfaMatcher oracle running the explicitly conjoined pattern.
+  /// Execution: patterns whose gates are open on the same events form a
+  /// group, and the dominant flat loop decides a whole group per event --
+  /// gate shut skips every member outright (output-exact: this runtime has
+  /// no eager run expiry, so an event that can satisfy no effective state
+  /// predicate is a pure no-op for the pattern), gate open runs the members
+  /// on their pose predicates alone (equivalent, since the gate conjunct is
+  /// known true). A gate takes one of two paths, decided from the gate set
+  /// the matcher holds when its bank is rebuilt:
+  ///  - key path: a gate whose predicate PredicateBank::Decompose()s into
+  ///    one interval on one field (the runtime's session gates). When such
+  ///    gates share a field and their intervals are pairwise disjoint, they
+  ///    stay out of the bank; each window maps every event's key to its
+  ///    group with one binary search over the sorted intervals, so only the
+  ///    groups whose key occurs in the window are touched at all.
+  ///  - general path: every other gate (multi-field, overlapping, or not
+  ///    decomposable) is a bank predicate, and its group reads one gate
+  ///    column per window from the bank's result rows.
+  /// Per-event cost is therefore sub-linear in the number of foreign
+  /// sessions. Exhaustive mode checks the gate per (entry, event). A gated
+  /// pattern's MatcherStats count only the events its gate admits, the same
+  /// in both modes and however the stream was fanned out. The differential
+  /// fuzz harness pins gated execution against an NfaMatcher oracle running
+  /// the explicitly conjoined pattern.
   int AddPattern(const CompiledPattern* pattern,
                  const CompiledPattern* gate = nullptr);
 
@@ -154,14 +168,21 @@ class MultiPatternMatcher {
   /// Number of bank swaps so far. Each mutation batch between two
   /// Process() calls costs exactly one rebuild.
   uint64_t bank_generation() const { return bank_generation_; }
+  /// Gate groups of the last dominant-mode window that took the general
+  /// (bank predicate, gate column) path rather than the key path; see
+  /// AddPattern. 0 before the first window.
+  size_t general_gate_groups() const { return groups_.size(); }
 
  private:
   /// Per-pattern statistic deltas accumulated by the arena loop since the
-  /// last sync into the matcher's MatcherStats. `events` and the
-  /// one-per-event seed predicate read are derived from the global arena
-  /// event counter instead of per-pattern writes.
+  /// last sync into the matcher's MatcherStats. A pattern's events are the
+  /// events the loop stepped it through, each costing one seed predicate
+  /// read: every window event when ungated (derived from the global arena
+  /// event counter, so ungated patterns pay no per-window write), else the
+  /// events its gate admitted (`gated_events`, added per open window).
   struct ArenaCounters {
     uint64_t events_synced = 0;  // arena_events_ at the last sync
+    uint64_t gated_events = 0;
     uint64_t matches = 0;
     /// Bank reads by the advance loop (states with an active predecessor).
     uint64_t advance_reads = 0;
@@ -176,15 +197,15 @@ class MultiPatternMatcher {
     std::vector<int> bank_ids;
     /// Optional group gate (see AddPattern); caller-owned.
     const CompiledPattern* gate = nullptr;
-    /// Bank predicate id of the gate (rebuilt with the bank).
+    /// Set by AssignGates, with the bank: a key-path gate's index into
+    /// key_groups_, else -1 and a general-path gate's bank predicate id.
+    int32_t key_group = -1;
     int gate_bank_id = -1;
-    /// Index into groups_, or -1 (rebuilt with the arena).
-    int32_t gate_group = -1;
     /// Dominant-mode arena residency. While true, the pattern's live run
     /// state is the arena rows below, not the matcher's own buffers.
     bool in_arena = false;
-    int num_states = 0;
     bool consume_all = false;
+    int num_states = 0;
     size_t row_offset = 0;    // first (pattern, state) row / active bit
     size_t times_offset = 0;  // first TimePoint of the n*n times block
     /// Rows currently active (dominant runs alive).
@@ -209,11 +230,27 @@ class MultiPatternMatcher {
     Duration max_gap = 0;
   };
 
-  /// Patterns sharing one gate predicate (same bank id), skipped together
-  /// by the flat loop when the gate is unsatisfied. Rebuilt by BuildArena.
+  /// General path: patterns sharing one gate bank predicate (same bank
+  /// id), skipped together by the flat loop when the gate is unsatisfied.
+  /// Rebuilt by BuildArena.
   struct GateGroup {
     StateRef gate;  // constraint fields unused
     std::vector<uint32_t> members;  // entry indices
+  };
+
+  /// Key path: patterns whose key gates have one interval [lo, hi] on
+  /// key_field_ (lo is key_lo_ at the same index). AssignGates sets the
+  /// intervals, BuildArena the members.
+  struct KeyGroup {
+    double hi = 0;
+    std::vector<uint32_t> members;  // entry indices
+  };
+
+  /// What a gate's predicate decomposes to, memoized per gate body.
+  struct GateShape {
+    CompiledPattern gate;  // pins the body, whose address is the memo key
+    int field = -1;        // -1: not one interval on one field
+    PredicateBank::Interval interval;
   };
 
   bool RowActive(size_t row) const {
@@ -227,6 +264,10 @@ class MultiPatternMatcher {
 
   /// Re-registers every live pattern into a fresh bank and swaps it in.
   void RebuildBank();
+  /// Runs before an unbuilt bank's first window: classifies every live
+  /// gate (once per distinct body, see gate_shapes_), picks the key field
+  /// and its key gates, and registers the other gates in the bank.
+  void AssignGates();
   /// Lays the flat arena out against the current (built) bank, carrying
   /// over arena-resident run state and ingesting matcher-resident state.
   void BuildArena();
@@ -241,6 +282,13 @@ class MultiPatternMatcher {
   template <typename Count>
   void ProcessFlatBatch(const stream::Event* events, Count count,
                         std::vector<MultiMatch>* out);
+  /// The window's key pass: maps each event's key to the one key group
+  /// whose interval holds it (binary search over the sorted, disjoint
+  /// lower bounds; a run of one session's events reuses the previous
+  /// lookup) and sets the event's bit in that group's key_truth_ column.
+  /// Lists the groups it opens in key_touched_: only they are swept.
+  void OpenKeyGroups(const stream::Event* events, size_t count,
+                     size_t gate_words);
   /// Folds the entry's arena counters into its matcher's MatcherStats.
   void SyncStats(const Entry& entry) const;
   /// Copies the entry's arena rows into its matcher's dominant-run
@@ -273,17 +321,37 @@ class MultiPatternMatcher {
   std::vector<StateRef> states_;
   std::vector<FlatConstraint> flat_constraints_;
 
+  // Gate classification memo: gate body -> shape. Rebuilt by AssignGates
+  // from the live gates only, so it never outgrows the gate set.
+  std::unordered_map<const void*, GateShape> gate_shapes_;
+  // The key path's field, or -1 when no gate takes the key path.
+  int key_field_ = -1;
+
   // Gate groups (empty unless some pattern registered with a gate).
   std::vector<GateGroup> groups_;
   std::vector<uint32_t> ungated_members_;
-  // Per-batch gate truth as bitmask columns: groups_ x ceil(count / 64)
-  // words, bit b of a group's column = gate open for in-batch event b.
-  // Extracted from the bank's result-word rows by the SIMD gate kernel;
-  // members then visit only the SET bits (ctz iteration), so a pattern's
-  // per-window cost is O(open events), not O(count). group_open_ keeps the
-  // per-group any-event-open summary for whole-window skips.
+  // Key groups sorted by interval: key_lo_ is the binary-search array.
+  std::vector<double> key_lo_;
+  std::vector<KeyGroup> key_groups_;
+  // Per-batch gate truth as bitmask columns of ceil(count / 64) words, bit
+  // b of a group's column = gate open for in-batch event b; members then
+  // visit only the SET bits (ctz iteration), so a pattern's per-window
+  // cost is O(open events), not O(count).
+  //  - gate_truth_: one column per general group, extracted from the
+  //    bank's result-word rows by the SIMD gate kernel. group_open_ keeps
+  //    the per-group any-event-open summary for whole-window skips.
+  //  - key_truth_: one column per key group, written by the window's key
+  //    pass and cleared on a group's first open event. key_open_ flags the
+  //    groups opened in this window (all zero between windows), and
+  //    key_touched_ lists them, so only they are swept.
   std::vector<uint64_t> gate_truth_;
   std::vector<uint8_t> group_open_;
+  std::vector<uint64_t> key_truth_;
+  std::vector<uint8_t> key_open_;
+  std::vector<uint32_t> key_touched_;
+  // The window's open groups: (gate column, members).
+  std::vector<std::pair<const uint64_t*, const std::vector<uint32_t>*>>
+      open_groups_;
 };
 
 }  // namespace epl::cep

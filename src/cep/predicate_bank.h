@@ -42,6 +42,13 @@
 // are subscribers of one stream); the canonical-key dedup assumes field
 // names resolve to the same indices.
 //
+// What a MultiPatternMatcher registers: every pattern's pose predicates,
+// and only those group gates that do not take its key path. The runtime's
+// session gates (disjoint intervals on the `session` field) are resolved
+// by the matcher's own key lookup, so they are not bank predicates and
+// the `session` field, whose value changes from one event to the next in
+// a merged multi-session stream, has no interval index here.
+//
 // A bank is write-once: registration freezes at Build() (called by the
 // first EvaluateBatch()). When
 // the deployed pattern set changes at runtime, the owner constructs a

@@ -464,6 +464,17 @@ std::vector<ShardedEngine::QueryStatsSnapshot> ShardedEngine::QueryStats() {
   return snapshots;
 }
 
+size_t ShardedEngine::general_gate_groups() {
+  CheckNotDelivering("general_gate_groups");
+  std::lock_guard<std::mutex> lock(control_mu_);
+  QuiesceLocked();
+  size_t groups = 0;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    groups += shard->op.matcher().general_gate_groups();
+  }
+  return groups;
+}
+
 uint64_t ShardedEngine::processed() const {
   CheckNotDelivering("processed");
   std::lock_guard<std::mutex> lock(control_mu_);

@@ -296,6 +296,10 @@ class ShardedEngine {
   /// travel with its matcher across shards and are never reset by an
   /// exchange.
   std::vector<QueryStatsSnapshot> QueryStats();
+  /// Gate groups on the general path summed over the shards' matchers
+  /// (MultiPatternMatcher::general_gate_groups), read quiesced like
+  /// QueryStats.
+  size_t general_gate_groups();
 
   int num_shards() const;
   size_t num_queries() const;

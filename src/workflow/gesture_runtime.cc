@@ -235,7 +235,10 @@ Result<SessionId> GestureRuntime::DoOpenSession(const std::string& user,
     // The session's identity predicate, compiled once as the group gate
     // all of the session's query specs share. The matcher enforces it on
     // every state (isolation) and skips the whole session group when an
-    // event belongs to someone else (sub-linear in idle sessions).
+    // event belongs to someone else (sub-linear in idle sessions). One
+    // interval on the session field, disjoint from every other session's:
+    // the shape the matcher resolves by key lookup.
+    // (GestureRuntimeSessionTest.SessionGatesTakeTheKeyPath pins that.)
     cep::ExprPtr gate_expr = cep::Expr::RangePredicate(
         kSessionFieldName, static_cast<double>(id), 0.5);
     EPL_ASSIGN_OR_RETURN(stream::Schema schema,
@@ -348,6 +351,19 @@ cep::ShardedEngine::EngineStats GestureRuntime::ShardedStats() const {
     total.worker_wakeups += stats.worker_wakeups;
   }
   return total;
+}
+
+size_t GestureRuntime::general_gate_groups() const {
+  size_t groups = 0;
+  for (const auto& [stream, channel] : channels_) {
+    if (channel.fused.op != nullptr) {
+      groups += channel.fused.op->matcher().general_gate_groups();
+    }
+    if (channel.sharded.engine != nullptr) {
+      groups += channel.sharded.engine->general_gate_groups();
+    }
+  }
+  return groups;
 }
 
 Result<GestureRuntime::Channel*> GestureRuntime::EnsureChannel(

@@ -24,10 +24,12 @@
 // isolation by construction.
 // Because the gate stays OUT of the pose predicates, identical gestures
 // deployed by different sessions dedup to ONE predicate set in the shared
-// bank (predicate cost independent of the session count), and the flat
-// runtime skips an entire session's patterns with one gate read when an
-// event belongs to another session -- per-event cost sub-linear in the
-// number of idle sessions.
+// bank (predicate cost independent of the session count). The gates are
+// disjoint intervals on the session field, so the matcher resolves them
+// by key (see MultiPatternMatcher::AddPattern): one lookup per event finds
+// the session's group, and the patterns of sessions absent from a window
+// are never touched -- per-event cost sub-linear in the number of idle
+// sessions.
 //
 // Gesture templates: the front end ahead of the bank -- generate the
 // query onto its stream, compile it and, on durable runtimes, render its
@@ -244,6 +246,13 @@ class GestureRuntime {
   /// routing delivered vs skipped, sub-batch enqueues, affinity moves,
   /// worker wakeups. See ShardedEngine::EngineStats.
   cep::ShardedEngine::EngineStats ShardedStats() const;
+
+  /// Gate groups left on the matchers' general path, summed over every
+  /// channel (see cep::MultiPatternMatcher::general_gate_groups). Session
+  /// gates take the key path, so this stays 0 unless a query carries
+  /// another kind of gate. Quiesces sharded channels, so it must not be
+  /// called from a detection callback.
+  size_t general_gate_groups() const;
 
   /// Deploys (or, if `name` is already live in this session, atomically
   /// re-deploys) the gesture's generated query under its definition name.

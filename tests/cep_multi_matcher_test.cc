@@ -4,7 +4,11 @@
 // MatchOperators, in both dominant and exhaustive mode.
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -13,7 +17,9 @@
 
 #include "cep/multi_match_operator.h"
 #include "cep/multi_matcher.h"
+#include "cep/predicate_bank.h"
 #include "cep_workload_test_util.h"
+#include "common/rng.h"
 #include "core/query_gen.h"
 #include "kinect/gesture_shapes.h"
 #include "kinect/sensor.h"
@@ -345,6 +351,243 @@ TEST(MultiPatternMatcherTest, GateGroupsAreOutputExact) {
   }
   // The workload must actually fire through the cycling session ids.
   EXPECT_GT(total, 0u);
+}
+
+// Key-path property: random gate sets on one matcher -- disjoint
+// single-interval key gates, overlapping single-field gates, gates on a
+// second field, `or` gates and ungated patterns -- against the oracle, an
+// NfaMatcher per pattern running the gate explicitly conjoined into every
+// pose. Keys include NaN, +-inf, -0.0, values between and outside the
+// intervals and both sides of every refined interval edge; windows run
+// from 1 to 130 events, some holding a single key; and one session's gate
+// joins and leaves mid-stream.
+TEST(MultiPatternMatcherTest, KeyGatesMatchConjoinedOracle) {
+  const stream::Schema schema(std::vector<std::string>{"x", "k", "m"});
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto compile = [&schema](std::vector<ExprPtr> poses,
+                                 std::optional<Duration> within) {
+    std::vector<PatternExprPtr> children;
+    for (ExprPtr& pose : poses) {
+      children.push_back(PatternExpr::Pose("s", std::move(pose)));
+    }
+    Result<CompiledPattern> compiled = CompiledPattern::Compile(
+        *PatternExpr::Sequence(std::move(children), within, WithinMode::kGap),
+        schema);
+    EPL_CHECK(compiled.ok()) << compiled.status();
+    return std::move(compiled).value();
+  };
+  const auto field_cmp = [](BinaryOp op, const char* field, double bound) {
+    return Expr::Binary(op, Expr::Field(field), Expr::Constant(bound));
+  };
+
+  struct Query {
+    std::vector<ExprPtr> poses;
+    std::optional<Duration> within;
+    int gate = -1;  // index into the trial's gates, or ungated
+  };
+  size_t total_matches = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    Rng rng(9000 + static_cast<uint64_t>(trial));
+    const bool exhaustive = trial % 2 == 1;
+    const int shape = (trial / 2) % 4;  // 0 key only, 1 +overlap, 2 +m, 3 +or
+
+    // Gates: disjoint key gates on k (two shapes of one interval), then
+    // the trial's extras.
+    std::vector<ExprPtr> gate_exprs;
+    const int num_keys = static_cast<int>(rng.UniformInt(1, 6));
+    for (int g = 0; g < num_keys; ++g) {
+      const double center = 2.0 * g - 4.0;
+      if (g == 3) {
+        gate_exprs.push_back(Expr::Binary(
+            BinaryOp::kAnd, field_cmp(BinaryOp::kGe, "k", center - 0.75),
+            field_cmp(BinaryOp::kLe, "k", center + 0.75)));
+      } else {
+        gate_exprs.push_back(
+            Expr::RangePredicate("k", center, g % 2 == 0 ? 0.5 : 0.25));
+      }
+    }
+    gate_exprs.push_back(field_cmp(BinaryOp::kGt, "k", 20.0));  // to +inf
+    if (shape == 1) {
+      gate_exprs.push_back(Expr::RangePredicate("k", -3.7, 0.5));
+    } else if (shape == 2) {
+      gate_exprs.push_back(Expr::RangePredicate("m", 0, 0.5));
+      gate_exprs.push_back(Expr::RangePredicate("m", 1, 0.5));
+    } else if (shape == 3) {
+      gate_exprs.push_back(Expr::Binary(BinaryOp::kOr,
+                                        Expr::RangePredicate("k", -4, 0.5),
+                                        Expr::RangePredicate("k", 30, 0.5)));
+    }
+    // The session that joins mid-stream: a key gate disjoint from all.
+    gate_exprs.push_back(Expr::RangePredicate("k", 11, 0.5));
+    const size_t late_gate = gate_exprs.size() - 1;
+    std::vector<CompiledPattern> gates;
+    for (const ExprPtr& expr : gate_exprs) {
+      std::vector<ExprPtr> pose;
+      pose.push_back(expr->Clone());
+      gates.push_back(compile(std::move(pose), std::nullopt));
+    }
+
+    // Key values: the interval edges and their outer neighbours, centers,
+    // gaps between intervals, and the special doubles.
+    std::vector<double> keys = {std::numeric_limits<double>::quiet_NaN(),
+                                kInf, -kInf, -0.0, 0.0, -100.0, 7.0,
+                                25.0, 30.0};
+    for (const CompiledPattern& gate : gates) {
+      std::map<int, PredicateBank::Interval> intervals;
+      if (!PredicateBank::Decompose(gate.predicate_expr(0), &intervals)) {
+        continue;
+      }
+      for (const auto& [field, interval] : intervals) {
+        for (double edge : {interval.lo, interval.hi}) {
+          if (std::isfinite(edge)) {
+            keys.insert(keys.end(), {edge, std::nextafter(edge, -kInf),
+                                     std::nextafter(edge, kInf)});
+          }
+        }
+        if (std::isfinite(interval.lo) && std::isfinite(interval.hi)) {
+          keys.push_back((interval.lo + interval.hi) / 2);
+        }
+      }
+    }
+    const double m_values[] = {0.0, 1.0, 0.5, -0.0, 3.0,
+                               std::numeric_limits<double>::quiet_NaN()};
+
+    // Queries: short chains over x, each gated by a random gate or none.
+    std::vector<Query> queries;
+    const int num_queries = static_cast<int>(rng.UniformInt(6, 14));
+    for (int q = 0; q < num_queries; ++q) {
+      Query query;
+      const int states = static_cast<int>(rng.UniformInt(1, 3));
+      for (int s = 0; s < states; ++s) {
+        query.poses.push_back(Expr::RangePredicate(
+            "x", rng.Uniform(-40, 40), rng.Uniform(10, 40)));
+      }
+      if (rng.Bernoulli(0.5)) {
+        query.within = DurationFromMillis(rng.Uniform(60, 400));
+      }
+      query.gate = rng.Bernoulli(0.15)
+                       ? -1
+                       : static_cast<int>(rng.UniformInt(
+                             0, static_cast<int64_t>(late_gate) - 1));
+      queries.push_back(std::move(query));
+    }
+    if (shape != 0) {
+      // The trial's extra gate is live from the start, beside a key gate.
+      queries[0].gate = static_cast<int>(late_gate) - 1;
+      queries[1].gate = 0;
+    }
+    Query late;
+    late.poses.push_back(Expr::RangePredicate("x", 0, 30));
+    late.poses.push_back(Expr::RangePredicate("x", 20, 30));
+    late.gate = static_cast<int>(late_gate);
+    queries.push_back(std::move(late));
+
+    std::vector<CompiledPattern> bare, conjoined;
+    for (const Query& query : queries) {
+      std::vector<ExprPtr> plain, gated;
+      for (const ExprPtr& pose : query.poses) {
+        plain.push_back(pose->Clone());
+        gated.push_back(
+            query.gate < 0
+                ? pose->Clone()
+                : Expr::Binary(BinaryOp::kAnd, pose->Clone(),
+                               gate_exprs[static_cast<size_t>(query.gate)]
+                                   ->Clone()));
+      }
+      bare.push_back(compile(std::move(plain), query.within));
+      conjoined.push_back(compile(std::move(gated), query.within));
+    }
+
+    // The stream: sticky keys so gated chains complete, and windows of
+    // 1-130 events, every fourth pinned to one key.
+    std::vector<Event> events;
+    std::vector<size_t> window_ends;
+    double t_ms = 0, x = 0, key = keys[0], m = 0;
+    while (events.size() < 2400) {
+      const size_t size = static_cast<size_t>(rng.UniformInt(1, 130));
+      const bool single_key = window_ends.size() % 4 == 3;
+      for (size_t i = 0; i < size; ++i) {
+        t_ms += rng.Bernoulli(0.02) ? 900 : 33;
+        x = std::clamp(x + rng.Uniform(-12, 12), -60.0, 60.0);
+        if (!single_key && rng.Bernoulli(0.3)) {
+          key = keys[static_cast<size_t>(rng.UniformInt(
+              0, static_cast<int64_t>(keys.size()) - 1))];
+        }
+        if (rng.Bernoulli(0.3)) {
+          m = m_values[rng.UniformInt(0, 5)];
+        }
+        events.push_back(Event(DurationFromMillis(t_ms), {x, key, m}));
+      }
+      window_ends.push_back(events.size());
+    }
+    const size_t late_query = queries.size() - 1;
+    const size_t join_window = window_ends.size() / 3;
+    const size_t leave_window = 2 * window_ends.size() / 3;
+
+    MatcherOptions options;
+    options.mode = exhaustive ? MatcherOptions::Mode::kExhaustive
+                              : MatcherOptions::Mode::kDominant;
+    MultiPatternMatcher multi(options);
+    std::vector<std::unique_ptr<NfaMatcher>> oracles;
+    std::vector<size_t> live;  // query per matcher index
+    for (size_t q = 0; q < late_query; ++q) {
+      multi.AddPattern(&bare[q], queries[q].gate < 0
+                                     ? nullptr
+                                     : &gates[static_cast<size_t>(
+                                           queries[q].gate)]);
+      live.push_back(q);
+    }
+    oracles.resize(queries.size());
+    for (size_t q = 0; q < late_query; ++q) {
+      oracles[q] = std::make_unique<NfaMatcher>(&conjoined[q], options);
+    }
+
+    size_t begin = 0;
+    std::vector<MultiPatternMatcher::MultiMatch> actual;
+    std::vector<PatternMatch> oracle_out;
+    for (size_t w = 0; w < window_ends.size(); ++w) {
+      if (w == join_window) {
+        multi.AddPattern(&bare[late_query], &gates[late_gate]);
+        live.push_back(late_query);
+        oracles[late_query] =
+            std::make_unique<NfaMatcher>(&conjoined[late_query], options);
+      } else if (w == leave_window) {
+        multi.RemovePattern(static_cast<int>(live.size()) - 1);
+        live.pop_back();
+      }
+      const size_t end = window_ends[w];
+      actual.clear();
+      multi.ProcessBatch(events.data() + begin, end - begin, &actual);
+      size_t next = 0;
+      for (size_t b = begin; b < end; ++b) {
+        for (size_t index = 0; index < live.size(); ++index) {
+          oracle_out.clear();
+          oracles[live[index]]->Process(events[b], &oracle_out);
+          for (const PatternMatch& match : oracle_out) {
+            ASSERT_LT(next, actual.size()) << "window " << w;
+            EXPECT_EQ(actual[next].pattern_index, static_cast<int>(index));
+            EXPECT_EQ(actual[next].batch_index, static_cast<int>(b - begin));
+            EXPECT_EQ(actual[next].match.state_times, match.state_times);
+            ++next;
+          }
+        }
+      }
+      ASSERT_EQ(next, actual.size()) << "window " << w;
+      total_matches += next;
+      begin = end;
+    }
+    if (!exhaustive) {
+      // Disjoint single-interval gates on k leave no general-path group;
+      // an overlapping gate sends every k gate back to the bank.
+      if (shape == 0) {
+        EXPECT_EQ(multi.general_gate_groups(), 0u);
+      } else if (shape == 1) {
+        EXPECT_GT(multi.general_gate_groups(), 0u);
+      }
+    }
+  }
+  EXPECT_GT(total_matches, 0u);
 }
 
 TEST(MultiMatchOperatorTest, UndeployRemovesAllQueries) {

@@ -943,6 +943,77 @@ TEST(InterestRoutingTest, RoutedMatchesBroadcastBitIdentically) {
   }
 }
 
+// A gated query's MatcherStats count the events its gate admits, not the
+// events its shard was handed: fused, sharded at 1 and 4 shards, broadcast
+// and routed all report the same figures, and exhaustive mode the same
+// `events`.
+TEST(InterestRoutingTest, GatedQueryStatsAgreeAcrossBackends) {
+  const std::vector<Event> events = SessionStream(2000, kRoutedSessions);
+  const auto fused_stats = [&events](MatcherOptions options) {
+    std::vector<DetectionRecord> records;
+    MultiMatchOperator fused(options, /*batch_size=*/8);
+    std::vector<int> ids;
+    for (MultiMatchOperator::QuerySpec& spec : SessionFleet(&records)) {
+      ids.push_back(fused.AddQuery(std::move(spec)));
+    }
+    for (const Event& event : events) {
+      EPL_EXPECT_OK(fused.Process(event));
+    }
+    fused.FlushBatchedEvents();
+    EXPECT_FALSE(records.empty());
+    std::vector<MatcherStats> stats;
+    for (int id : ids) {
+      stats.push_back(fused.matcher_stats(fused.FindQuery(id)));
+    }
+    return stats;
+  };
+  const std::vector<MatcherStats> expected = fused_stats(MatcherOptions());
+  MatcherOptions exhaustive;
+  exhaustive.mode = MatcherOptions::Mode::kExhaustive;
+  const std::vector<MatcherStats> exhaustive_stats = fused_stats(exhaustive);
+  ASSERT_EQ(exhaustive_stats.size(), expected.size());
+  for (size_t q = 0; q < expected.size(); ++q) {
+    // Each session owns every kRoutedSessions-th event.
+    EXPECT_EQ(expected[q].events, events.size() / kRoutedSessions);
+    EXPECT_EQ(exhaustive_stats[q].events, expected[q].events);
+  }
+
+  for (int num_shards : {1, 4}) {
+    for (bool routed : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << num_shards << (routed ? " routed" : " broadcast"));
+      ShardedEngineOptions options;
+      options.num_shards = num_shards;
+      options.batch_size = 8;
+      if (routed) {
+        options.routing_field = kRoutedSessionField;
+        options.placement = ShardPlacement::kSessionAffinity;
+      }
+      std::vector<DetectionRecord> records;
+      ShardedEngine sharded(options);
+      for (MultiMatchOperator::QuerySpec& spec : SessionFleet(&records)) {
+        sharded.AddQuery(std::move(spec));
+      }
+      EPL_ASSERT_OK(sharded.Start());
+      for (const Event& event : events) {
+        ASSERT_TRUE(sharded.Push(event));
+      }
+      const std::vector<ShardedEngine::QueryStatsSnapshot> got =
+          sharded.QueryStats();
+      EPL_ASSERT_OK(sharded.Stop());
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t q = 0; q < expected.size(); ++q) {
+        EXPECT_EQ(got[q].stats.events, expected[q].events) << q;
+        EXPECT_EQ(got[q].stats.predicate_cache_hits,
+                  expected[q].predicate_cache_hits)
+            << q;
+        EXPECT_EQ(got[q].stats.matches, expected[q].matches) << q;
+        EXPECT_EQ(got[q].stats.peak_runs, expected[q].peak_runs) << q;
+      }
+    }
+  }
+}
+
 TEST(InterestRoutingTest, AffinityPacksSessionsBalancedSpreadsThem) {
   ShardedEngineOptions options;
   options.num_shards = kRoutedSessions;

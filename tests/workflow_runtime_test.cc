@@ -268,6 +268,53 @@ TEST(GestureRuntimeSessionTest, SessionsShareOneRuntimeWithIsolation) {
   EXPECT_FALSE(runtime.IsDeployed(bob, "raise_hand"));
 }
 
+// Session gates are disjoint intervals on the session field, so the
+// matcher resolves every one of them by key: no gate group is left on the
+// general path, on either backend, while detections stay per session.
+TEST(GestureRuntimeSessionTest, SessionGatesTakeTheKeyPath) {
+  const core::GestureDefinition swipe = Train(GestureShapes::SwipeRight(), 10);
+  const core::GestureDefinition raise = Train(GestureShapes::RaiseHand(), 20);
+  UserProfile user;
+  kinect::SessionBuilder alice_builder(user, 501);
+  alice_builder.Idle(0.4).Perform(GestureShapes::SwipeRight(), 0.3).Idle(0.5);
+  kinect::SessionBuilder bob_builder(user, 502);
+  bob_builder.Idle(0.5).Perform(GestureShapes::RaiseHand(), 0.3).Idle(0.4);
+
+  for (RuntimeBackend backend :
+       {RuntimeBackend::kFused, RuntimeBackend::kSharded}) {
+    SCOPED_TRACE(backend == RuntimeBackend::kFused ? "fused" : "sharded");
+    stream::StreamEngine engine;
+    GestureRuntimeOptions options;
+    options.backend = backend;
+    options.num_shards = 2;
+    GestureRuntime runtime(&engine, options);
+    EPL_ASSERT_OK_AND_ASSIGN(SessionId alice, runtime.OpenSession("alice"));
+    EPL_ASSERT_OK_AND_ASSIGN(SessionId bob, runtime.OpenSession("bob"));
+    std::vector<DetectionRecord> alice_records, bob_records;
+    for (const core::GestureDefinition* definition : {&swipe, &raise}) {
+      EPL_ASSERT_OK(
+          runtime.Deploy(alice, *definition, Recorder(&alice_records)));
+      EPL_ASSERT_OK(runtime.Deploy(bob, *definition, Recorder(&bob_records)));
+    }
+    for (const auto& [session, frame] :
+         MergeByTime({{alice, alice_builder.frames()},
+                      {bob, bob_builder.frames()}})) {
+      EPL_ASSERT_OK(runtime.PushFrame(session, frame));
+    }
+    EPL_ASSERT_OK(runtime.Flush());
+    EXPECT_EQ(runtime.general_gate_groups(), 0u);
+    // Each user performed one gesture and saw only that one.
+    ASSERT_FALSE(alice_records.empty());
+    ASSERT_FALSE(bob_records.empty());
+    for (const DetectionRecord& record : alice_records) {
+      EXPECT_EQ(record.name, "swipe_right");
+    }
+    for (const DetectionRecord& record : bob_records) {
+      EXPECT_EQ(record.name, "raise_hand");
+    }
+  }
+}
+
 // Closing a session from inside one of its own detection callbacks takes
 // effect synchronously for later requests (a close-then-deploy sequence
 // cannot invert), while the close itself -- like a deploy requested just
