@@ -296,11 +296,11 @@ class MultiPatternMatcher {
   void SyncRunState(const Entry& entry) const;
 
   /// Raised for the duration of one Process/ProcessBatch sweep. A matcher
-  /// sweep is a single-executor work unit: ShardedEngine's work stealing
-  /// may run CONSECUTIVE sweeps on different threads (the handoff is
-  /// ordered by its pool lock), but never two sweeps at once -- this
-  /// trips immediately if a scheduler bug ever violates that, instead of
-  /// silently corrupting the arena.
+  /// sweep is a single-executor work unit: a ShardedEngine shard's one
+  /// worker runs its sweeps back to back, and control operations touch
+  /// the matcher only while the shards are quiesced, so two sweeps never
+  /// overlap -- this trips immediately if a scheduler bug ever violates
+  /// that, instead of silently corrupting the arena.
   std::atomic<bool> sweeping_{false};
 
   MatcherOptions options_;

@@ -74,23 +74,6 @@ int PickRebalanceVictim(
   return victim;
 }
 
-int PickStealVictim(const std::vector<size_t>& backlogs,
-                    const std::vector<uint8_t>& claimable, int self) {
-  int victim = -1;
-  size_t deepest = 0;
-  for (size_t i = 0; i < backlogs.size(); ++i) {
-    if (static_cast<int>(i) == self || i >= claimable.size() ||
-        claimable[i] == 0) {
-      continue;
-    }
-    if (backlogs[i] > deepest) {
-      deepest = backlogs[i];
-      victim = static_cast<int>(i);
-    }
-  }
-  return victim;
-}
-
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(options) {
   options_.num_shards = std::max(1, options_.num_shards);
@@ -500,11 +483,6 @@ uint64_t ShardedEngine::rebalanced_queries() const {
   return rebalanced_queries_;
 }
 
-uint64_t ShardedEngine::stolen_batches() const {
-  std::lock_guard<std::mutex> lock(pool_mu_);
-  return stolen_batches_;
-}
-
 int ShardedEngine::pin_failures() const {
   return pin_failures_.load(std::memory_order_relaxed);
 }
@@ -590,60 +568,47 @@ std::vector<size_t> ShardedEngine::shard_query_counts() const {
   return counts;
 }
 
-void ShardedEngine::WorkerLoop(Shard* primary, int worker_index) {
+void ShardedEngine::WorkerLoop(Shard* shard, int worker_index) {
   if (options_.pin_workers &&
       !stream::PinCurrentThreadToAffinitySlot(worker_index)) {
     pin_failures_.fetch_add(1, std::memory_order_relaxed);
   }
   std::unique_lock<std::mutex> lock(pool_mu_);
   while (true) {
-    if (primary->retired) {
+    if (shard->retired) {
       return;
     }
-    Shard* victim = PickRunnableLocked(primary);
-    if (victim == nullptr) {
+    if (shard->queue.empty()) {
       if (shutdown_) {
         return;
       }
-      const uint64_t epoch = primary->wake_epoch;
-      primary->cv.wait(lock, [this, primary, epoch] {
-        return primary->wake_epoch != epoch || shutdown_ || primary->retired;
+      const uint64_t epoch = shard->wake_epoch;
+      shard->cv.wait(lock, [this, shard, epoch] {
+        return shard->wake_epoch != epoch || shutdown_ || shard->retired;
       });
       continue;
     }
-    Batch* batch = victim->queue.front();
-    victim->queue.pop_front();
-    victim->running = batch;
-    if (victim != primary) {
-      ++stolen_batches_;
-    }
+    Batch* batch = shard->queue.front();
+    shard->queue.pop_front();
+    shard->running = batch;
     lock.unlock();
     const auto started = std::chrono::steady_clock::now();
-    Status status = ExecuteBatch(victim, *batch);
+    Status status = ExecuteBatch(shard, *batch);
     const auto elapsed = std::chrono::steady_clock::now() - started;
     lock.lock();
     // Publish in the hold that clears `running`, so the watermark never
     // passes a batch whose matches are not yet in `pending`.
-    for (PendingMatch& match : victim->local) {
-      victim->pending.push_back(std::move(match));
+    for (PendingMatch& match : shard->local) {
+      shard->pending.push_back(std::move(match));
     }
-    victim->local.clear();
-    if (victim->status.ok()) {
-      victim->status = std::move(status);
+    shard->local.clear();
+    if (shard->status.ok()) {
+      shard->status = std::move(status);
     }
-    victim->busy_ns += static_cast<uint64_t>(
+    shard->busy_ns += static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-    victim->running = nullptr;
+    shard->running = nullptr;
     ReleaseWindowLocked(batch);
-    if (!victim->queue.empty()) {
-      // The shard is claimable again and still has work: republish it to
-      // its own worker (possibly this one, next iteration) and -- when
-      // stealing -- to whichever workers idle with nothing of their own.
-      WakeShardLocked(victim);
-      if (options_.work_stealing) {
-        WakeIdleWorkersLocked();
-      }
-    }
     control_cv_.notify_all();
   }
 }
@@ -659,39 +624,6 @@ void ShardedEngine::WakeAllWorkersLocked() {
     ++shard->wake_epoch;
     shard->cv.notify_all();
   }
-}
-
-void ShardedEngine::WakeIdleWorkersLocked() {
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    if (shard->queue.empty() && shard->running == nullptr) {
-      WakeShardLocked(shard.get());
-    }
-  }
-}
-
-ShardedEngine::Shard* ShardedEngine::PickRunnableLocked(Shard* primary) {
-  const auto claimable = [](const Shard& shard) {
-    return shard.running == nullptr && !shard.retired;
-  };
-  if (claimable(*primary) && !primary->queue.empty()) {
-    return primary;  // own shard first: its bank and arena are cache-hot
-  }
-  if (!options_.work_stealing) {
-    return nullptr;
-  }
-  steal_backlogs_.clear();
-  steal_claimable_.clear();
-  int self = -1;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const Shard* shard = shards_[i].get();
-    if (shard == primary) {
-      self = static_cast<int>(i);
-    }
-    steal_backlogs_.push_back(shard->queue.size());
-    steal_claimable_.push_back(claimable(*shard) ? 1 : 0);
-  }
-  const int victim = PickStealVictim(steal_backlogs_, steal_claimable_, self);
-  return victim < 0 ? nullptr : shards_[static_cast<size_t>(victim)].get();
 }
 
 Status ShardedEngine::ExecuteBatch(Shard* shard, const Batch& batch) {
@@ -762,7 +694,7 @@ void ShardedEngine::ReleaseWindowLocked(Batch* window) {
 }
 
 size_t ShardedEngine::MaxSpareWindowsLocked() const {
-  // Each FIFO holds at most queue_capacity windows and its executor one
+  // Each FIFO holds at most queue_capacity windows and its worker one
   // more; the producer adds the window it fills and the one it routes.
   return shards_.size() * (options_.queue_capacity + 1) + 2;
 }
@@ -845,11 +777,9 @@ void ShardedEngine::DistributeBatch() {
   }
   {
     std::unique_lock<std::mutex> lock(pool_mu_);
-    // Backpressure: block until every destination FIFO has room. Waiting
-    // for the slowest destination before enqueueing anywhere keeps
-    // per-shard backlog spread bounded by the capacity, which is what
-    // makes the deepest-backlog steal heuristic meaningful. Skipped
-    // shards receive nothing, so they need no room.
+    // Backpressure: block until every destination FIFO has room before
+    // enqueueing anywhere. Skipped shards receive nothing, so they need
+    // no room.
     control_cv_.wait(lock, [this] {
       for (size_t s = 0; s < shards_.size(); ++s) {
         if (route_windows_[s] != nullptr &&
@@ -861,24 +791,14 @@ void ShardedEngine::DistributeBatch() {
     });
     // The producer holds the window until every share is enqueued.
     window->refs = 1;
-    bool stealable_backlog = false;
     for (size_t s = 0; s < num_shards; ++s) {
-      Shard* shard = shards_[s].get();
       Batch* batch = route_windows_[s];
       if (batch == nullptr) {
         continue;
       }
-      if (shard->running != nullptr || !shard->queue.empty()) {
-        // The shard cannot start this batch immediately: with stealing
-        // on, an idle worker elsewhere could.
-        stealable_backlog = true;
-      }
       ++batch->refs;
-      shard->queue.push_back(batch);
-      WakeShardLocked(shard);
-    }
-    if (options_.work_stealing && stealable_backlog) {
-      WakeIdleWorkersLocked();
+      shards_[s]->queue.push_back(batch);
+      WakeShardLocked(shards_[s].get());
     }
     // Back to the pool now if no shard took the whole window, so it can be
     // the very next pending window.

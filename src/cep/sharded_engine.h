@@ -11,8 +11,8 @@
 // Dataflow (single producer thread, e.g. a StreamEngine dispatch thread):
 //
 //   Push(event) --copy into a recycled slot--> [window of B events]
-//     --fan-out--> shard 0 FIFO --> some worker: bank eval + NFA advance
-//     ...          shard N-1 FIFO --> some worker
+//     --fan-out--> shard 0 FIFO --> worker 0: bank eval + NFA advance
+//     ...          shard N-1 FIFO --> worker N-1
 //
 // Every shard that wants the whole window shares that one window; a
 // shard that wants only part of it gets a routed sub-batch holding just
@@ -37,19 +37,16 @@
 // query neither seeds, advances, completes, nor expires anything, so not
 // delivering it to that query's shard cannot change any output.
 //
-// Execution is scheduled from a shared pool: every shard spawns one
-// worker, each worker prefers its own shard's FIFO (cache-hot bank and
-// arena), and -- with `work_stealing` on -- an idle worker claims the next
-// batch of the deepest-backlog shard instead of sleeping, so one skewed
-// shard cannot idle the other cores. A shard's batches always execute one
-// at a time in FIFO order (its running slot makes the shard a unit of
-// mutual exclusion), which is why stealing cannot change any shard's
-// event order.
+// Every shard has exactly one worker, and that worker runs only its own
+// shard's FIFO, one batch at a time in FIFO order, so the shard's bank and
+// arena stay on one thread. A shard's batches could never run in
+// parallel, so a second thread taking one would move work without adding
+// cores: the number of shards executing at once is the parallelism.
 //
 // Matches are recorded per shard as (event-seq, query-id, Detection) and
 // merged back on the producer thread in deterministic (event-seq,
 // query-id) order -- the exact order a single fused operator would emit,
-// regardless of shard count, worker timing, stealing, or rebalancing.
+// regardless of shard count, worker timing, or rebalancing.
 // Merging only releases matches up to the fleet-wide watermark (the
 // smallest base sequence of any window a shard still runs or queues, or
 // every pushed event when no shard holds one), so delivery is
@@ -113,8 +110,9 @@ enum class ShardPlacement {
   /// deploy), so interest-routed fan-out has something to exploit: a
   /// session event then touches ~1 shard instead of all of them.
   /// Placement falls back to the least-loaded shard (and rebalancing may
-  /// split a session) only when packing would exceed the budget; work
-  /// stealing absorbs the residual skew.
+  /// split a session) only when packing would exceed the budget. Nothing
+  /// absorbs the residual skew: a session's hot shard runs its batches
+  /// one at a time on its one worker.
   kSessionAffinity,
 };
 
@@ -134,13 +132,6 @@ struct ShardedEngineOptions {
   size_t queue_capacity = 64;
   /// Matcher options shared by every shard.
   MatcherOptions matcher;
-  /// Work stealing: an idle worker executes the next pending batch of the
-  /// deepest-backlog shard instead of parking. Pays off when per-shard
-  /// costs are skewed (one hot query set); a perfectly balanced fleet
-  /// steals nothing. Output is bit-identical either way -- each shard's
-  /// batches still run one at a time in FIFO order and the watermark
-  /// merge fixes delivery order.
-  bool work_stealing = false;
   /// Pin worker i to the i-th CPU of the process affinity mask (see
   /// stream/thread_affinity.h). Keeps each shard's bank and arena
   /// cache-hot under the OS scheduler's migrations; leave off when the
@@ -183,16 +174,6 @@ uint64_t QueryCostWeight(const CompiledPattern& pattern);
 int PickRebalanceVictim(const std::vector<uint64_t>& shard_weights,
                         const std::vector<std::pair<int, uint64_t>>& candidates,
                         uint64_t max_skew);
-
-/// Pure steal policy behind the worker scheduler, exposed for direct unit
-/// testing. `backlogs` is each shard's pending-batch count; `claimable[i]`
-/// says shard i may be claimed right now (not busy, not retired). Returns
-/// the claimable shard (excluding `self`, the thief's own shard) with the
-/// deepest backlog -- the shard most behind the producer is the one
-/// gating the fleet watermark -- lowest index on ties, or -1 when no other
-/// shard has stealable work.
-int PickStealVictim(const std::vector<size_t>& backlogs,
-                    const std::vector<uint8_t>& claimable, int self);
 
 class ShardedEngine {
  public:
@@ -237,8 +218,8 @@ class ShardedEngine {
   /// the watermark merge, so their inputs may span every shard. Each
   /// event sequence number with at least one base detection becomes one
   /// feedback epoch, delivered in (event-seq, level, query-id) order --
-  /// bit-identical to the fused operator regardless of shard count, work
-  /// stealing, or rebalancing.
+  /// bit-identical to the fused operator regardless of shard count or
+  /// rebalancing.
   int AddQuery(QuerySpec spec);
 
   /// Removes a query (any thread). When live, all of its matches up to
@@ -314,9 +295,6 @@ class ShardedEngine {
   std::vector<uint64_t> shard_weights() const;
   /// Queries moved between shards by rebalancing so far.
   uint64_t rebalanced_queries() const;
-  /// Batches executed by a worker other than the shard's own (work
-  /// stealing). 0 unless options.work_stealing.
-  uint64_t stolen_batches() const;
   /// Worker pin attempts that the platform rejected (pin_workers only).
   int pin_failures() const;
   /// Fleet resizes performed by Resize so far.
@@ -348,9 +326,11 @@ class ShardedEngine {
     /// Queries moved to consolidate a session onto its home shard
     /// (ShardPlacement::kSessionAffinity only).
     uint64_t affinity_moves = 0;
-    /// Work-availability wake signals sent to shard workers (excludes the
-    /// retire and shutdown wakeups; a quiesce sends none). With routing, a
-    /// window only wakes its destination shards.
+    /// Work-availability wake signals sent to shard workers: exactly one
+    /// per share DistributeBatch enqueues, so fanout_batches x num_shards
+    /// under broadcast. The retire and shutdown wakeups are not counted,
+    /// a quiesce sends none, and a worker that finishes a batch takes its
+    /// shard's next one without a wake.
     uint64_t worker_wakeups = 0;
   };
   EngineStats engine_stats() const;
@@ -402,16 +382,15 @@ class ShardedEngine {
     std::thread worker;
 
     // Scheduler state, guarded by the engine's pool_mu_. `queue` is the
-    // shard's FIFO of fan-out windows; `running` is the batch a worker is
-    // executing on this shard, if any (the shard-level mutual exclusion
-    // that makes stealing safe); `retired` tells the shard's own worker to
-    // exit (Resize shrink). An empty queue of a shard that is not running
-    // is the quiesced state.
+    // shard's FIFO of fan-out windows; `running` is the batch the shard's
+    // worker is executing, if any (the watermark and the quiesce read it);
+    // `retired` tells the worker to exit (Resize shrink). An empty queue of
+    // a shard that is not running is the quiesced state.
     std::deque<Batch*> queue;
     const Batch* running = nullptr;
     bool retired = false;
 
-    // Per-shard wakeup channel: the shard's own worker waits on cv for
+    // Per-shard wakeup channel: the shard's worker waits on cv for
     // wake_epoch to move (both guarded by pool_mu_), so waking one shard
     // does not stampede the rest of the fleet -- a window that routing
     // skips for this shard costs it no wakeup at all. Control operations
@@ -420,9 +399,7 @@ class ShardedEngine {
     std::condition_variable cv;
     uint64_t wake_epoch = 0;
 
-    // Executor-only state while processing a batch -- exactly one worker
-    // executes a shard at a time (`running`), and the pool lock orders
-    // the handoff between consecutive executors. current_seq is stamped
+    // Worker-only state while processing a batch. current_seq is stamped
     // per event by the operator's batch-event hook (batch_seqs for a
     // routed sub-batch, else base_seq + in-batch index) so recorded
     // matches carry exact sequence numbers even though the whole batch
@@ -432,7 +409,7 @@ class ShardedEngine {
     const std::vector<uint64_t>* batch_seqs = nullptr;
     std::vector<PendingMatch> local;
 
-    // Published by the executor, under pool_mu_, in the same hold that
+    // Published by the worker, under pool_mu_, in the same hold that
     // clears `running`: a batch's matches, its first error, and its
     // execution wall time.
     std::deque<PendingMatch> pending;
@@ -492,12 +469,9 @@ class ShardedEngine {
   /// Creates a shard with its batch-event hook installed.
   std::unique_ptr<Shard> MakeShard();
   void SpawnWorkerLocked(Shard* shard, int worker_index);
-  void WorkerLoop(Shard* primary, int worker_index);
-  /// Next shard this worker may execute: its own when runnable, else --
-  /// work stealing only -- PickStealVictim over the fleet. pool_mu_ held.
-  Shard* PickRunnableLocked(Shard* primary);
+  void WorkerLoop(Shard* shard, int worker_index);
   /// Runs one fan-out batch on `shard` into shard->local (no engine locks
-  /// held; the caller claimed the shard by setting `running`).
+  /// held; the shard's worker set `running` first).
   Status ExecuteBatch(Shard* shard, const Batch& batch);
   /// The one control barrier of Flush, Stop and every control operation
   /// (control_mu_ held; a no-op unless running): flushes the partial
@@ -526,11 +500,6 @@ class ShardedEngine {
   /// Wakes every worker (shutdown; not counted in worker_wakeups).
   /// pool_mu_ held.
   void WakeAllWorkersLocked();
-  /// Wakes workers whose shard has no queued work -- the candidates
-  /// idle with nothing of their own to do; work stealing uses it to
-  /// recruit thieves when a destination shard has claimable backlog.
-  /// pool_mu_ held.
-  void WakeIdleWorkersLocked();
   /// Delivers every merged match below the fleet watermark: reads the
   /// watermark and collects the pending matches in one pool_mu_ hold,
   /// then runs the callbacks with no pool lock held.
@@ -629,10 +598,10 @@ class ShardedEngine {
   bool running_ = false;
   bool stopped_ = false;
 
-  // Shared scheduler pool. pool_mu_ guards every Shard's scheduler state
+  // Scheduler lock. pool_mu_ guards every Shard's scheduler state
   // (queue/running/retired/wake_epoch) and published results
   // (pending/status/busy_ns), the shards_ vector shape, shutdown_, the
-  // scheduler counters, the window pool and every in-flight window's refs.
+  // wakeup counter, the window pool and every in-flight window's refs.
   // Worker wakeups are per shard (Shard::cv / Shard::wake_epoch) so a
   // routed window only disturbs the shards it targets; control_cv_ wakes
   // the producer/control side (backpressure space, a shard draining its
@@ -640,16 +609,12 @@ class ShardedEngine {
   mutable std::mutex pool_mu_;
   std::condition_variable control_cv_;
   bool shutdown_ = false;
-  uint64_t stolen_batches_ = 0;
   uint64_t wakeups_signaled_ = 0;
   // Atomic: a worker counts its pin failure before taking pool_mu_.
   std::atomic<int> pin_failures_{0};
   // Windows ready for reuse, at most MaxSpareWindowsLocked(). A window in
   // flight is owned by its holders (Batch::refs).
   std::vector<std::unique_ptr<Batch>> spare_windows_;
-  // PickRunnableLocked scratch (pool_mu_ held by every caller).
-  std::vector<size_t> steal_backlogs_;
-  std::vector<uint8_t> steal_claimable_;
 };
 
 /// Stream-operator adapter: deploy a ShardedEngine as a subscriber of a

@@ -317,7 +317,6 @@ TEST(ShardedDynamicTest, ChurnWithDynamicFleetSizeMatchesFreshDeploy) {
   ShardedEngineOptions options;
   options.num_shards = 2;
   options.batch_size = 8;
-  options.work_stealing = true;
   ShardedEngine sharded(options);
   std::vector<DetectionRecord> records;
   std::vector<int> live_ids(definitions.size(), -1);

@@ -447,31 +447,7 @@ TEST(ShardedEngineTest, LifecycleErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// The pure steal policy behind the worker scheduler.
-
-TEST(StealPolicyTest, PicksDeepestClaimableBacklog) {
-  EXPECT_EQ(PickStealVictim({1, 5, 3}, {1, 1, 1}, 0), 1);
-  // The deepest shard is mid-execution (busy): the next-deepest wins.
-  EXPECT_EQ(PickStealVictim({1, 5, 3}, {1, 0, 1}, 0), 2);
-  // Parked/retired shards (claimable 0) are invisible even with backlog.
-  EXPECT_EQ(PickStealVictim({0, 7, 2}, {1, 0, 0}, 0), -1);
-}
-
-TEST(StealPolicyTest, NeverPicksItselfOrEmptyShards) {
-  // A worker's own backlog never counts as a steal (it is served by the
-  // own-shard-first fast path).
-  EXPECT_EQ(PickStealVictim({9, 0, 0}, {1, 1, 1}, 0), -1);
-  EXPECT_EQ(PickStealVictim({0, 0, 0}, {1, 1, 1}, 1), -1);
-  EXPECT_EQ(PickStealVictim({4}, {1}, 0), -1);  // single-shard fleet
-}
-
-TEST(StealPolicyTest, TieBreaksTowardTheLowestShard) {
-  EXPECT_EQ(PickStealVictim({0, 4, 4}, {1, 1, 1}, 0), 1);
-  EXPECT_EQ(PickStealVictim({4, 2, 4}, {1, 1, 1}, 0), 2);
-}
-
-// ---------------------------------------------------------------------------
-// Scheduling modes: work stealing and pinning must leave detections
+// Scheduling modes: pinned and unpinned workers must leave detections
 // bit-identical to the fused single-threaded operator.
 
 class ShardedScheduling
@@ -489,8 +465,7 @@ TEST_P(ShardedScheduling, StealingAndPinningMatchFusedDeployment) {
 
   ShardedEngineOptions options;
   options.num_shards = num_shards;
-  options.batch_size = 2;  // many small batches: maximal steal opportunity
-  options.work_stealing = true;
+  options.batch_size = 2;  // many small batches: maximal handoff traffic
   options.pin_workers = pin;
   ShardedEngine sharded(options);
   std::vector<DetectionRecord> actual;
@@ -506,8 +481,7 @@ TEST_P(ShardedScheduling, StealingAndPinningMatchFusedDeployment) {
   EXPECT_EQ(sharded.processed(), events.size());
   ASSERT_TRUE(actual == expected)
       << actual.size() << " vs " << expected.size() << " detections at "
-      << num_shards << " shards (stealing"
-      << (pin ? " + pinning)" : ")");
+      << num_shards << " shards" << (pin ? " (pinned)" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(StealPinSpin, ShardedScheduling,
@@ -515,12 +489,15 @@ INSTANTIATE_TEST_SUITE_P(StealPinSpin, ShardedScheduling,
                                             ::testing::Values(0, 1)));
 
 // ---------------------------------------------------------------------------
-// Work-stealing stress: a deliberately skewed fleet (few expensive hot
-// chains among many cheap cold ones) streamed in tiny batches, so idle
-// workers constantly race the busy shard for its backlog. Detections must
-// stay bit-identical to the fused operator at every shard count. The
+// Skew stress: a deliberately skewed fleet (few expensive hot chains among
+// many cheap cold ones) streamed in tiny batches into short FIFOs, so the
+// hot shard backs up, the producer blocks on backpressure, and the cold
+// shards park and wake on nearly every event. Detections must stay
+// bit-identical to the fused operator at every shard count. The
 // interleaving is timing-dependent by design -- this is the TSan CI leg's
-// main target for the cross-shard scheduler paths.
+// main target for the cross-shard scheduler paths (FIFO handoff,
+// watermark, backpressure). The suite keeps its historical name from when
+// the engine had work stealing.
 
 std::vector<MultiMatchOperator::QuerySpec> SkewedFleet(
     std::vector<DetectionRecord>* records) {
@@ -570,7 +547,6 @@ TEST(WorkStealingStressTest, SkewedFleetBitIdenticalAcrossShardCounts) {
     options.num_shards = num_shards;
     options.batch_size = 1;  // per-event handoff: maximal contention
     options.queue_capacity = 8;
-    options.work_stealing = true;
     ShardedEngine sharded(options);
     std::vector<DetectionRecord> actual;
     for (MultiMatchOperator::QuerySpec& spec : SkewedFleet(&actual)) {
@@ -583,18 +559,18 @@ TEST(WorkStealingStressTest, SkewedFleetBitIdenticalAcrossShardCounts) {
     EPL_ASSERT_OK(sharded.Stop());
     ASSERT_TRUE(actual == expected)
         << actual.size() << " vs " << expected.size() << " detections at "
-        << num_shards << " shards under stealing stress";
+        << num_shards << " shards under skew stress";
   }
 }
 
 // ---------------------------------------------------------------------------
-// Composite ladders under stealing stress: the same skewed fleet, now
-// tagged so a 2-level composite ladder consumes its detections. The base
-// inputs span every shard while idle workers steal the hot shard's
-// backlog, so the (event-seq, level, query-id) watermark merge is the
-// only thing keeping epochs ordered -- any reorder, dropped epoch, or
-// merge/runner race diverges from the fused baseline (and trips TSan in
-// the sanitizer CI leg, which is this test's main target).
+// Composite ladders under skew stress: the same skewed fleet, now tagged
+// so a 2-level composite ladder consumes its detections. The base inputs
+// span every shard while the hot shard lags the cold ones, so the
+// (event-seq, level, query-id) watermark merge is the only thing keeping
+// epochs ordered -- any reorder, dropped epoch, or merge/runner race
+// diverges from the fused baseline (and trips TSan in the sanitizer CI
+// leg, which is this test's main target).
 
 /// A level-`level` composite sequencing the detections of `inputs`.
 MultiMatchOperator::QuerySpec CompositeSpec(
@@ -667,7 +643,6 @@ TEST(WorkStealingStressTest, CompositeLaddersBitIdenticalUnderStealing) {
     options.num_shards = num_shards;
     options.batch_size = 1;  // per-event handoff: maximal contention
     options.queue_capacity = 8;
-    options.work_stealing = true;
     ShardedEngine sharded(options);
     std::vector<DetectionRecord> actual;
     for (MultiMatchOperator::QuerySpec& spec : CompositeSkewedFleet(&actual)) {
@@ -680,7 +655,7 @@ TEST(WorkStealingStressTest, CompositeLaddersBitIdenticalUnderStealing) {
     EPL_ASSERT_OK(sharded.Stop());
     ASSERT_TRUE(actual == expected)
         << actual.size() << " vs " << expected.size() << " detections at "
-        << num_shards << " shards under composite stealing stress";
+        << num_shards << " shards under composite skew stress";
   }
 }
 
@@ -697,7 +672,6 @@ TEST(ShardedEngineTest, ResizeGrowsAndShrinksPreservingDetections) {
   ShardedEngineOptions options;
   options.num_shards = 1;
   options.batch_size = 4;
-  options.work_stealing = true;
   ShardedEngine sharded(options);
   std::vector<DetectionRecord> actual;
   for (query::CompiledQuery& compiled : CompileDefinitions(definitions)) {
@@ -1079,6 +1053,54 @@ TEST(InterestRoutingTest, SkippedShardsAdvanceByTokenWithoutWakeups) {
   EXPECT_LT(on.stats.worker_wakeups, off.stats.worker_wakeups);
 }
 
+TEST(ShardedEngineTest, WakeupsCountEnqueuedShares) {
+  // Each shard's one worker takes its next batch without a wake, so the
+  // producer signals exactly one wakeup per share it enqueues -- also
+  // when two-window FIFOs back up behind the skewed fleet's hot shard.
+  const std::vector<Event> skewed = SkewedStream(1000);
+  for (int num_shards : {1, 2, 4}) {
+    for (size_t batch_size : {size_t{1}, size_t{8}}) {
+      ShardedEngineOptions options;
+      options.num_shards = num_shards;
+      options.batch_size = batch_size;
+      options.queue_capacity = 2;
+      ShardedEngine sharded(options);
+      std::vector<DetectionRecord> records;
+      for (MultiMatchOperator::QuerySpec& spec : SkewedFleet(&records)) {
+        sharded.AddQuery(std::move(spec));
+      }
+      EPL_ASSERT_OK(sharded.Start());
+      for (const Event& event : skewed) {
+        ASSERT_TRUE(sharded.Push(event));
+      }
+      EPL_ASSERT_OK(sharded.Stop());
+      const ShardedEngine::EngineStats stats = sharded.engine_stats();
+      EXPECT_EQ(stats.fanout_batches,
+                (skewed.size() + batch_size - 1) / batch_size);
+      EXPECT_EQ(stats.worker_wakeups,
+                stats.fanout_batches * static_cast<uint64_t>(num_shards))
+          << "broadcast at " << num_shards << " shards, batch "
+          << batch_size;
+    }
+  }
+
+  // Routed, every event from one session: each window has exactly one
+  // destination shard, so one wakeup per window.
+  const std::vector<Event> one_session = SessionStream(2000, 1);
+  for (size_t batch_size : {size_t{1}, size_t{8}}) {
+    ShardedEngineOptions options;
+    options.num_shards = 4;
+    options.batch_size = batch_size;
+    options.queue_capacity = 2;
+    options.routing_field = kRoutedSessionField;
+    options.placement = ShardPlacement::kSessionAffinity;
+    const RoutedRun run = RunSessionFleet(one_session, options);
+    EXPECT_EQ(run.stats.events_routed, one_session.size());
+    EXPECT_EQ(run.stats.worker_wakeups, run.stats.fanout_batches)
+        << "routed, batch " << batch_size;
+  }
+}
+
 TEST(InterestRoutingTest, FlippedInterestBitLosesExactlyThatSession) {
   // Mutation test backing the differential-fuzz leg: routing is only
   // trustworthy if a single wrong interest bit visibly diverges.
@@ -1225,7 +1247,7 @@ TEST(ShardedEngineTest, ControlCallsFromAnotherThreadKeepDetectionsExact) {
   // A producer thread streams routed sessions into two-window FIFOs while
   // this thread keeps reading stats, exporting run state, resizing and
   // flushing, so control calls keep landing on non-empty FIFOs and busy
-  // (or stolen) shards. Each call quiesces at an exact event boundary, so
+  // shards. Each call quiesces at an exact event boundary, so
   // the detections must still equal the fused baseline record for record.
   const std::vector<Event> events = SessionStream(4000, kRoutedSessions);
   const std::vector<DetectionRecord> expected = SessionBaseline(events);
@@ -1235,7 +1257,6 @@ TEST(ShardedEngineTest, ControlCallsFromAnotherThreadKeepDetectionsExact) {
   options.num_shards = 3;
   options.batch_size = 4;
   options.queue_capacity = 2;
-  options.work_stealing = true;
   options.routing_field = kRoutedSessionField;
   options.placement = ShardPlacement::kSessionAffinity;
   ShardedEngine sharded(options);
